@@ -221,6 +221,10 @@ def cmd_simulate_forward(args) -> int:
 # --------------------------------------------------------------------------
 
 
+# CLI spelling -> TrainConfig.optimizer
+_OPTIMIZERS = {"adam": "adam", "sgd-momentum": "momentum"}
+
+
 def cmd_train(args) -> int:
     params = _load_sde_params(args.config)
     spec = _load_mix_spec(args.data_config)
@@ -230,7 +234,7 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         seed=args.seed,
-        optimizer=args.optimizer,
+        optimizer=_OPTIMIZERS[args.optimizer],
         probe_every=args.probe_every,
     )
     pairs = make_dataset(spec, args.utterances, args.frame_size)
@@ -535,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--optimizer", choices=["adam", "sgd-momentum"], default="adam")
+    p.add_argument("--optimizer", choices=list(_OPTIMIZERS), default="adam")
     p.add_argument("--probe-every", type=int, default=25)
     p.add_argument("--utterances", type=int, default=48, help="training set size")
     p.add_argument("--hidden", type=int, default=96, help="recurrent width")

@@ -4,9 +4,20 @@ Both nets share one structure: the signal is cut into fixed frames, a framewise
 affine encoder embeds each frame, a single gated recurrent memory cell carries
 context across frames (and across chunk boundaries when its state is threaded),
 and a framewise affine decoder maps back to samples.  Processing is therefore
-non-causal only *within* a frame; the recurrence is strictly left-to-right,
-which is what makes chunked and whole-signal forwards bit-identical when the
-cell state is carried over.
+non-causal only *within* a frame; the recurrence is strictly left-to-right.
+
+Training and inference share one forward path.  Weight matrices are stored
+``(in, out)`` and C-contiguous, so a projection is ``rows @ w``.  Frames run in
+blocks of ``FRAME_BLOCK``: per block the encoder, the input halves of both gates
+and the decoder are one matmul each over the block's rows, and only the
+recurrent halves of the gates run frame by frame.  Every hoisted matmul has its
+row count padded with zeros to a multiple of ``ROW_ALIGN``; with that padding
+OpenBLAS rounds each output row the same whatever rows surround it (one row
+alone goes through gemv and rounds differently).  That row invariance is what
+makes a chunked forward with threaded state bit-identical to the whole-signal
+forward, whichever way chunks and blocks cut the frames.  It is a property of
+the BLAS, not of NumPy, so ``tests/test_nets.py::TestRowInvariance`` checks it
+and fails loudly on a BLAS that breaks it.
 
 All gradients are computed by hand (reverse-mode, backprop through time); the
 test-suite checks every layer against central finite differences.
@@ -17,12 +28,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, DomainError
+from .errors import ConfigError, DimensionError, DivergenceError, DomainError, GseError
 from .sde import SdeParams, make_rng, sample_perturbed, std
 
 __all__ = [
@@ -46,10 +58,28 @@ __all__ = [
 SNR_LOSS_FLOOR_DB = -120.0
 SNR_LOSS_EPS = 1e-12
 
+#: Frames per block of hoisted projections.  A 50 ms chunk of 40-sample frames
+#: at 16 kHz (20 frames) fits in one block; on long signals blocks bound the
+#: temporaries and the BLAS packing buffers.
+FRAME_BLOCK = 32
+#: Row counts of the hoisted matmuls are padded to a multiple of this.
+ROW_ALIGN = 8
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-safe for large |x|
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+def _sigmoid_(x: np.ndarray) -> None:
+    """In-place logistic; the tanh form is overflow-safe for large |x|."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+
+
+def _pad_rows(x: np.ndarray) -> np.ndarray:
+    """Copy of (M, K) ``x``, C-contiguous, with zero rows up to a multiple of ROW_ALIGN."""
+    m = x.shape[0]
+    padded = np.zeros((m + (-m % ROW_ALIGN), x.shape[1]))
+    padded[:m] = x
+    return padded
 
 
 class TimeEmbedding:
@@ -90,24 +120,47 @@ class _FrameNet:
         self.d_in = d_in
         self.frame_size = frame_size
         self.hidden = hidden
-        rng = make_rng(seed)
+        self.seed = seed
+        self._params: dict[str, np.ndarray] | None = None
 
-        def mat(rows, cols, scale):
-            return rng.standard_normal((rows, cols)) * scale
+    def init_spec(self) -> dict[str, tuple[tuple[int, ...], float | None]]:
+        """name -> (shape as drawn, (out, in) for matrices; init scale, None for zeros).
 
-        h = hidden
-        self.params: dict[str, np.ndarray] = {
-            "enc_w": mat(h, d_in, 1.0 / math.sqrt(d_in)),
-            "enc_b": np.zeros(h),
-            "gate_u_w": mat(h, h, 1.0 / math.sqrt(h)),
-            "gate_u_u": mat(h, h, 1.0 / math.sqrt(h)),
-            "gate_u_b": np.zeros(h),
-            "gate_c_w": mat(h, h, 1.0 / math.sqrt(h)),
-            "gate_c_u": mat(h, h, 1.0 / math.sqrt(h)),
-            "gate_c_b": np.zeros(h),
-            "dec_w": mat(frame_size, 2 * h, 0.5 / math.sqrt(2 * h)),
-            "dec_b": np.zeros(frame_size),
+        Checkpoints store the arrays in these shapes (format 1).
+        """
+        h, f, d = self.hidden, self.frame_size, self.d_in
+        return {
+            "enc_w": ((h, d), 1.0 / math.sqrt(d)),
+            "enc_b": ((h,), None),
+            "gate_u_w": ((h, h), 1.0 / math.sqrt(h)),
+            "gate_u_u": ((h, h), 1.0 / math.sqrt(h)),
+            "gate_u_b": ((h,), None),
+            "gate_c_w": ((h, h), 1.0 / math.sqrt(h)),
+            "gate_c_u": ((h, h), 1.0 / math.sqrt(h)),
+            "gate_c_b": ((h,), None),
+            "dec_w": ((f, 2 * h), 0.5 / math.sqrt(2 * h)),
+            "dec_b": ((f,), None),
         }
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """Weights, matrices (in, out) and C-contiguous.
+
+        Drawn from the seed on first use unless a checkpoint supplied them, so
+        loading a checkpoint skips the random initialisation.
+        """
+        if self._params is None:
+            rng = make_rng(self.seed)
+            self._params = {
+                k: np.zeros(shape) if scale is None
+                else np.ascontiguousarray((rng.standard_normal(shape) * scale).T)
+                for k, (shape, scale) in self.init_spec().items()
+            }
+        return self._params
+
+    @params.setter
+    def params(self, value: dict[str, np.ndarray]) -> None:
+        self._params = value
 
     @property
     def state_dim(self) -> int:
@@ -124,71 +177,71 @@ class _FrameNet:
     def forward(self, inp: np.ndarray, state: np.ndarray, need_cache: bool):
         """inp: (B, R, d_in), state: (B, H) -> (out (B, R, F), state (B, H), cache).
 
-        Two arithmetically equivalent paths:
+        One path for training and inference.  Per block of FRAME_BLOCK frames,
+        the encoder, the input halves of both gates (with their biases) and the
+        decoder are one matmul each, on rows zero-padded to a multiple of
+        ROW_ALIGN; the recurrent halves of the gates run per frame, writing
+        straight into the block's buffers.  A padded matmul rounds each row the
+        same whatever rows surround it (a BLAS property, guarded by
+        ``TestRowInvariance``), and everything else is per frame or elementwise,
+        so a chunked forward with threaded state is bit-identical to the
+        whole-signal forward however chunks and blocks cut the frames.
 
-        * ``need_cache=False`` (enhancement / streaming): every projection runs
-          per frame on (B, .) operands, so the arithmetic for frame k never
-          depends on how many frames surround it.  That is what makes a chunked
-          forward with threaded state bit-identical to the whole-signal forward:
-          same frames, same op shapes, same rounding.
-        * ``need_cache=True`` (training): the frame-parallel projections are
-          hoisted into batched matmuls for throughput.  Training never threads
-          state across chunk boundaries, so it does not need the bit-exactness
-          property, only agreement with the other path to rounding error.
+        ``need_cache`` only decides whether every frame's intermediates are kept
+        for ``backward``; without it the buffers hold one block and are reused.
         """
         p = self.params
         B, R, _ = inp.shape
-        H = self.hidden
-        if need_cache:
-            h = np.tanh(inp @ p["enc_w"].T + p["enc_b"])
-            hu = h @ p["gate_u_w"].T
-            hc = h @ p["gate_c_w"].T
-            s = state
-            S = np.empty((B, R, H))
-            S_prev = np.empty_like(S)
-            U = np.empty_like(S)
-            C = np.empty_like(S)
-            for k in range(R):
-                u = _sigmoid(hu[:, k] + s @ p["gate_u_u"].T + p["gate_u_b"])
-                c = np.tanh(hc[:, k] + s @ p["gate_c_u"].T + p["gate_c_b"])
-                S_prev[:, k] = s
-                U[:, k] = u
-                C[:, k] = c
-                s = (1.0 - u) * s + u * c
-                S[:, k] = s
-            cat = np.concatenate([h, S], axis=-1)
-            out = cat @ p["dec_w"].T + p["dec_b"]
-            return out, s.copy(), (inp, h, S_prev, U, C, cat)
-
-        w_enc, b_enc = p["enc_w"].T, p["enc_b"]
-        w_u, u_u, b_u = p["gate_u_w"].T, p["gate_u_u"].T, p["gate_u_b"]
-        w_c, u_c, b_c = p["gate_c_w"].T, p["gate_c_u"].T, p["gate_c_b"]
-        w_dec, b_dec = p["dec_w"].T, p["dec_b"]
+        H, F = self.hidden, self.frame_size
+        span = R if need_cache else min(R, FRAME_BLOCK)
+        cat = np.empty((B, span, 2 * H))  # per frame: [encoder output | new state]
+        G = np.empty((B, span, 2 * H))  # per frame: [update gate | candidate]
+        out = np.empty((B, R, F))
+        w_uu, w_cu = p["gate_u_u"], p["gate_c_u"]
+        b_g = np.concatenate([p["gate_u_b"], p["gate_c_b"]])
         s = state
-        out = np.empty((B, R, self.frame_size))
-        buf = np.empty((B, 2 * H))
-        for k in range(R):
-            h = np.tanh(inp[:, k] @ w_enc + b_enc)
-            u = _sigmoid(h @ w_u + s @ u_u + b_u)
-            c = np.tanh(h @ w_c + s @ u_c + b_c)
-            s = (1.0 - u) * s + u * c
-            buf[:, :H] = h
-            buf[:, H:] = s
-            out[:, k] = buf @ w_dec + b_dec
-        return out, s.copy(), None
+        for k0 in range(0, R, FRAME_BLOCK):
+            n = min(FRAME_BLOCK, R - k0)
+            rows = B * n
+            j0 = k0 if need_cache else 0
+            blk = cat[:, j0 : j0 + n]
+            h = np.tanh(_pad_rows(inp[:, k0 : k0 + n].reshape(rows, -1)) @ p["enc_w"] + p["enc_b"])
+            hg = np.concatenate([h @ p["gate_u_w"], h @ p["gate_c_w"]], axis=1)[:rows]
+            hg += b_g
+            hg = hg.reshape(B, n, 2 * H)
+            blk[..., :H] = h[:rows].reshape(B, n, H)
+            for k in range(n):
+                g, s_new = G[:, j0 + k], blk[:, k, H:]
+                u, c = g[:, :H], g[:, H:]
+                np.matmul(s, w_uu, out=u)
+                np.matmul(s, w_cu, out=c)
+                g += hg[:, k]
+                _sigmoid_(u)
+                np.tanh(c, out=c)
+                np.subtract(c, s, out=s_new)  # s_new = s + u * (c - s)
+                s_new *= u
+                s_new += s
+                s = s_new
+            dec = _pad_rows(blk.reshape(rows, 2 * H)) @ p["dec_w"]
+            out[:, k0 : k0 + n] = dec[:rows].reshape(B, n, F) + p["dec_b"]
+        cache = (inp, state, cat, G) if need_cache else None
+        return out, s.copy(), cache
 
     def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given d_loss/d_out; state input treated constant."""
         p = self.params
-        inp, h, S_prev, U, C, cat = cache
+        inp, state, cat, G = cache
         B, R, F = d_out.shape
         H = self.hidden
         flat = lambda a: a.reshape(-1, a.shape[-1])
+        h, S = cat[..., :H], cat[..., H:]
+        U, C = G[..., :H], G[..., H:]
+        S_prev = np.concatenate([state[:, None], S[:, :-1]], axis=1)
 
         grads = {}
-        grads["dec_w"] = flat(d_out).T @ flat(cat)
+        grads["dec_w"] = flat(cat).T @ flat(d_out)
         grads["dec_b"] = d_out.sum(axis=(0, 1))
-        d_cat = d_out @ p["dec_w"]
+        d_cat = d_out @ p["dec_w"].T
         dh = d_cat[..., :H].copy()
         dS = d_cat[..., H:]
 
@@ -202,16 +255,16 @@ class _FrameNet:
             db = g * u * (1.0 - c * c)
             DA[:, k] = da
             DB[:, k] = db
-            carry = g * (1.0 - u) + da @ p["gate_u_u"] + db @ p["gate_c_u"]
-        grads["gate_u_w"] = flat(DA).T @ flat(h)
-        grads["gate_u_u"] = flat(DA).T @ flat(S_prev)
+            carry = g * (1.0 - u) + da @ p["gate_u_u"].T + db @ p["gate_c_u"].T
+        grads["gate_u_w"] = flat(h).T @ flat(DA)
+        grads["gate_u_u"] = flat(S_prev).T @ flat(DA)
         grads["gate_u_b"] = DA.sum(axis=(0, 1))
-        grads["gate_c_w"] = flat(DB).T @ flat(h)
-        grads["gate_c_u"] = flat(DB).T @ flat(S_prev)
+        grads["gate_c_w"] = flat(h).T @ flat(DB)
+        grads["gate_c_u"] = flat(S_prev).T @ flat(DB)
         grads["gate_c_b"] = DB.sum(axis=(0, 1))
-        dh += DA @ p["gate_u_w"] + DB @ p["gate_c_w"]
+        dh += DA @ p["gate_u_w"].T + DB @ p["gate_c_w"].T
         de = dh * (1.0 - h * h)
-        grads["enc_w"] = flat(de).T @ flat(inp)
+        grads["enc_w"] = flat(inp).T @ flat(de)
         grads["enc_b"] = de.sum(axis=(0, 1))
         return grads
 
@@ -595,7 +648,7 @@ def train_denoiser(net: DenoiserNet, pairs, cfg: TrainConfig) -> TrainResult:
 # Checkpoints: versioned npz with config echo, seed, and all parameters
 # --------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 1  # matrices stored (out, in), as drawn; transposed at this boundary
 
 
 def save_checkpoint(path: str | Path, net, train_seed: int | None = None) -> None:
@@ -611,28 +664,45 @@ def save_checkpoint(path: str | Path, net, train_seed: int | None = None) -> Non
             "gamma": p.gamma, "sigma_min": p.sigma_min, "sigma_max": p.sigma_max,
             "T": p.T, "N": p.N, "t_eps": p.t_eps,
         }
-    arrays = {f"param_{k}": v for k, v in net.params.items()}
+    arrays = {f"param_{k}": v.T for k, v in net.params.items()}
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path: str | Path):
-    """Rebuild a net from a checkpoint; returns (net, meta)."""
-    with np.load(path) as data:
-        if "meta" not in data:
-            raise ConfigError(f"{path}: not a checkpoint (missing meta)")
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"{path}: unsupported checkpoint format {meta.get('format')}")
-        hp = meta["hyperparams"]
-        if meta["kind"] == "score":
-            net = ScoreNet(SdeParams(**meta["sde_params"]), **hp)
-        elif meta["kind"] == "denoiser":
-            net = DenoiserNet(**hp)
-        else:
-            raise ConfigError(f"{path}: unknown net kind {meta['kind']!r}")
-        for k in net.params:
-            key = f"param_{k}"
-            if key not in data:
-                raise ConfigError(f"{path}: missing parameter array {k}")
-            net.params[k] = data[key].astype(np.float64)
+    """Rebuild a net from a checkpoint; returns (net, meta).
+
+    Every array is checked against the shape its stored hyperparams imply;
+    anything unreadable or inconsistent raises ConfigError.
+    """
+    try:
+        with np.load(path) as data:
+            if "meta" not in data:
+                raise ConfigError(f"{path}: not a checkpoint (missing meta)")
+            meta = json.loads(bytes(data["meta"]).decode())
+            if meta.get("format") != CHECKPOINT_FORMAT:
+                raise ConfigError(f"{path}: unsupported checkpoint format {meta.get('format')}")
+            hp = meta["hyperparams"]
+            if meta["kind"] == "score":
+                net = ScoreNet(SdeParams(**meta["sde_params"]), **hp)
+            elif meta["kind"] == "denoiser":
+                net = DenoiserNet(**hp)
+            else:
+                raise ConfigError(f"{path}: unknown net kind {meta['kind']!r}")
+            params = {}
+            for k, (shape, _) in net.core.init_spec().items():
+                key = f"param_{k}"
+                if key not in data:
+                    raise ConfigError(f"{path}: missing parameter array {k}")
+                stored = data[key]
+                if stored.shape != shape:
+                    raise ConfigError(
+                        f"{path}: parameter {k} has shape {stored.shape}, "
+                        f"hyperparams imply {shape}"
+                    )
+                params[k] = np.ascontiguousarray(stored.T, dtype=np.float64)
+    except GseError:
+        raise
+    except (ValueError, EOFError, KeyError, TypeError, AttributeError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: unreadable checkpoint ({type(exc).__name__}: {exc})") from exc
+    net.core.params = params
     return net, meta

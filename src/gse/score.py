@@ -304,16 +304,26 @@ class HybridScore(ScoreProvider):
         y = np.asarray(y, dtype=np.float64)
         guided_bound, denoiser_state = self._guided.bind(y, ledger, denoiser_state)
         learned_bound, _ = self._learned.bind(y, ledger, None)
+        return _HybridBound(guided_bound, learned_bound), denoiser_state
 
-        class _HybridBound(_Bound):
-            def guided_for_step(self, n, schedule):
-                if schedule is None:
-                    raise ConfigError("hybrid provider requires a guidance schedule")
-                return schedule.guided_at_step(n)
 
-            def evaluate(self, x_t, t, state, guided):
-                if guided:
-                    return guided_bound.evaluate(x_t, t, state, True)
-                return learned_bound.evaluate(x_t, t, state, False)
+class _HybridBound(_Bound):
+    """Schedule-driven dispatch between a guided and a learned bound evaluator.
 
-        return _HybridBound(), denoiser_state
+    Defined once at module level: a class made per bind is a reference cycle
+    that would keep each request's y and x_d alive until a cyclic GC pass.
+    """
+
+    def __init__(self, guided: _Bound, learned: _Bound):
+        self._guided = guided
+        self._learned = learned
+
+    def guided_for_step(self, n, schedule):
+        if schedule is None:
+            raise ConfigError("hybrid provider requires a guidance schedule")
+        return schedule.guided_at_step(n)
+
+    def evaluate(self, x_t, t, state, guided):
+        if guided:
+            return self._guided.evaluate(x_t, t, state, True)
+        return self._learned.evaluate(x_t, t, state, False)

@@ -163,6 +163,17 @@ class TestTrain:
         assert manifest["config"]["train"]["role"] == "score"
         capsys.readouterr()
 
+    def test_sgd_momentum_optimizer_trains(self, tmp_path, capsys):
+        out = tmp_path / "tr"
+        rc = run("train", "--role", "denoiser", "--out", out, "--steps", 6,
+                 "--batch-size", 2, "--utterances", 2, "--hidden", 6,
+                 "--frame-size", 16, "--optimizer", "sgd-momentum")
+        assert rc == EXIT_OK
+        assert (out / "denoiser.npz").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train"]["optimizer"] == "momentum"
+        capsys.readouterr()
+
     def test_unknown_optimizer_rejected(self, tmp_path, capsys):
         rc = run("train", "--role", "score", "--out", tmp_path / "o",
                  "--optimizer", "rmsprop")
@@ -220,6 +231,14 @@ class TestEnhance:
                  "--score-ckpt", denoiser_ckpt, "--n-phi", 0)
         assert rc == EXIT_CONFIG
         assert "not a score checkpoint" in capsys.readouterr().err
+
+    def test_unreadable_checkpoint_is_config_error(self, tmp_path, noisy_wav, capsys):
+        bogus = tmp_path / "score.npz"
+        bogus.write_text("not an archive\n")
+        rc = run("enhance", "--input", noisy_wav, "--out", tmp_path / "o",
+                 "--score-ckpt", bogus, "--n-phi", 0)
+        assert rc == EXIT_CONFIG
+        assert "unreadable checkpoint" in capsys.readouterr().err
 
     def test_missing_denoiser_checkpoint_rejected(self, tmp_path, noisy_wav,
                                                   trained_ckpt_paths, capsys):

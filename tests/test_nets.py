@@ -8,10 +8,13 @@ import pytest
 
 from gse.errors import ConfigError, DimensionError, DivergenceError, DomainError
 from gse.nets import (
+    FRAME_BLOCK,
+    ROW_ALIGN,
     DenoiserNet,
     ScoreNet,
     TimeEmbedding,
     TrainConfig,
+    _pad_rows,
     denoiser_loss_and_grads,
     draw_matching_samples,
     load_checkpoint,
@@ -195,6 +198,100 @@ class TestForward:
         assert den.macs_per_forward(800) == 20 * per_frame
         with pytest.raises(DimensionError):
             net.macs_per_forward(801)
+
+
+class TestRowInvariance:
+    """The BLAS property the one forward path stands on.
+
+    Row i of ``_pad_rows(X) @ W`` must not depend on how many rows surround it
+    or where the slice starts; chunked == whole bit-exactness follows from it.
+    Unpadded, OpenBLAS breaks it (M = 1 goes through gemv; some output widths
+    round differently for some M), so a BLAS upgrade that breaks the padded
+    case must fail here rather than silently in the streaming contract.
+    """
+
+    # (in, out) of the nets' hoisted matmuls: the acceptance recipe (score
+    # hidden 160, denoiser hidden 96, frame 40) and the small test nets
+    NET_SHAPES = [(112, 160), (160, 160), (320, 40), (40, 96), (96, 96), (192, 40),
+                  (8, 10), (10, 10), (20, 8), (20, 4)]
+
+    @pytest.mark.parametrize("d_in", [10, 112])
+    def test_rows_do_not_depend_on_their_neighbours(self, d_in):
+        rng = make_rng(40)
+        shapes = [(d_in, n) for n in range(1, 65)] + self.NET_SHAPES
+        X = rng.normal(size=(2 * FRAME_BLOCK + ROW_ALIGN, max(k for k, _ in shapes)))
+        for k, n in shapes:
+            W = rng.normal(size=(k, n))
+            whole = _pad_rows(X[:, :k]) @ W
+            for rows in (1, 2, 3, 7, 8, 9, 20, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1):
+                for offset in (0, 1, 5, 13, FRAME_BLOCK):
+                    part = (_pad_rows(X[offset : offset + rows, :k]) @ W)[:rows]
+                    assert np.array_equal(part, whole[offset : offset + rows]), (k, n, rows, offset)
+
+    def test_padding_is_zero_rows_to_the_alignment(self):
+        x = make_rng(41).normal(size=(9, 3))
+        padded = _pad_rows(x)
+        assert padded.shape == (16, 3) and padded.flags.c_contiguous
+        np.testing.assert_array_equal(padded[:9], x)
+        assert not padded[9:].any()
+        assert _pad_rows(x[:8]).shape == (8, 3)
+
+
+def _score_chunks(net, x, y, t, cuts):
+    out, state = [], None
+    for a, b in zip([0, *cuts], [*cuts, x.size]):
+        s, state = net.forward(x[a:b], y[a:b], t, state=state)
+        out.append(s)
+    return np.concatenate(out), state
+
+
+def _denoiser_chunks(net, y, cuts):
+    out, state = [], None
+    for a, b in zip([0, *cuts], [*cuts, y.size]):
+        d, state = net.forward(y[a:b], state=state)
+        out.append(d)
+    return np.concatenate(out), state
+
+
+class TestChunkBoundaries:
+    """Chunked == whole, bit for bit, for cuts that stress the frame blocks."""
+
+    FRAME = 4
+    FRAMES = 71  # three blocks: 32 + 32 + 7
+    CUTS = {
+        "one-frame chunks at the start and inside a block": [1, 2, 40, 41],
+        "cut inside a frame block": [33],
+        "cut on a block edge, then ragged": [32, 45, 64],
+    }
+
+    @pytest.mark.parametrize("cuts", list(CUTS.values()), ids=list(CUTS))
+    def test_score_net(self, cuts):
+        net = ScoreNet(P, frame_size=self.FRAME, hidden=10, seed=5)
+        x, y = make_rng(42).normal(size=(2, self.FRAMES * self.FRAME))
+        whole, state_whole = net.forward(x, y, 0.4)
+        chunked, state_chunked = _score_chunks(net, x, y, 0.4, [c * self.FRAME for c in cuts])
+        np.testing.assert_array_equal(whole, chunked)
+        np.testing.assert_array_equal(state_whole, state_chunked)
+
+    @pytest.mark.parametrize("cuts", list(CUTS.values()), ids=list(CUTS))
+    def test_denoiser(self, cuts):
+        net = DenoiserNet(frame_size=self.FRAME, hidden=10, seed=7)
+        y = make_rng(43).normal(size=self.FRAMES * self.FRAME)
+        whole, state_whole = net.forward(y)
+        chunked, state_chunked = _denoiser_chunks(net, y, [c * self.FRAME for c in cuts])
+        np.testing.assert_array_equal(whole, chunked)
+        np.testing.assert_array_equal(state_whole, state_chunked)
+
+    def test_acceptance_shapes_one_frame_chunks(self):
+        """The recipe's widths (score hidden 160, denoiser hidden 96, frame 40)."""
+        frame, frames = 40, 24
+        score = ScoreNet(P, frame_size=frame, hidden=160, seed=0)
+        den = DenoiserNet(frame_size=frame, hidden=96, seed=1)
+        x, y = make_rng(44).normal(size=(2, frames * frame))
+        cuts = [k * frame for k in range(1, frames)]
+        np.testing.assert_array_equal(score.forward(x, y, 0.7)[0],
+                                      _score_chunks(score, x, y, 0.7, cuts)[0])
+        np.testing.assert_array_equal(den.forward(y)[0], _denoiser_chunks(den, y, cuts)[0])
 
 
 class TestMatchingLoss:
@@ -416,4 +513,49 @@ class TestCheckpoints:
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))
         with pytest.raises(ConfigError, match="meta"):
+            load_checkpoint(path)
+
+    def test_weights_are_stored_transposed_at_the_file_boundary(self, tmp_path):
+        """Format 1 keeps matrices (out, in); in memory they are (in, out)."""
+        net = DenoiserNet(frame_size=8, hidden=10, seed=4)
+        path = tmp_path / "den.npz"
+        save_checkpoint(path, net)
+        with np.load(path) as data:
+            assert data["param_enc_w"].shape == (10, 8)
+            assert data["param_dec_w"].shape == (8, 20)
+            np.testing.assert_array_equal(data["param_dec_w"], net.params["dec_w"].T)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.params["dec_w"].shape == (20, 8)
+        assert all(v.flags.c_contiguous for v in loaded.params.values())
+
+    def test_wrong_shape_array_rejected(self, tmp_path):
+        net = ScoreNet(WIDE, frame_size=8, hidden=10, seed=4)
+        path = tmp_path / "score.npz"
+        save_checkpoint(path, net)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["param_gate_c_u"] = np.zeros((10, 9))
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigError, match="gate_c_u"):
+            load_checkpoint(path)
+
+    def test_non_npz_file_rejected(self, tmp_path):
+        path = tmp_path / "score.npz"
+        path.write_text("frame_size = 8\n")
+        with pytest.raises(ConfigError, match="unreadable"):
+            load_checkpoint(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        net = DenoiserNet(frame_size=8, hidden=10, seed=4)
+        path = tmp_path / "den.npz"
+        save_checkpoint(path, net)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ConfigError, match="unreadable"):
+            load_checkpoint(path)
+
+    def test_bad_meta_json_rejected(self, tmp_path):
+        path = tmp_path / "score.npz"
+        np.savez(path, meta=np.frombuffer(b"{not json", dtype=np.uint8))
+        with pytest.raises(ConfigError, match="unreadable"):
             load_checkpoint(path)

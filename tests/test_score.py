@@ -1,6 +1,8 @@
 """Guided/learned score surrogates, the switch schedule, and provider accounting."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -236,6 +238,25 @@ class TestProviders:
         s_h, _ = hb.evaluate(x_t, 0.2, state, guided=False)
         s_l, _ = lb.evaluate(x_t, 0.2, state, guided=False)
         np.testing.assert_array_equal(s_h, s_l)
+
+    def test_hybrid_bound_is_freed_by_refcount_alone(self):
+        """Dropping a bound evaluator frees it and the request's y at once,
+        without waiting for a cyclic GC pass."""
+        net, denoiser = tiny_nets()
+        provider = HybridScore(net, denoiser, P)
+        gc.disable()
+        try:
+            y = make_rng(10).normal(size=8)
+            y_ref = weakref.ref(y)
+            bound, _ = provider.bind(y, CostLedger())
+            bound_ref = weakref.ref(bound)
+            bound.evaluate(y, 0.9, np.zeros(net.state_dim), guided=True)
+            bound.evaluate(y, 0.2, np.zeros(net.state_dim), guided=False)
+            del bound, y
+            assert bound_ref() is None
+            assert y_ref() is None
+        finally:
+            gc.enable()
 
     def test_analytic_provider_costs_nothing(self):
         ledger = CostLedger()
