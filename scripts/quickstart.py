@@ -60,27 +60,27 @@ def main():
 
     clean, noisy = synthesize_pair(MixSpec(duration_s=0.25, snr_db=5.0, seed=9000))
     input_sdr = sdr_db(clean.samples, noisy.samples)
-    providers = {
-        0: LearnedScore(score_net, params),
-        12: HybridScore(score_net, denoiser, params),
-        30: DiscriminativeScore(denoiser, params),
+    providers = {  # n_phi -> (mode label, provider)
+        0: ("learned", LearnedScore(score_net, params)),
+        12: ("hybrid", HybridScore(score_net, denoiser, params)),
+        30: ("discriminative", DiscriminativeScore(denoiser, params)),
     }
     print(f"\ninput SDR {input_sdr:+.2f} dB")
     print(f"{'n_phi':>6} {'mode':<16} {'SDR out':>8} {'gain':>7} {'RTF':>6} {'MMACs':>8}")
-    for n_phi, provider in providers.items():
+    for n_phi, (mode, provider) in providers.items():
         schedule = GuidanceSchedule.from_guided_steps(n_phi, params)
         x, ledger, rep = enhance_offline(
             noisy.samples, provider, schedule, SamplerConfig(seed=0), params,
             seed=7, frame_size=FRAME, sample_rate=noisy.sample_rate,
         )
         sdr = sdr_db(clean.samples, x)
-        print(f"{n_phi:>6} {provider.kind:<16} {sdr:>+8.2f} {sdr - input_sdr:>+7.2f} "
+        print(f"{n_phi:>6} {mode:<16} {sdr:>+8.2f} {sdr - input_sdr:>+7.2f} "
               f"{realtime_factor(rep):>6.3f} {ledger.mac_total / 1e6:>8.1f}")
 
     schedule = GuidanceSchedule.from_guided_steps(12, params)
     stream_cfg = StreamConfig(chunk_ms=50.0, sample_rate=noisy.sample_rate)
     x, _, rep = enhance_stream(
-        noisy.samples, stream_cfg, providers[12], schedule, SamplerConfig(seed=0),
+        noisy.samples, stream_cfg, providers[12][1], schedule, SamplerConfig(seed=0),
         params, seed=7,
     )
     print(f"\nstreaming (50 ms chunks): SDR {sdr_db(clean.samples, x):+.2f} dB, "

@@ -40,10 +40,10 @@ from .score import (
     GuidanceSchedule,
     HybridScore,
     LearnedScore,
+    ScoreProvider,
     analytic_gaussian_score,
     discriminative_score,
     guided_step_count,
-    hybrid_score,
     switch_time_for_count,
 )
 from .sde import (

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, WavFormatError
-from .sde import make_rng
+from .sde import make_rng, read_key_values
 
 __all__ = [
     "Signal",
@@ -88,22 +88,7 @@ class MixSpec:
             "clean_kind": str, "noise_kind": str, "snr_db": float,
             "duration_s": float, "seed": int, "sample_rate": int,
         }
-        kwargs = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in casts:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                kwargs[key] = casts[key](value.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        return cls(**kwargs)
+        return cls(**read_key_values(path, casts))
 
 
 def _clean_sinusoid_sum(n: int, rate: int, rng: np.random.Generator) -> np.ndarray:

@@ -25,7 +25,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -51,9 +51,15 @@ from .nets import (
     train_score,
 )
 from .sampler import SamplerConfig
-from .score import DiscriminativeScore, GuidanceSchedule, HybridScore, LearnedScore
+from .score import GuidanceSchedule, HybridScore, ScoreProvider
 from .sde import SdeParams, forward_ensemble_moments, make_rng
-from .streaming import StreamConfig, enhance_offline, enhance_stream, realtime_factor
+from .streaming import (
+    StreamConfig,
+    _pad_to_multiple,
+    enhance_offline,
+    enhance_stream,
+    realtime_factor,
+)
 
 __all__ = ["main", "console_entry", "build_parser", "replay_manifest", "sweep_threads"]
 
@@ -111,11 +117,6 @@ def sweep_threads() -> int:
     return n
 
 
-def _pad_to_frames(x: np.ndarray, frame_size: int) -> np.ndarray:
-    rem = x.size % frame_size
-    return x if rem == 0 else np.concatenate([x, np.zeros(frame_size - rem)])
-
-
 def make_dataset(
     spec: MixSpec, n_utterances: int, frame_size: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -126,8 +127,8 @@ def make_dataset(
         scale = 0.9 / max(float(np.max(np.abs(noisy.samples))), 1e-8)
         pairs.append(
             (
-                _pad_to_frames(clean.samples * scale, frame_size),
-                _pad_to_frames(noisy.samples * scale, frame_size),
+                _pad_to_multiple(clean.samples * scale, frame_size),
+                _pad_to_multiple(noisy.samples * scale, frame_size),
             )
         )
     return pairs
@@ -140,15 +141,33 @@ def _resolve_schedule(args, params: SdeParams) -> GuidanceSchedule:
     return GuidanceSchedule.from_guided_steps(n_phi, params)
 
 
+# The SdeParams fields a score net reads (ScoreNet.gain / _clamp_t); N is only
+# the sampler's grid, so a checkpoint may be run at any N.
+_SCORE_NET_SDE_FIELDS = ("gamma", "sigma_min", "sigma_max", "T", "t_eps")
+
+
+def _load_score_net(path: str, params: SdeParams) -> ScoreNet:
+    """Load a score checkpoint and check it was trained for the same process."""
+    score_net, _ = load_checkpoint(path)
+    if not isinstance(score_net, ScoreNet):
+        raise ConfigError(f"{path}: not a score checkpoint")
+    stored = score_net.sde_params
+    bad = [f for f in _SCORE_NET_SDE_FIELDS if getattr(stored, f) != getattr(params, f)]
+    if bad:
+        raise ConfigError(
+            f"{path}: checkpoint sde_params differ from the config in "
+            + ", ".join(f"{f} ({getattr(stored, f)!r} vs {getattr(params, f)!r})" for f in bad)
+        )
+    return score_net
+
+
 def _load_nets(args, params: SdeParams, schedule: GuidanceSchedule):
     """Load whichever checkpoints the schedule actually needs."""
     score_net = denoiser = None
     if schedule.n_guided < schedule.n_steps:
         if not args.score_ckpt:
             raise ConfigError("--score-ckpt is required unless every step is guided")
-        score_net, _ = load_checkpoint(args.score_ckpt)
-        if not isinstance(score_net, ScoreNet):
-            raise ConfigError(f"{args.score_ckpt}: not a score checkpoint")
+        score_net = _load_score_net(args.score_ckpt, params)
     if schedule.n_guided > 0:
         if not args.denoiser_ckpt:
             raise ConfigError("--denoiser-ckpt is required when guided steps > 0")
@@ -156,19 +175,6 @@ def _load_nets(args, params: SdeParams, schedule: GuidanceSchedule):
         if not isinstance(denoiser, DenoiserNet):
             raise ConfigError(f"{args.denoiser_ckpt}: not a denoiser checkpoint")
     return score_net, denoiser
-
-
-def _make_provider(score_net, denoiser, params: SdeParams, schedule: GuidanceSchedule):
-    """Pure provider at the schedule edges, hybrid in between.
-
-    n_guided = 0 never touches the denoiser, so the report shows
-    denoiser_forwards = 0; n_guided = N never touches the score model.
-    """
-    if schedule.n_guided == 0:
-        return LearnedScore(score_net, params)
-    if schedule.n_guided == schedule.n_steps:
-        return DiscriminativeScore(denoiser, params)
-    return HybridScore(score_net, denoiser, params)
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +259,7 @@ def cmd_train(args) -> int:
         args,
         {
             "sde": params.as_dict(),
-            "mix": {k: getattr(spec, k) for k in ("clean_kind", "noise_kind", "snr_db", "duration_s", "seed", "sample_rate")},
+            "mix": asdict(spec),
             "train": {
                 "role": args.role, "steps": cfg.steps, "batch_size": cfg.batch_size,
                 "learning_rate": cfg.learning_rate, "optimizer": cfg.optimizer,
@@ -281,7 +287,7 @@ def cmd_enhance(args) -> int:
     out = _out_dir(args)
     schedule = _resolve_schedule(args, params)
     score_net, denoiser = _load_nets(args, params, schedule)
-    provider = _make_provider(score_net, denoiser, params, schedule)
+    provider = ScoreProvider(score_net, denoiser, params)
     frame_size = (score_net or denoiser).frame_size
     sig = read_wav(args.input)
     sampler_cfg = SamplerConfig(
@@ -364,7 +370,7 @@ def _sweep_worker(task: dict) -> dict:
     """
     params = SdeParams(**task["sde"])
     spec = MixSpec(**task["mix"])
-    score_net, _ = load_checkpoint(task["score_ckpt"])
+    score_net = _load_score_net(task["score_ckpt"], params)
     denoiser, _ = load_checkpoint(task["denoiser_ckpt"])
     provider = HybridScore(score_net, denoiser, params)
     schedule = GuidanceSchedule.from_guided_steps(task["n_phi"], params)
@@ -426,7 +432,7 @@ def cmd_sweep_nphi(args) -> int:
             "n_phi": n_phi,
             "seed": seed,
             "sde": params.as_dict(),
-            "mix": {k: getattr(spec, k) for k in ("clean_kind", "noise_kind", "snr_db", "duration_s", "seed", "sample_rate")},
+            "mix": asdict(spec),
             "score_ckpt": args.score_ckpt,
             "denoiser_ckpt": args.denoiser_ckpt,
             "utterances": args.utterances,
@@ -488,6 +494,9 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} must be a comma-separated integer list, got {raw!r}") from exc
     if not values:
         raise ConfigError(f"{flag} must name at least one value")
+    dups = sorted({v for v in values if values.count(v) > 1})
+    if dups:
+        raise ConfigError(f"{flag} repeats {dups}")
     return values
 
 
@@ -498,10 +507,17 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 
 def replay_manifest(path: str | Path) -> int:
     """Re-run the argv recorded in a manifest; deterministic outputs match bit-exactly."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path}: unreadable manifest ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: manifest is not a JSON object")
     argv = doc.get("argv")
     if not isinstance(argv, list) or not argv:
         raise ConfigError(f"{path}: manifest has no argv record")
+    if argv[0] == "replay":  # replay writes no manifest; this one would recurse
+        raise ConfigError(f"{path}: manifest records a replay command")
     return main([str(a) for a in argv])
 
 

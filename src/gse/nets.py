@@ -659,11 +659,7 @@ def save_checkpoint(path: str | Path, net, train_seed: int | None = None) -> Non
         "train_seed": train_seed,
     }
     if net.kind == "score":
-        p = net.sde_params
-        meta["sde_params"] = {
-            "gamma": p.gamma, "sigma_min": p.sigma_min, "sigma_max": p.sigma_max,
-            "T": p.T, "N": p.N, "t_eps": p.t_eps,
-        }
+        meta["sde_params"] = net.sde_params.as_dict()
     arrays = {f"param_{k}": v.T for k, v in net.params.items()}
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 

@@ -6,7 +6,7 @@ the new time (clamped to t_eps) and sharing the predictor's guidance branch.
 The prior is x_T ~ N(y, variance(T) * I); the returned state sits at t_eps.
 
 Every score-model forward, denoiser forward, branch decision and analytic MAC
-count lands in a ``CostLedger``; for the hybrid provider the totals obey
+count lands in a ``CostLedger``; for a provider with both nets the totals obey
 
     score_net_forwards = (1 + corrector_steps) * (N - n_guided)
     denoiser_forwards  = 1
@@ -156,6 +156,10 @@ def reverse_process(
 ) -> tuple[np.ndarray, CostLedger]:
     """Full reverse pass conditioned on y; returns (x_out, ledger).
 
+    The branch of every grid step is fixed once per run by
+    ``provider.guided_steps``; the predictor, its correctors and the optional
+    final denoise (which uses step 1's branch) all read that list.
+
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the
     updated state back; the denoiser state is threaded through the bank as well.
@@ -168,6 +172,7 @@ def reverse_process(
         raise ConfigError(
             f"schedule built for N={schedule.n_steps}, sampler runs N={n_steps}"
         )
+    guided_steps = provider.guided_steps(schedule, n_steps)  # entry n-1: grid step n
     den_state = None if bank is None else bank.denoiser_state
     bound, den_state = provider.bind(y, ledger, den_state)
     if bank is not None:
@@ -181,7 +186,7 @@ def reverse_process(
 
     for n in range(n_steps, 0, -1):
         t_n = (n * params.T) / n_steps
-        guided = bound.guided_for_step(n, schedule)
+        guided = guided_steps[n - 1]
         ledger.record_branch(guided)
         step_state_in = bank.score_states[n] if bank is not None else None
         score, new_net_state = bound.evaluate(state.x, t_n, step_state_in, guided)
@@ -209,8 +214,7 @@ def reverse_process(
     if config.final_denoise:
         # Tweedie-style mean projection at the terminal time (not a grid step:
         # branch counters stay untouched)
-        guided = bound.guided_for_step(1, schedule)
-        score, _ = bound.evaluate(x_out, last_t_eval, None, guided)
+        score, _ = bound.evaluate(x_out, last_t_eval, None, guided_steps[0])
         mu_hat = x_out + variance(last_t_eval, params) * score
         a = math.exp(-params.gamma * last_t_eval)
         x_out = (mu_hat - (1.0 - a) * y) / a

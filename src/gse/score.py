@@ -1,4 +1,4 @@
-"""Score functions and the guided/learned switching schedule.
+"""Score functions, the guided/learned switching schedule and the score provider.
 
 Three interchangeable score sources drive the reverse sampler:
 
@@ -12,6 +12,11 @@ steps with t above the threshold use the guided score, the rest use the
 learned one.  The guided-step count n of a threshold is the cardinality of
 { n*T/N > t_switch : n = 1..N }, and the inverse returns the largest
 grid-aligned threshold with that count.
+
+One ``ScoreProvider`` holds a score net, a denoiser, or both, and one rule
+(``ScoreProvider.guided_steps``) fixes the branch of every grid step: with a
+schedule its top n_guided steps are guided, without one every step uses the
+provider's only source.  The denoiser runs once per ``bind``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ __all__ = [
     "GaussianPrior",
     "discriminative_score",
     "analytic_gaussian_score",
-    "hybrid_score",
+    "ScoreProvider",
     "LearnedScore",
     "DiscriminativeScore",
     "HybridScore",
@@ -134,196 +139,126 @@ def analytic_gaussian_score(
     return -(x_t - mean(m0, y, t, params)) / denom
 
 
-def hybrid_score(
-    x_t: np.ndarray,
-    y: np.ndarray,
-    t: float,
-    schedule: GuidanceSchedule,
-    learned_fn,
-    x_d: np.ndarray,
-    params: SdeParams,
-    ledger=None,
-) -> np.ndarray:
-    """Time-threshold dispatch: guided branch for t above the switch, else learned.
-
-    Ties (t == t_switch) go to the learned branch.  When a ledger is passed the
-    branch that fired is recorded.
-    """
-    guided = t > schedule.t_switch + _TIE_REL * params.T
-    if ledger is not None:
-        ledger.record_branch(guided)
-    if guided:
-        return discriminative_score(x_t, y, t, x_d, params)
-    return np.asarray(learned_fn(x_t, y, t), dtype=np.float64)
-
-
 # --------------------------------------------------------------------------
-# Provider layer used by the sampler: per-run binding caches the one denoiser
+# The provider used by the sampler: one bind per run caches the one denoiser
 # pass, per-evaluation calls thread recurrent state for streaming.
 # --------------------------------------------------------------------------
 
 
-class _Bound:
-    """Per-run score evaluator. ``guided_for_step`` fixes the branch of grid step n."""
-
-    def guided_for_step(self, n: int, schedule: GuidanceSchedule | None) -> bool:
-        raise NotImplementedError
-
-    def evaluate(self, x_t, t, state, guided: bool):
-        """Return (score, new_state); new_state is state unless a net ran."""
-        raise NotImplementedError
-
-
 class ScoreProvider:
-    kind = "abstract"
-    needs_schedule = False
+    """Score source of the reverse sampler: a score net, a denoiser, or both.
 
-    def bind(self, y: np.ndarray, ledger, denoiser_state=None):
-        """Prepare a per-utterance/chunk evaluator; returns (bound, denoiser_state)."""
-        raise NotImplementedError
+    A provider without a denoiser is learned-only: its learned branch is the
+    score net (or, in a subclass, an oracle).  A provider without a score net
+    is guided-only.  ``guided_steps`` is the one rule that picks the branch of
+    each grid step.
+    """
+
+    def __init__(self, net, denoiser, params: SdeParams):
+        self.net = net
+        self.denoiser = denoiser
+        self.params = params
 
     @property
     def state_dim(self) -> int:
-        return 0
+        return 0 if self.net is None else self.net.state_dim
 
     @property
     def denoiser_state_dim(self) -> int | None:
-        return None
+        return None if self.denoiser is None else self.denoiser.state_dim
+
+    def guided_steps(self, schedule: GuidanceSchedule | None, n_steps: int) -> list[bool]:
+        """Branch of grid steps 1..n_steps (entry n-1 is step n, True = guided).
+
+        With a schedule its top n_guided steps are guided; without one every
+        step uses the provider's only source.  A two-source provider without a
+        schedule, or a schedule that needs a source the provider lacks, raises
+        ConfigError.
+        """
+        if schedule is None:
+            if self.net is not None and self.denoiser is not None:
+                raise ConfigError("a provider with a score net and a denoiser needs a schedule")
+            return [self.denoiser is not None] * n_steps
+        guided = [schedule.guided_at_step(n) for n in range(1, n_steps + 1)]
+        if self.denoiser is None and any(guided):
+            raise ConfigError(f"schedule guides {schedule.n_guided} steps; provider has no denoiser")
+        if self.net is None and self.denoiser is not None and not all(guided):
+            raise ConfigError(
+                f"schedule leaves {n_steps - schedule.n_guided} steps learned; "
+                "provider has no score net"
+            )
+        return guided
+
+    def bind(self, y: np.ndarray, ledger, denoiser_state=None):
+        """Prepare a per-utterance/chunk evaluator; returns (bound, denoiser_state).
+
+        A provider holding a denoiser runs it here, once; guided evaluations
+        then cost no forward pass.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        x_d = None
+        if self.denoiser is not None:
+            x_d, denoiser_state = self.denoiser.forward(y, denoiser_state)
+            ledger.denoiser_forwards += 1
+            ledger.mac_total += self.denoiser.macs_per_forward(y.size)
+        return _BoundScore(self, y, x_d, ledger), denoiser_state
+
+    def _clamp(self, t: float) -> float:
+        return min(max(t, self.params.t_eps), self.params.T)
+
+    def learned_score(self, x_t, y, t, state, ledger):
+        """Learned branch: one score-net forward at the clamped time; (score, new_state)."""
+        score, new_state = self.net.forward(x_t, y, self._clamp(t), state)
+        ledger.score_net_forwards += 1
+        ledger.mac_total += self.net.macs_per_forward(x_t.size)
+        return score, new_state
 
 
-class _FixedBranchBound(_Bound):
-    def __init__(self, fn, guided: bool):
-        self._fn = fn
-        self._guided = guided
+class _BoundScore:
+    """Per-run evaluator: a provider with its y, denoiser estimate x_d and ledger.
 
-    def guided_for_step(self, n, schedule):
-        return self._guided
+    It holds no reference back to itself, so dropping it frees the request's y
+    and x_d by refcount alone, without waiting for a cyclic GC pass.
+    """
 
-    def evaluate(self, x_t, t, state, guided):
-        return self._fn(x_t, t, state)
+    def __init__(self, provider: ScoreProvider, y: np.ndarray, x_d, ledger):
+        self.provider = provider
+        self.y = y
+        self.x_d = x_d
+        self.ledger = ledger
+
+    def evaluate(self, x_t, t, state, guided: bool):
+        """Return (score, new_state); new_state is state unless a net ran."""
+        p = self.provider
+        if guided:
+            return discriminative_score(x_t, self.y, p._clamp(t), self.x_d, p.params), state
+        return p.learned_score(x_t, self.y, t, state, self.ledger)
+
+
+# Named constructors of the three net combinations; none changes behaviour.
+
+
+class LearnedScore(ScoreProvider):
+    def __init__(self, net, params: SdeParams):
+        super().__init__(net, None, params)
+
+
+class DiscriminativeScore(ScoreProvider):
+    def __init__(self, denoiser, params: SdeParams):
+        super().__init__(None, denoiser, params)
+
+
+class HybridScore(ScoreProvider):
+    def __init__(self, net, denoiser, params: SdeParams):
+        super().__init__(net, denoiser, params)
 
 
 class AnalyticGaussianScore(ScoreProvider):
     """Oracle provider: closed-form marginal score, no nets, no cost."""
 
-    kind = "analytic_gaussian"
-
     def __init__(self, prior: GaussianPrior, params: SdeParams):
+        super().__init__(None, None, params)
         self.prior = prior
-        self.params = params
 
-    def bind(self, y, ledger, denoiser_state=None):
-        y = np.asarray(y, dtype=np.float64)
-
-        def fn(x_t, t, state):
-            return analytic_gaussian_score(x_t, y, t, self.prior, self.params), state
-
-        return _FixedBranchBound(fn, guided=False), denoiser_state
-
-
-class LearnedScore(ScoreProvider):
-    """Provider wrapping a trained (or fresh) score network."""
-
-    kind = "learned"
-
-    def __init__(self, net, params: SdeParams):
-        self.net = net
-        self.params = params
-
-    @property
-    def state_dim(self) -> int:
-        return self.net.state_dim
-
-    def _clamped(self, t: float) -> float:
-        return min(max(t, self.params.t_eps), self.params.T)
-
-    def bind(self, y, ledger, denoiser_state=None):
-        y = np.asarray(y, dtype=np.float64)
-        net = self.net
-
-        def fn(x_t, t, state):
-            score, new_state = net.forward(x_t, y, self._clamped(t), state)
-            ledger.score_net_forwards += 1
-            ledger.mac_total += net.macs_per_forward(x_t.size)
-            return score, new_state
-
-        return _FixedBranchBound(fn, guided=False), denoiser_state
-
-
-class DiscriminativeScore(ScoreProvider):
-    """Provider deriving every score from one denoiser pass over y."""
-
-    kind = "discriminative"
-
-    def __init__(self, denoiser, params: SdeParams):
-        self.denoiser = denoiser
-        self.params = params
-
-    @property
-    def denoiser_state_dim(self) -> int | None:
-        return self.denoiser.state_dim
-
-    def _run_denoiser(self, y, ledger, denoiser_state):
-        x_d, new_state = self.denoiser.forward(y, denoiser_state)
-        ledger.denoiser_forwards += 1
-        ledger.mac_total += self.denoiser.macs_per_forward(y.size)
-        return x_d, new_state
-
-    def bind(self, y, ledger, denoiser_state=None):
-        y = np.asarray(y, dtype=np.float64)
-        x_d, denoiser_state = self._run_denoiser(y, ledger, denoiser_state)
-        params = self.params
-
-        def fn(x_t, t, state):
-            tt = min(max(t, params.t_eps), params.T)
-            return discriminative_score(x_t, y, tt, x_d, params), state
-
-        return _FixedBranchBound(fn, guided=True), denoiser_state
-
-
-class HybridScore(ScoreProvider):
-    """Guided warm start, learned finish; the denoiser runs exactly once per bind."""
-
-    kind = "hybrid"
-    needs_schedule = True
-
-    def __init__(self, net, denoiser, params: SdeParams):
-        self._learned = LearnedScore(net, params)
-        self._guided = DiscriminativeScore(denoiser, params)
-        self.params = params
-
-    @property
-    def state_dim(self) -> int:
-        return self._learned.state_dim
-
-    @property
-    def denoiser_state_dim(self) -> int | None:
-        return self._guided.denoiser_state_dim
-
-    def bind(self, y, ledger, denoiser_state=None):
-        y = np.asarray(y, dtype=np.float64)
-        guided_bound, denoiser_state = self._guided.bind(y, ledger, denoiser_state)
-        learned_bound, _ = self._learned.bind(y, ledger, None)
-        return _HybridBound(guided_bound, learned_bound), denoiser_state
-
-
-class _HybridBound(_Bound):
-    """Schedule-driven dispatch between a guided and a learned bound evaluator.
-
-    Defined once at module level: a class made per bind is a reference cycle
-    that would keep each request's y and x_d alive until a cyclic GC pass.
-    """
-
-    def __init__(self, guided: _Bound, learned: _Bound):
-        self._guided = guided
-        self._learned = learned
-
-    def guided_for_step(self, n, schedule):
-        if schedule is None:
-            raise ConfigError("hybrid provider requires a guidance schedule")
-        return schedule.guided_at_step(n)
-
-    def evaluate(self, x_t, t, state, guided):
-        if guided:
-            return self._guided.evaluate(x_t, t, state, True)
-        return self._learned.evaluate(x_t, t, state, False)
+    def learned_score(self, x_t, y, t, state, ledger):
+        return analytic_gaussian_score(x_t, y, t, self.prior, self.params), state

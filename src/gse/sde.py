@@ -96,23 +96,36 @@ class SdeParams:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SdeParams":
-        kwargs = {}
         casts = {f.name: (int if f.name == "N" else float) for f in fields(cls)}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in casts:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                kwargs[key] = casts[key](value.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        return cls(**kwargs)
+        return cls(**read_key_values(path, casts))
+
+
+def read_key_values(path: str | Path, casts: dict) -> dict:
+    """Parse a flat ``key = value`` file ('#' starts a comment) into cast values.
+
+    Unknown keys, malformed lines, bad values and unreadable or non-UTF-8
+    files raise ConfigError.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: unreadable config ({exc})") from exc
+    kwargs = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in casts:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            kwargs[key] = casts[key](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    return kwargs
 
 
 def _check_t(t: float, params: SdeParams, lo: float = 0.0) -> float:

@@ -17,6 +17,8 @@ from gse.cli import (
     sweep_threads,
 )
 from gse.errors import ConfigError
+from gse.nets import DenoiserNet, ScoreNet, save_checkpoint
+from gse.sde import SdeParams
 
 
 def run(*argv) -> int:
@@ -27,6 +29,19 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+@pytest.fixture
+def non_utf8_config(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"gamma = 2.0  # \xff\n")
+    return path
+
+
+def tiny_score_ckpt(path, params: SdeParams):
+    """An untrained score checkpoint (frame 40) that records the given process."""
+    save_checkpoint(path, ScoreNet(params, frame_size=40, hidden=6, seed=0), train_seed=0)
+    return path
 
 
 @pytest.fixture
@@ -136,6 +151,29 @@ class TestSimulateForward:
         assert run("replay", "--manifest", bad) == EXIT_CONFIG
         assert "argv" in capsys.readouterr().err
 
+    def test_replay_rejects_malformed_json(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text("{not json")
+        assert run("replay", "--manifest", bad) == EXIT_CONFIG
+        assert "unreadable manifest" in capsys.readouterr().err
+
+    def test_replay_rejects_non_object_manifest(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text("[1, 2]")
+        assert run("replay", "--manifest", bad) == EXIT_CONFIG
+        assert "not a JSON object" in capsys.readouterr().err
+
+    def test_replay_rejects_manifest_recording_a_replay(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps({"argv": ["replay", "--manifest", str(bad)]}))
+        assert run("replay", "--manifest", bad) == EXIT_CONFIG
+        assert "replay command" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, non_utf8_config, capsys):
+        rc = run("simulate-forward", "--config", non_utf8_config, "--out", tmp_path / "o")
+        assert rc == EXIT_CONFIG
+        assert "unreadable config" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_denoiser_run_writes_checkpoint_and_curve(self, tmp_path, capsys):
@@ -173,6 +211,12 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["train"]["optimizer"] == "momentum"
         capsys.readouterr()
+
+    def test_non_utf8_data_config_is_config_error(self, tmp_path, non_utf8_config, capsys):
+        rc = run("train", "--role", "denoiser", "--out", tmp_path / "o",
+                 "--data-config", non_utf8_config)
+        assert rc == EXIT_CONFIG
+        assert "unreadable config" in capsys.readouterr().err
 
     def test_unknown_optimizer_rejected(self, tmp_path, capsys):
         rc = run("train", "--role", "score", "--out", tmp_path / "o",
@@ -239,6 +283,21 @@ class TestEnhance:
                  "--score-ckpt", bogus, "--n-phi", 0)
         assert rc == EXIT_CONFIG
         assert "unreadable checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_trained_for_another_process_rejected(self, tmp_path, noisy_wav,
+                                                             capsys):
+        ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams(gamma=2.0))
+        rc = run("enhance", "--input", noisy_wav, "--out", tmp_path / "o",
+                 "--score-ckpt", ckpt, "--n-phi", 0)
+        assert rc == EXIT_CONFIG
+        assert "gamma" in capsys.readouterr().err
+
+    def test_checkpoint_grid_size_may_differ(self, tmp_path, noisy_wav, capsys):
+        ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams(N=15))
+        rc = run("enhance", "--input", noisy_wav, "--out", tmp_path / "o",
+                 "--score-ckpt", ckpt, "--n-phi", 0)
+        assert rc == EXIT_OK
+        capsys.readouterr()
 
     def test_missing_denoiser_checkpoint_rejected(self, tmp_path, noisy_wav,
                                                   trained_ckpt_paths, capsys):
@@ -333,6 +392,25 @@ class TestSweep:
                  "--denoiser-ckpt", denoiser_ckpt, "--n-phi-list", "0,99")
         assert rc == EXIT_CONFIG
         assert "[0, N=30]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--n-phi-list"])
+    def test_duplicate_entries_rejected(self, tmp_path, flag, capsys):
+        rc = run("sweep-nphi", "--out", tmp_path / "o", "--score-ckpt", "s.npz",
+                 "--denoiser-ckpt", "d.npz", flag, "0,1,0")
+        assert rc == EXIT_CONFIG
+        assert f"{flag} repeats [0]" in capsys.readouterr().err
+
+    def test_checkpoint_trained_for_another_process_rejected(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setenv("GSE_THREADS", "1")
+        ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams(t_eps=0.05))
+        den = tmp_path / "denoiser.npz"
+        save_checkpoint(den, DenoiserNet(frame_size=40, hidden=6, seed=1))
+        rc = run("sweep-nphi", "--out", tmp_path / "o", "--score-ckpt", ckpt,
+                 "--denoiser-ckpt", den, "--n-phi-list", "0", "--seeds", "0",
+                 "--utterances", 1)
+        assert rc == EXIT_CONFIG
+        assert "t_eps" in capsys.readouterr().err
 
     def test_non_integer_list_rejected(self, tmp_path, trained_ckpt_paths, capsys):
         score_ckpt, denoiser_ckpt = trained_ckpt_paths

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gse.errors import ConfigError, DimensionError, DomainError
 from gse.nets import DenoiserNet, ScoreNet
-from gse.sampler import CostLedger
+from gse.sampler import CostLedger, SamplerConfig, reverse_process
 from gse.score import (
     AnalyticGaussianScore,
     DiscriminativeScore,
@@ -22,7 +22,6 @@ from gse.score import (
     analytic_gaussian_score,
     discriminative_score,
     guided_step_count,
-    hybrid_score,
     switch_time_for_count,
 )
 from gse.sde import SdeParams, make_rng, perturb, std, variance
@@ -133,34 +132,63 @@ class TestAnalyticGaussianScore:
             GaussianPrior(m0=0.0, var0=-1.0)
 
 
+class _ConstScoreNet:
+    """Duck-typed score net returning a constant score; no state_dim."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def forward(self, x_t, y, t, state=None):
+        return np.full_like(x_t, self.value), state
+
+    def macs_per_forward(self, n_samples: int) -> int:
+        return 0
+
+
+class _FixedDenoiser:
+    """Duck-typed denoiser returning a fixed estimate x_d; no state_dim."""
+
+    def __init__(self, x_d):
+        self.x_d = np.asarray(x_d, dtype=np.float64)
+
+    def forward(self, y, state=None):
+        return self.x_d.copy(), state
+
+    def macs_per_forward(self, n_samples: int) -> int:
+        return 0
+
+
 class TestHybridDispatch:
+    """The provider's per-step rule: guided above the switch time, learned below."""
+
     def setup_method(self):
         self.sched = GuidanceSchedule.from_guided_steps(12, P)
         rng = make_rng(0)
         self.x0 = rng.normal(size=8)
         self.y = self.x0 + 0.1
         self.x_t = self.x0 + 0.05
+        self.provider = HybridScore(_ConstScoreNet(7.0), _FixedDenoiser(self.x0), P)
 
     def test_branches(self):
-        learned = lambda x_t, y, t: np.full_like(x_t, 7.0)
-        above = self.sched.t_switch + 0.1
-        s = hybrid_score(self.x_t, self.y, above, self.sched, learned, self.x0, P)
-        np.testing.assert_array_equal(
-            s, discriminative_score(self.x_t, self.y, above, self.x0, P)
-        )
-        below = self.sched.t_switch - 0.1
-        s = hybrid_score(self.x_t, self.y, below, self.sched, learned, self.x0, P)
-        np.testing.assert_array_equal(s, 7.0)
-        # exact tie goes to the learned branch
-        s = hybrid_score(self.x_t, self.y, self.sched.t_switch, self.sched, learned, self.x0, P)
-        np.testing.assert_array_equal(s, 7.0)
+        guided = self.provider.guided_steps(self.sched, P.N)
+        bound, _ = self.provider.bind(self.y, CostLedger())
+        # the top step, the lowest guided step, the step on the switch time, the last step
+        for n in (P.N, 19, 18, 1):
+            t = P.grid_time(n)
+            s, _ = bound.evaluate(self.x_t, t, None, guided[n - 1])
+            if t > self.sched.t_switch:
+                np.testing.assert_array_equal(
+                    s, discriminative_score(self.x_t, self.y, t, self.x0, P)
+                )
+            else:
+                np.testing.assert_array_equal(s, 7.0)
 
     def test_ledger_records_branch(self):
-        ledger = CostLedger()
-        learned = lambda x_t, y, t: np.zeros_like(x_t)
-        hybrid_score(self.x_t, self.y, 0.9, self.sched, learned, self.x0, P, ledger)
-        hybrid_score(self.x_t, self.y, 0.1, self.sched, learned, self.x0, P, ledger)
-        assert (ledger.steps_guided, ledger.steps_learned) == (1, 1)
+        cfg = SamplerConfig(corrector_steps=0, seed=0)
+        _, ledger = reverse_process(self.y, self.provider, self.sched, cfg, P, make_rng(1))
+        assert (ledger.steps_guided, ledger.steps_learned) == (12, P.N - 12)
+        with pytest.raises(ConfigError):
+            reverse_process(self.y, self.provider, None, cfg, P, make_rng(1))
 
 
 def tiny_nets():
@@ -210,18 +238,43 @@ class TestProviders:
         net, denoiser = tiny_nets()
         ledger = CostLedger()
         provider = HybridScore(net, denoiser, P)
-        assert provider.needs_schedule
-        bound, _ = provider.bind(np.zeros(8), ledger)
+        provider.bind(np.zeros(8), ledger)
         assert ledger.denoiser_forwards == 1
         sched = GuidanceSchedule.from_guided_steps(0, P)
-        assert not any(bound.guided_for_step(n, sched) for n in range(1, P.N + 1))
+        assert not any(provider.guided_steps(sched, P.N))
 
     def test_hybrid_bound_requires_schedule(self):
         net, denoiser = tiny_nets()
         provider = HybridScore(net, denoiser, P)
-        bound, _ = provider.bind(np.zeros(8), CostLedger())
         with pytest.raises(ConfigError):
-            bound.guided_for_step(1, None)
+            provider.guided_steps(None, P.N)
+
+    def test_schedule_needing_a_missing_source_rejected(self):
+        net, denoiser = tiny_nets()
+        learned_only = LearnedScore(net, P)
+        with pytest.raises(ConfigError):
+            learned_only.guided_steps(GuidanceSchedule.from_guided_steps(1, P), P.N)
+        with pytest.raises(ConfigError):
+            reverse_process(np.zeros(8), learned_only, GuidanceSchedule.from_guided_steps(
+                P.N, P), SamplerConfig(), P, make_rng(0))
+        denoiser_only = DiscriminativeScore(denoiser, P)
+        with pytest.raises(ConfigError):
+            denoiser_only.guided_steps(GuidanceSchedule.from_guided_steps(P.N - 1, P), P.N)
+        with pytest.raises(ConfigError):
+            reverse_process(np.zeros(8), denoiser_only, GuidanceSchedule.from_guided_steps(
+                0, P), SamplerConfig(), P, make_rng(0))
+
+    def test_single_source_providers_follow_their_source(self):
+        net, denoiser = tiny_nets()
+        assert LearnedScore(net, P).guided_steps(None, P.N) == [False] * P.N
+        assert DiscriminativeScore(denoiser, P).guided_steps(None, P.N) == [True] * P.N
+        analytic = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
+        assert analytic.guided_steps(None, P.N) == [False] * P.N
+        assert analytic.guided_steps(GuidanceSchedule.from_guided_steps(0, P), P.N) == (
+            [False] * P.N
+        )
+        full = GuidanceSchedule.from_guided_steps(P.N, P)
+        assert DiscriminativeScore(denoiser, P).guided_steps(full, P.N) == [True] * P.N
 
     def test_hybrid_dispatch_matches_pure_providers(self):
         net, denoiser = tiny_nets()
