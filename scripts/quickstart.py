@@ -70,7 +70,7 @@ def main():
     for n_phi, (mode, provider) in providers.items():
         schedule = GuidanceSchedule.from_guided_steps(n_phi, params)
         x, ledger, rep = enhance_offline(
-            noisy.samples, provider, schedule, SamplerConfig(seed=0), params,
+            noisy.samples, provider, schedule, SamplerConfig(), params,
             seed=7, frame_size=FRAME, sample_rate=noisy.sample_rate,
         )
         sdr = sdr_db(clean.samples, x)
@@ -80,7 +80,7 @@ def main():
     schedule = GuidanceSchedule.from_guided_steps(12, params)
     stream_cfg = StreamConfig(chunk_ms=50.0, sample_rate=noisy.sample_rate)
     x, _, rep = enhance_stream(
-        noisy.samples, stream_cfg, providers[12][1], schedule, SamplerConfig(seed=0),
+        noisy.samples, stream_cfg, providers[12][1], schedule, SamplerConfig(),
         params, seed=7,
     )
     print(f"\nstreaming (50 ms chunks): SDR {sdr_db(clean.samples, x):+.2f} dB, "

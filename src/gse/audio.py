@@ -182,28 +182,12 @@ def sdr_db(reference: np.ndarray, estimate: np.ndarray) -> float:
 
 
 def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative decimation-in-time transform; the last axis must be a power of two."""
-    x = np.asarray(x)
+    """Complex128 DFT over the last axis, whose length must be a power of two."""
+    x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
     if n < 1 or n & (n - 1):
         raise DimensionError(f"transform length must be a power of two, got {n}")
-    levels = n.bit_length() - 1
-    # bit-reversal permutation of the input order
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    out = np.asarray(x, dtype=np.complex128)[..., rev].copy()
-    half = 1
-    while half < n:
-        tw = np.exp(-1j * math.pi * np.arange(half) / half)
-        blocks = out.reshape(*out.shape[:-1], n // (2 * half), 2 * half)
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * tw
-        blocks[..., :half], blocks[..., half:] = even + odd, even - odd
-        half *= 2
-    return out
+    return np.fft.fft(x)
 
 
 def log_magnitude_frames(
@@ -281,7 +265,9 @@ def read_wav(path: str | Path) -> Signal:
         raise WavFormatError(f"{path}: only mono supported, got {channels} channels")
     if bits != 16:
         raise WavFormatError(f"{path}: only 16-bit supported, got {bits}")
-    if len(data) % 2:
-        raise WavFormatError(f"{path}: odd data chunk length")
+    if rate < 1:
+        raise WavFormatError(f"{path}: sample rate must be >= 1, got {rate}")
+    if not data or len(data) % 2:
+        raise WavFormatError(f"{path}: empty or odd-length data chunk ({len(data)} bytes)")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / _PCM_SCALE
     return Signal(samples, rate)

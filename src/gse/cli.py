@@ -33,14 +33,7 @@ import numpy as np
 
 from . import __version__
 from .audio import MixSpec, Signal, lsd, read_wav, sdr_db, synthesize_pair, write_wav
-from .errors import (
-    ConfigError,
-    DimensionError,
-    DivergenceError,
-    DomainError,
-    GseError,
-    WavFormatError,
-)
+from .errors import ConfigError, DivergenceError, GseError
 from .nets import (
     DenoiserNet,
     ScoreNet,
@@ -243,12 +236,13 @@ def cmd_train(args) -> int:
         optimizer=_OPTIMIZERS[args.optimizer],
         probe_every=args.probe_every,
     )
+    shape = {"frame_size": args.frame_size, "hidden": args.hidden, "seed": args.seed}
+    # built before the dataset, so the net's own checks reject a bad --frame-size
+    net = ScoreNet(params, **shape) if args.role == "score" else DenoiserNet(**shape)
     pairs = make_dataset(spec, args.utterances, args.frame_size)
     if args.role == "score":
-        net = ScoreNet(params, frame_size=args.frame_size, hidden=args.hidden, seed=args.seed)
         result = train_score(net, pairs, params, cfg)
     else:
-        net = DenoiserNet(frame_size=args.frame_size, hidden=args.hidden, seed=args.seed)
         result = train_denoiser(net, pairs, cfg)
     ckpt_path = out / f"{args.role}.npz"
     curve_path = out / "loss_curve.csv"
@@ -291,9 +285,7 @@ def cmd_enhance(args) -> int:
     frame_size = (score_net or denoiser).frame_size
     sig = read_wav(args.input)
     sampler_cfg = SamplerConfig(
-        corrector_steps=args.corrector_steps,
-        corrector_snr=args.corrector_snr,
-        seed=args.seed,
+        corrector_steps=args.corrector_steps, corrector_snr=args.corrector_snr
     )
     streaming = args.streaming == "on"
     if streaming:
@@ -375,9 +367,7 @@ def _sweep_worker(task: dict) -> dict:
     provider = HybridScore(score_net, denoiser, params)
     schedule = GuidanceSchedule.from_guided_steps(task["n_phi"], params)
     cfg = SamplerConfig(
-        corrector_steps=task["corrector_steps"],
-        corrector_snr=task["corrector_snr"],
-        seed=task["seed"],
+        corrector_steps=task["corrector_steps"], corrector_snr=task["corrector_snr"]
     )
     sdrs, lsds, rtfs = [], [], []
     forwards = macs = None
@@ -424,6 +414,8 @@ def cmd_sweep_nphi(args) -> int:
     seeds = _parse_int_list(args.seeds, "--seeds")
     if not args.score_ckpt or not args.denoiser_ckpt:
         raise ConfigError("sweep-nphi needs both --score-ckpt and --denoiser-ckpt")
+    if args.utterances < 1:
+        raise ConfigError(f"--utterances must be >= 1, got {args.utterances}")
     bad = [n for n in n_phis if not 0 <= n <= params.N]
     if bad:
         raise ConfigError(f"--n-phi-list entries must lie in [0, N={params.N}]: {bad}")
@@ -609,13 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"gse: numerical divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, WavFormatError, DomainError, DimensionError) as exc:
-        print(f"gse: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GseError as exc:
-        print(f"gse: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (GseError, OSError) as exc:
         print(f"gse: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -5,6 +5,10 @@ affine encoder embeds each frame, a single gated recurrent memory cell carries
 context across frames (and across chunk boundaries when its state is threaded),
 and a framewise affine decoder maps back to samples.  Processing is therefore
 non-causal only *within* a frame; the recurrence is strictly left-to-right.
+``ScoreNet`` and ``DenoiserNet`` share one private wrapper that owns the core,
+its weights, its MAC count and the zero default of the recurrent state; they
+differ only in how they assemble the input frames (the score net appends the
+noisy condition and a time embedding).
 
 Training and inference share one forward path.  Weight matrices are stored
 ``(in, out)`` and C-contiguous, so a projection is ``rows @ w``.  Frames run in
@@ -64,6 +68,8 @@ SNR_LOSS_EPS = 1e-12
 FRAME_BLOCK = 32
 #: Row counts of the hoisted matmuls are padded to a multiple of this.
 ROW_ALIGN = 8
+#: Pairs in the fixed probe set that training reports its progress on.
+PROBE_SIZE = 8
 
 
 def _sigmoid_(x: np.ndarray) -> None:
@@ -161,13 +167,6 @@ class _FrameNet:
     @params.setter
     def params(self, value: dict[str, np.ndarray]) -> None:
         self._params = value
-
-    @property
-    def state_dim(self) -> int:
-        return self.hidden
-
-    def zero_state(self, batch: int = 1) -> np.ndarray:
-        return np.zeros((batch, self.hidden))
 
     def macs_per_frame(self) -> int:
         """Multiply-accumulates of the affine blocks for one frame."""
@@ -277,7 +276,39 @@ def _frames(x: np.ndarray, frame_size: int) -> np.ndarray:
     return x.reshape(*x.shape[:-1], x.shape[-1] // frame_size, frame_size)
 
 
-class ScoreNet:
+class _WrappedNet:
+    """What both frame nets share: the core, its weights, its cost and its call."""
+
+    def __init__(self, d_in: int, frame_size: int, hidden: int, seed: int):
+        self.frame_size = frame_size
+        self.hidden = hidden
+        self.seed = seed
+        self.core = _FrameNet(d_in, frame_size, hidden, seed)
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return self.core.params
+
+    @property
+    def state_dim(self) -> int:
+        return self.hidden
+
+    def macs_per_forward(self, n_samples: int) -> int:
+        if n_samples % self.frame_size != 0:
+            raise DimensionError(
+                f"length {n_samples} not a multiple of frame_size {self.frame_size}"
+            )
+        return (n_samples // self.frame_size) * self.core.macs_per_frame()
+
+    def _run(self, inp: np.ndarray, states, need_cache: bool):
+        """(B, R, d_in) frames -> (out (B, R*F), states, cache); no states means zeros."""
+        if states is None:
+            states = np.zeros((inp.shape[0], self.hidden))
+        out, new_states, cache = self.core.forward(inp, np.atleast_2d(states), need_cache)
+        return out.reshape(inp.shape[0], -1), new_states, cache
+
+
+class ScoreNet(_WrappedNet):
     """Conditional score model s(x_t, y, t); recurrent state threads across chunks.
 
     The decoder output is divided by std(t): the trainable part regresses the
@@ -295,29 +326,8 @@ class ScoreNet:
         seed: int = 0,
     ):
         self.sde_params = sde_params
-        self.frame_size = frame_size
-        self.hidden = hidden
         self.emb = TimeEmbedding(emb_dim)
-        self.core = _FrameNet(2 * frame_size + emb_dim, frame_size, hidden, seed)
-        self.seed = seed
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return self.core.params
-
-    @property
-    def state_dim(self) -> int:
-        return self.core.state_dim
-
-    def zero_state(self) -> np.ndarray:
-        return np.zeros(self.state_dim)
-
-    def macs_per_forward(self, n_samples: int) -> int:
-        if n_samples % self.frame_size != 0:
-            raise DimensionError(
-                f"length {n_samples} not a multiple of frame_size {self.frame_size}"
-            )
-        return (n_samples // self.frame_size) * self.core.macs_per_frame()
+        super().__init__(2 * frame_size + emb_dim, frame_size, hidden, seed)
 
     def _clamp_t(self, t: float) -> float:
         return min(max(float(t), self.sde_params.t_eps), self.sde_params.T)
@@ -342,11 +352,7 @@ class ScoreNet:
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         if ts.shape[0] != x_t.shape[0]:
             raise DimensionError("one time per batch item required")
-        inp = self._assemble(x_t, y, ts)
-        if states is None:
-            states = self.core.zero_state(x_t.shape[0])
-        out, new_states, cache = self.core.forward(inp, np.atleast_2d(states), need_cache)
-        return out.reshape(x_t.shape), new_states, cache
+        return self._run(self._assemble(x_t, y, ts), states, need_cache)
 
     def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None):
         """Score of a single signal; returns (score, new_state)."""
@@ -364,42 +370,17 @@ class ScoreNet:
         }
 
 
-class DenoiserNet:
+class DenoiserNet(_WrappedNet):
     """One-shot signal estimator x_d = D(y); same family, no time conditioning."""
 
     kind = "denoiser"
 
     def __init__(self, frame_size: int = 80, hidden: int = 96, seed: int = 0):
-        self.frame_size = frame_size
-        self.hidden = hidden
-        self.core = _FrameNet(frame_size, frame_size, hidden, seed)
-        self.seed = seed
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return self.core.params
-
-    @property
-    def state_dim(self) -> int:
-        return self.core.state_dim
-
-    def zero_state(self) -> np.ndarray:
-        return np.zeros(self.state_dim)
-
-    def macs_per_forward(self, n_samples: int) -> int:
-        if n_samples % self.frame_size != 0:
-            raise DimensionError(
-                f"length {n_samples} not a multiple of frame_size {self.frame_size}"
-            )
-        return (n_samples // self.frame_size) * self.core.macs_per_frame()
+        super().__init__(frame_size, frame_size, hidden, seed)
 
     def raw_batch(self, y, states=None, need_cache=False):
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        inp = _frames(y, self.frame_size)
-        if states is None:
-            states = self.core.zero_state(y.shape[0])
-        out, new_states, cache = self.core.forward(inp, np.atleast_2d(states), need_cache)
-        return out.reshape(y.shape), new_states, cache
+        return self._run(_frames(y, self.frame_size), states, need_cache)
 
     def forward(self, y: np.ndarray, state=None):
         y = np.asarray(y, dtype=np.float64)
@@ -553,7 +534,6 @@ class TrainConfig:
     seed: int = 0
     optimizer: str = "adam"  # adam | momentum
     probe_every: int = 25
-    probe_size: int = 8
     # "weighted" is the noise-prediction form (flat conditioning across t, the
     # default); "matching" is the literal score-space objective, useful as a
     # low-lr polish when accuracy at small noise scales matters.
@@ -562,6 +542,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
+        if self.probe_every < 1:
+            raise ConfigError(f"probe_every must be >= 1, got {self.probe_every}")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
         if self.optimizer not in ("adam", "momentum"):
@@ -592,9 +574,15 @@ def _make_optimizer(cfg: TrainConfig, params):
     return _Momentum(params, cfg.learning_rate)
 
 
-def _fit(net, pairs, cfg: TrainConfig, batch_loss_fn, probe_loss_fn) -> TrainResult:
+def _probe_pairs(pairs, cfg: TrainConfig):
+    """The fixed probe set, PROBE_SIZE pairs from a stream of its own; (pairs, rng)."""
     if len(pairs) == 0:
         raise DomainError("training set is empty")
+    rng = make_rng(cfg.seed + 104729)
+    return [pairs[i] for i in rng.integers(0, len(pairs), size=PROBE_SIZE)], rng
+
+
+def _fit(net, pairs, cfg: TrainConfig, batch_loss_fn, probe_loss_fn) -> TrainResult:
     rng = make_rng(cfg.seed)
     opt = _make_optimizer(cfg, net.params)
     result = TrainResult()
@@ -617,8 +605,7 @@ def train_score(net: ScoreNet, pairs, params: SdeParams, cfg: TrainConfig) -> Tr
     loss_fn = (
         weighted_matching_loss_from_draws if cfg.objective == "weighted" else matching_loss_from_draws
     )
-    probe_rng = make_rng(cfg.seed + 104729)
-    probe_pairs = [pairs[i] for i in probe_rng.integers(0, len(pairs), size=cfg.probe_size)]
+    probe_pairs, probe_rng = _probe_pairs(pairs, cfg)
     probe_draws = draw_matching_samples(probe_pairs, params, probe_rng)
 
     def batch_loss(batch, rng):
@@ -632,8 +619,7 @@ def train_score(net: ScoreNet, pairs, params: SdeParams, cfg: TrainConfig) -> Tr
 
 def train_denoiser(net: DenoiserNet, pairs, cfg: TrainConfig) -> TrainResult:
     """Fit the one-shot denoiser on (x0, y) pairs with the SNR loss."""
-    probe_rng = make_rng(cfg.seed + 104729)
-    probe_pairs = [pairs[i] for i in probe_rng.integers(0, len(pairs), size=cfg.probe_size)]
+    probe_pairs, _ = _probe_pairs(pairs, cfg)
 
     def batch_loss(batch, rng):
         return denoiser_loss_and_grads(net, batch)

@@ -40,7 +40,6 @@ class SamplerConfig:
     n_steps: int | None = None
     corrector_steps: int = 1
     corrector_snr: float = 0.5
-    seed: int = 0
     final_denoise: bool = False  # optional terminal mean projection (ablation)
 
     def __post_init__(self):
@@ -119,19 +118,19 @@ def predictor_step(
 
 def corrector_step(
     state: DiffusionState,
-    y: np.ndarray,
-    score_fn,
+    score: np.ndarray,
     r: float,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
 ) -> DiffusionState:
-    """Annealed Langevin refinement at fixed time:
+    """Annealed Langevin refinement at fixed time, given the score s at (state.x, state.t):
 
         eps = 2 * (r * ||z|| / ||s||)^2,   x <- x + eps * s + sqrt(2 eps) * z
 
-    A zero score skips the step (identity), recorded in the ledger.
+    The caller evaluates s, as it does for ``predictor_step``.  A zero score
+    skips the step (a copy of the input state, no draw), recorded in the ledger.
     """
-    s = np.asarray(score_fn(state.x, state.t), dtype=np.float64)
+    s = np.asarray(score, dtype=np.float64)
     if ledger is not None:
         ledger.corrector_evals += 1
     s_norm = float(np.linalg.norm(s))
@@ -198,14 +197,10 @@ def reverse_process(
         t_eval = max(state.t, t_floor)
         last_t_eval = t_eval
         for _ in range(config.corrector_steps):
-            # corrector re-reads the pre-update state; its end state is discarded
-            def corr_score(x_cur, _t, _state=step_state_in, _g=guided, _te=t_eval):
-                s, _ = bound.evaluate(x_cur, _te, _state, _g)
-                return s
-
+            # the corrector re-reads the predictor's input net state; its end state is discarded
+            score, _ = bound.evaluate(state.x, t_eval, step_state_in, guided)
             state = corrector_step(
-                DiffusionState(state.x, t_eval), y, corr_score, config.corrector_snr,
-                rng, ledger,
+                DiffusionState(state.x, t_eval), score, config.corrector_snr, rng, ledger
             )
             if not np.all(np.isfinite(state.x)):
                 raise DivergenceError(f"non-finite state after corrector at step n={n}")

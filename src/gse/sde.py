@@ -205,6 +205,26 @@ def sample_perturbed(
     return perturb(x0, y, t, z, params), z
 
 
+def _integrate(
+    x: np.ndarray, y: np.ndarray, params: SdeParams, steps: int, rng: np.random.Generator,
+    visit=None,
+) -> np.ndarray:
+    """Euler-Maruyama from 0 to T in ``steps`` uniform steps, updating x in place.
+
+    ``visit(k, x)``, if given, sees x at every grid node k = 0..steps.
+    """
+    dt = params.T / steps
+    sq = math.sqrt(dt)
+    if visit is not None:
+        visit(0, x)
+    for k in range(steps):
+        g = diffusion_coeff(k * dt, params)
+        x += params.gamma * (y - x) * dt + g * sq * rng.standard_normal(x.shape)
+        if visit is not None:
+            visit(k + 1, x)
+    return x
+
+
 def euler_maruyama_forward(
     x0: np.ndarray,
     y: np.ndarray,
@@ -219,13 +239,7 @@ def euler_maruyama_forward(
     if steps < 100:
         raise DomainError(f"need steps >= 100 for a trustworthy path, got {steps}")
     x0, y = _check_pair(x0, y)
-    dt = params.T / steps
-    sq = math.sqrt(dt)
-    x = x0.copy()
-    for k in range(steps):
-        g = diffusion_coeff(k * dt, params)
-        x += params.gamma * (y - x) * dt + g * sq * rng.standard_normal(x.shape)
-    return x
+    return _integrate(x0.copy(), y, params, steps, rng)
 
 
 def forward_ensemble_moments(
@@ -246,6 +260,8 @@ def forward_ensemble_moments(
     x0, y = _check_pair(x0, y)
     if x0.ndim != 1:
         raise DimensionError("x0 must be 1-D; paths are stacked internally")
+    if steps < 1:
+        raise DomainError(f"need steps >= 1, got {steps}")
     dt = params.T / steps
     snap = {}
     for t in np.asarray(grid, dtype=np.float64):
@@ -253,12 +269,11 @@ def forward_ensemble_moments(
         if abs(k * dt - t) > 1e-9 * params.T or not 0 <= k <= steps:
             raise DomainError(f"grid time {t} is not a multiple of T/steps")
         snap[k] = float(t)
-    xs = np.broadcast_to(x0, (paths, x0.size)).copy()
-    ys = np.broadcast_to(y, (paths, y.size))
-    sq = math.sqrt(dt)
     rows = []
 
     def record(k: int, x: np.ndarray):
+        if k not in snap:
+            return
         t = snap[k]
         emp_mean = x.mean(axis=0)
         emp_var = float(x.var(axis=0, ddof=1).mean())
@@ -276,12 +291,7 @@ def forward_ensemble_moments(
             }
         )
 
-    if 0 in snap:
-        record(0, xs)
-    for k in range(steps):
-        g = diffusion_coeff(k * dt, params)
-        xs += params.gamma * (ys - xs) * dt + g * sq * rng.standard_normal(xs.shape)
-        if k + 1 in snap:
-            record(k + 1, xs)
+    xs = np.broadcast_to(x0, (paths, x0.size)).copy()
+    _integrate(xs, y, params, steps, rng, record)
     rows.sort(key=lambda r: r["t"])
     return rows

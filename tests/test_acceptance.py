@@ -139,7 +139,7 @@ def test_criterion_04_reverse_sampler_recovers_gaussian_prior():
     p = SdeParams(sigma_min=0.05, sigma_max=0.5, t_eps=1e-3)
     prior = GaussianPrior(m0=1.0, var0=0.04)
     provider = AnalyticGaussianScore(prior, p)
-    cfg = SamplerConfig(n_steps=200, corrector_steps=1, corrector_snr=0.1, seed=0)
+    cfg = SamplerConfig(n_steps=200, corrector_steps=1, corrector_snr=0.1)
     y = np.full(128, 0.4)
     outs = []
     for run in range(79):
@@ -170,7 +170,7 @@ def test_criterion_05_fully_guided_sampling_converges_to_the_denoiser(
         yn = input_scaled(noisy.samples)
         x_d, _ = trained_models.denoiser.forward(yn)
         x, _ = reverse_process(
-            yn, provider, schedule, SamplerConfig(seed=0), default_params,
+            yn, provider, schedule, SamplerConfig(), default_params,
             make_rng(50 + i),
         )
         worst = max(worst, float(np.linalg.norm(x - x_d) / np.linalg.norm(x_d)))
@@ -195,7 +195,7 @@ def test_criterion_06_cost_ledger_is_affine_in_guided_steps(default_params):
     for n_phi in range(p.N + 1):
         schedule = GuidanceSchedule.from_guided_steps(n_phi, p)
         _, ledger, _ = enhance_offline(
-            noisy.samples, hybrid, schedule, SamplerConfig(seed=0), p, seed=5,
+            noisy.samples, hybrid, schedule, SamplerConfig(), p, seed=5,
             frame_size=FRAME,
         )
         macs.append(ledger.mac_total)
@@ -203,7 +203,7 @@ def test_criterion_06_cost_ledger_is_affine_in_guided_steps(default_params):
         denoiser_ok &= ledger.denoiser_forwards == 1
     _, unguided_ledger, _ = enhance_offline(
         noisy.samples, LearnedScore(score_net, p),
-        GuidanceSchedule.from_guided_steps(0, p), SamplerConfig(seed=0), p, seed=5,
+        GuidanceSchedule.from_guided_steps(0, p), SamplerConfig(), p, seed=5,
         frame_size=FRAME,
     )
     denoiser_ok &= unguided_ledger.denoiser_forwards == 0
@@ -259,7 +259,7 @@ def test_criterion_08_trained_models_clear_the_enhancement_bar(
         gains = []
         for i, (clean, noisy) in enumerate(eval_set):
             x, _, _ = enhance_offline(
-                noisy.samples, provider, schedule, SamplerConfig(seed=0), p,
+                noisy.samples, provider, schedule, SamplerConfig(), p,
                 seed=800 + i, frame_size=FRAME,
             )
             gains.append(
@@ -284,7 +284,7 @@ def test_criterion_09_streaming_contract(default_params, trained_models, eval_se
     p = default_params
     provider = HybridScore(trained_models.score_net, trained_models.denoiser, p)
     schedule = GuidanceSchedule.from_guided_steps(12, p)
-    cfg = SamplerConfig(seed=0)
+    cfg = SamplerConfig()
     stream_cfg = StreamConfig(chunk_ms=50.0, sample_rate=16000)
     assert stream_cfg.chunk_size == 800
 
@@ -329,7 +329,7 @@ def test_criterion_10_quality_and_cost_trends(default_params, trained_models, ev
     # one warm-up run so the first timed cell pays no first-call overhead
     enhance_offline(
         utterances[0][1].samples, provider, GuidanceSchedule.from_guided_steps(0, p),
-        SamplerConfig(seed=0), p, seed=1, frame_size=FRAME,
+        SamplerConfig(), p, seed=1, frame_size=FRAME,
     )
     n_grid = [0, 6, 12, 18, 24, 30]
     med_sdr, med_rtf = [], []
@@ -339,7 +339,7 @@ def test_criterion_10_quality_and_cost_trends(default_params, trained_models, ev
         for seed in (0, 1, 2):
             for i, (clean, noisy) in enumerate(utterances):
                 x, _, rep = enhance_offline(
-                    noisy.samples, provider, schedule, SamplerConfig(seed=seed), p,
+                    noisy.samples, provider, schedule, SamplerConfig(), p,
                     seed=seed * 100_003 + 7919 * n_phi + i, frame_size=FRAME,
                 )
                 sdrs.append(sdr_db(clean.samples, x))

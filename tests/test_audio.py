@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gse.audio import (
@@ -204,6 +204,23 @@ def _wav_bytes(audio_format=1, channels=1, rate=16000, bits=16, payload=b"\x00\x
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
+@st.composite
+def _mangled_wav(draw):
+    """A WAV built from fuzzed header fields, then with bytes overwritten and cut."""
+    blob = bytearray(draw(st.builds(
+        _wav_bytes,
+        audio_format=st.integers(0, 3),
+        channels=st.integers(0, 3),
+        rate=st.integers(0, 2**24),
+        bits=st.sampled_from([0, 8, 16, 24]),
+        payload=st.binary(max_size=12),
+        data_header=st.booleans(),
+    )))
+    for _ in range(draw(st.integers(0, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob[: draw(st.integers(0, len(blob)))])
+
+
 class TestWavIo:
     def test_round_trip_within_quantization_error(self, tmp_path):
         x = 0.8 * np.sin(2 * math.pi * 440 * np.arange(1600) / 16000)
@@ -265,6 +282,19 @@ class TestWavIo:
         path.write_bytes(_wav_bytes(data_header=False))
         with pytest.raises(WavFormatError, match="missing"):
             read_wav(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(_mangled_wav(), st.binary(max_size=96)))
+    @example(blob=_wav_bytes(rate=0))
+    @example(blob=_wav_bytes(payload=b""))
+    def test_fuzzed_bytes_raise_only_wav_format_error(self, blob, tmp_path):
+        path = tmp_path / "fuzz.wav"
+        path.write_bytes(blob)
+        try:
+            read_wav(path)
+        except WavFormatError:
+            pass
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

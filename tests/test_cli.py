@@ -116,6 +116,13 @@ class TestSimulateForward:
         assert rc == EXIT_CONFIG
         assert "multiple" in capsys.readouterr().err
 
+    def test_zero_steps_is_config_error(self, tmp_path, capsys):
+        rc = run("simulate-forward", "--out", tmp_path / "o", "--steps", 0,
+                 "--grid-points", 1)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "steps" in err
+
     def test_too_few_paths(self, tmp_path, capsys):
         rc = run("simulate-forward", "--out", tmp_path / "o", "--paths", 1)
         assert rc == EXIT_CONFIG
@@ -217,6 +224,18 @@ class TestTrain:
                  "--data-config", non_utf8_config)
         assert rc == EXIT_CONFIG
         assert "unreadable config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--utterances", 0, "training set is empty"),
+        ("--probe-every", 0, "probe_every"),
+        ("--frame-size", 0, "frame_size"),
+    ])
+    def test_degenerate_sizes_are_config_errors(self, tmp_path, flag, value, message,
+                                                capsys):
+        rc = run("train", "--role", "score", "--out", tmp_path / "o", flag, value)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and message in err
 
     def test_unknown_optimizer_rejected(self, tmp_path, capsys):
         rc = run("train", "--role", "score", "--out", tmp_path / "o",
@@ -411,6 +430,13 @@ class TestSweep:
                  "--utterances", 1)
         assert rc == EXIT_CONFIG
         assert "t_eps" in capsys.readouterr().err
+
+    def test_zero_utterances_is_config_error(self, tmp_path, capsys):
+        rc = run("sweep-nphi", "--out", tmp_path / "o", "--score-ckpt", "s.npz",
+                 "--denoiser-ckpt", "d.npz", "--utterances", 0)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "--utterances" in err
 
     def test_non_integer_list_rejected(self, tmp_path, trained_ckpt_paths, capsys):
         score_ckpt, denoiser_ckpt = trained_ckpt_paths

@@ -91,9 +91,7 @@ class TestCorrectorStep:
     def test_zero_noise_draw_is_identity(self):
         x = make_rng(2).normal(size=6)
         ledger = CostLedger()
-        out = corrector_step(
-            DiffusionState(x, 0.4), x, lambda xc, t: np.ones_like(xc), 0.5, _ZeroNoise(), ledger
-        )
+        out = corrector_step(DiffusionState(x, 0.4), np.ones_like(x), 0.5, _ZeroNoise(), ledger)
         np.testing.assert_array_equal(out.x, x)
         assert out.t == 0.4
         assert ledger.corrector_evals == 1 and ledger.corrector_skips == 0
@@ -102,9 +100,7 @@ class TestCorrectorStep:
         x = make_rng(3).normal(size=6)
         rng = make_rng(4)
         ledger = CostLedger()
-        out = corrector_step(
-            DiffusionState(x, 0.4), x, lambda xc, t: np.zeros_like(xc), 0.5, rng, ledger
-        )
+        out = corrector_step(DiffusionState(x, 0.4), np.zeros_like(x), 0.5, rng, ledger)
         np.testing.assert_array_equal(out.x, x)
         assert out.x is not x  # a copy, not an alias
         assert ledger.corrector_skips == 1
@@ -134,11 +130,11 @@ class TestCorrectorStep:
             emp_lo = np.arange(0, n) / n
             return float(max(np.max(np.abs(emp_hi - cdf)), np.max(np.abs(emp_lo - cdf))))
 
-        score_fn = lambda xc, tc: analytic_gaussian_score(xc, y, tc, prior, WIDE)
         before = ks(x)
         state = DiffusionState(x, t)
         for _ in range(20):
-            state = corrector_step(state, y, score_fn, 0.5, rng)
+            score = analytic_gaussian_score(state.x, y, t, prior, WIDE)
+            state = corrector_step(state, score, 0.5, rng)
         after = ks(state.x)
         assert after < before
         assert after < 0.1
@@ -154,7 +150,7 @@ class TestReverseProcess:
         y = make_rng(6).normal(size=32)
         provider = self.make_hybrid()
         schedule = GuidanceSchedule.from_guided_steps(12, P)
-        cfg = SamplerConfig(corrector_steps=1, seed=0)
+        cfg = SamplerConfig(corrector_steps=1)
         _, ledger = reverse_process(y, provider, schedule, cfg, P, make_rng(7))
         assert ledger.score_net_forwards == (1 + 1) * (30 - 12)
         assert ledger.denoiser_forwards == 1
@@ -165,7 +161,7 @@ class TestReverseProcess:
     def test_analytic_provider_costs_nothing(self):
         y = np.full(8, 0.4)
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        _, ledger = reverse_process(y, provider, None, SamplerConfig(seed=1), P, make_rng(8))
+        _, ledger = reverse_process(y, provider, None, SamplerConfig(), P, make_rng(8))
         assert ledger.score_net_forwards == 0
         assert ledger.denoiser_forwards == 0
         assert ledger.mac_total == 0
@@ -174,7 +170,7 @@ class TestReverseProcess:
     def test_mac_total_affine_in_guided_count(self):
         y = make_rng(9).normal(size=32)
         provider = self.make_hybrid()
-        cfg = SamplerConfig(corrector_steps=1, seed=0)
+        cfg = SamplerConfig(corrector_steps=1)
         macs = []
         forwards = []
         for n_phi in (0, 6, 12):
@@ -189,7 +185,7 @@ class TestReverseProcess:
         y = make_rng(11).normal(size=32)
         provider = self.make_hybrid()
         schedule = GuidanceSchedule.from_guided_steps(10, P)
-        cfg = SamplerConfig(corrector_steps=1, seed=0)
+        cfg = SamplerConfig(corrector_steps=1)
         a, _ = reverse_process(y, provider, schedule, cfg, P, make_rng(42))
         b, _ = reverse_process(y, provider, schedule, cfg, P, make_rng(42))
         c, _ = reverse_process(y, provider, schedule, cfg, P, make_rng(43))
@@ -206,7 +202,7 @@ class TestReverseProcess:
         provider = ExplodingProvider(GaussianPrior(1.0, 0.04), P)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="n="):
             reverse_process(
-                np.zeros(4), provider, None, SamplerConfig(seed=0), P, make_rng(12)
+                np.zeros(4), provider, None, SamplerConfig(), P, make_rng(12)
             )
 
     def test_schedule_grid_mismatch_rejected(self):
@@ -220,10 +216,10 @@ class TestReverseProcess:
         y = np.full(8, 0.4)
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
         plain, led_plain = reverse_process(
-            y, provider, None, SamplerConfig(seed=5), P, make_rng(20)
+            y, provider, None, SamplerConfig(), P, make_rng(20)
         )
         projected, led_proj = reverse_process(
-            y, provider, None, SamplerConfig(seed=5, final_denoise=True), P, make_rng(20)
+            y, provider, None, SamplerConfig(final_denoise=True), P, make_rng(20)
         )
         assert not np.array_equal(plain, projected)
         assert led_plain.steps_learned == led_proj.steps_learned == 30
@@ -245,7 +241,7 @@ class TestToyRecovery:
         prior = GaussianPrior(m0=1.0, var0=0.04)
         y = np.full(128, 0.4)
         provider = AnalyticGaussianScore(prior, params)
-        cfg = SamplerConfig(n_steps=200, corrector_steps=1, corrector_snr=0.1, seed=0)
+        cfg = SamplerConfig(n_steps=200, corrector_steps=1, corrector_snr=0.1)
         rng = make_rng(100)
         finals = []
         for _ in range(200):
@@ -262,7 +258,7 @@ class TestToyRecovery:
         y = x0 + 0.3 * rng.normal(size=32)
         score_net = ScoreNet(P, frame_size=4, hidden=6, seed=9)  # untrained: noise
         provider = HybridScore(score_net, _OracleDenoiser(x0), P)
-        cfg = SamplerConfig(corrector_steps=1, seed=0)
+        cfg = SamplerConfig(corrector_steps=1)
         errs = []
         for n_phi in (0, 15, 30):
             schedule = GuidanceSchedule.from_guided_steps(n_phi, P)

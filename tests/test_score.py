@@ -184,7 +184,7 @@ class TestHybridDispatch:
                 np.testing.assert_array_equal(s, 7.0)
 
     def test_ledger_records_branch(self):
-        cfg = SamplerConfig(corrector_steps=0, seed=0)
+        cfg = SamplerConfig(corrector_steps=0)
         _, ledger = reverse_process(self.y, self.provider, self.sched, cfg, P, make_rng(1))
         assert (ledger.steps_guided, ledger.steps_learned) == (12, P.N - 12)
         with pytest.raises(ConfigError):

@@ -6,12 +6,14 @@ closed forms, and the finite-difference test pins the variance to its ODE.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gse.audio import MixSpec
 from gse.errors import ConfigError, DimensionError, DomainError
 from gse.sde import (
     SdeParams,
@@ -161,12 +163,37 @@ class TestEulerMaruyama:
             assert r["mean_rel_err"] < 0.01
             assert rel(r["empirical_var"], r["model_var"]) < 0.12
 
+    def test_ensemble_and_single_run_share_one_integrator(self):
+        """Snapshot at T of the ensemble == the same stacked paths run to T, bit for bit."""
+        x0, y = np.array([1.0, -0.5]), np.array([0.1, 0.3])
+        paths, steps = 64, 200
+        (row,) = forward_ensemble_moments(x0, y, P, paths, steps, np.array([P.T]), make_rng(9))
+        x_T = euler_maruyama_forward(
+            np.tile(x0, (paths, 1)), np.tile(y, (paths, 1)), P, steps, make_rng(9)
+        )
+        assert row["empirical_var"] == float(x_T.var(axis=0, ddof=1).mean())
+
     def test_snapshot_must_sit_on_integration_grid(self):
         x0 = np.array([1.0])
         with pytest.raises(DomainError):
             forward_ensemble_moments(
                 x0, x0, P, paths=10, steps=400, grid=np.array([1 / 3]), rng=make_rng(0)
             )
+
+
+_CONFIG_KEYS = sorted({f.name for f in fields(SdeParams)} | {f.name for f in fields(MixSpec)})
+_CONFIG_VALUE = st.one_of(
+    st.text(max_size=8), st.floats().map(repr), st.integers().map(str),
+    st.sampled_from(["white", "pink", "sinusoid-sum", "nan", "inf", "-0", "1e400"]),
+)
+_CONFIG_LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUE),
+    st.text(max_size=12),
+)
+#: `key = value` lines over the real keys, mixed with arbitrary lines
+_CONFIG_TEXT = st.lists(_CONFIG_LINE, max_size=6).map(
+    lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass")
+)
 
 
 class TestParams:
@@ -208,6 +235,18 @@ class TestParams:
         path.write_text("unknown_knob = 3\n")
         with pytest.raises(ConfigError, match="unknown key"):
             SdeParams.from_file(path)
+
+    @pytest.mark.parametrize("cls", [SdeParams, MixSpec])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blob=st.one_of(_CONFIG_TEXT, st.binary(max_size=64)))
+    def test_fuzzed_config_text_raises_only_config_error(self, cls, blob, tmp_path):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(blob)
+        try:
+            cls.from_file(path)
+        except ConfigError:
+            pass
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
