@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, WavFormatError
-from .sde import make_rng, read_key_values
+from .sde import make_rng, read_key_values, require_finite
 
 __all__ = [
     "Signal",
@@ -67,6 +67,7 @@ class MixSpec:
             raise ConfigError(f"clean_kind must be one of {CLEAN_KINDS}, got {self.clean_kind!r}")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError(f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}")
+        require_finite(self, "duration_s")
         if self.duration_s <= 0.0:
             raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
         if self.sample_rate < 1:

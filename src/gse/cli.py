@@ -11,9 +11,10 @@ replay             Re-run a previous command from its manifest.
 Every run writes a `manifest.json` next to its outputs; re-running the argv
 stored there reproduces the deterministic outputs bit-exactly on one platform
 (timing fields in reports and the sweep `rtf` column are measured, not
-deterministic).  Exit codes: 0 success, 2 bad configuration or input format,
-3 numerical divergence.  The environment variable GSE_THREADS caps sweep
-parallelism.
+deterministic).  The manifest records that platform (Python, numpy, BLAS), and
+`replay` warns when it runs on another.  Exit codes: 0 success, 2 bad
+configuration or input format, 3 numerical divergence.  The environment
+variable GSE_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -80,9 +81,17 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _platform() -> dict:
+    """The Python, numpy and BLAS a run used: bit-exact replay holds on one platform."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "blas_name": blas.get("name"), "blas_version": blas.get("version")}
+
+
 def _write_manifest(out: Path, args, config_echo: dict, inputs, outputs) -> Path:
     manifest = {
         "version": f"gse-{__version__}",
+        "platform": _platform(),
         "command": args.command,
         "argv": list(args._argv),
         "config": config_echo,
@@ -510,6 +519,10 @@ def replay_manifest(path: str | Path) -> int:
         raise ConfigError(f"{path}: manifest has no argv record")
     if argv[0] == "replay":  # replay writes no manifest; this one would recurse
         raise ConfigError(f"{path}: manifest records a replay command")
+    recorded, here = doc.get("platform"), _platform()
+    if recorded != here:
+        print(f"gse: warning: {path} was written on {recorded}, this is {here}; "
+              "outputs may differ in the last bits", file=sys.stderr)
     return main([str(a) for a in argv])
 
 

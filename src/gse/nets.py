@@ -7,14 +7,13 @@ and a framewise affine decoder maps back to samples.  Processing is therefore
 non-causal only *within* a frame; the recurrence is strictly left-to-right.
 ``ScoreNet`` and ``DenoiserNet`` share one private wrapper that owns the core,
 its weights, its MAC count and the zero default of the recurrent state; they
-differ only in how they assemble the input frames (the score net appends the
-noisy condition and a time embedding).
+differ only in their encoder input (the score net's frame is [x_t | y | emb(t)]).
 
 Training and inference share one forward path.  Weight matrices are stored
 ``(in, out)`` and C-contiguous, so a projection is ``rows @ w``.  Frames run in
-blocks of ``FRAME_BLOCK``: per block the encoder, the input halves of both gates
+blocks of ``FRAME_BLOCK``: per block the encoder, the input half of the gates
 and the decoder are one matmul each over the block's rows, and only the
-recurrent halves of the gates run frame by frame.  Every hoisted matmul has its
+recurrent half of the gates runs frame by frame.  Every hoisted matmul has its
 row count padded with zeros to a multiple of ``ROW_ALIGN``; with that padding
 OpenBLAS rounds each output row the same whatever rows surround it (one row
 alone goes through gemv and rounds differently).  That row invariance is what
@@ -22,6 +21,17 @@ makes a chunked forward with threaded state bit-identical to the whole-signal
 forward, whichever way chunks and blocks cut the frames.  It is a property of
 the BLAS, not of NumPy, so ``tests/test_nets.py::TestRowInvariance`` checks it
 and fails loudly on a BLAS that breaks it.
+
+The cell, a GRU without a reset gate (s <- s + u (c - s)), runs fused: the
+gates are (H, 2H) matrices [0.5 W_u | W_c], so a frame is one product and one
+tanh over [u | c], and u = (tanh + 1) / 2 = sigmoid(a_u).  Halving is exact,
+so this rounds as the two-matrix cell does (``TestFusedCell``; OpenBLAS's gemv
+breaks that only at widths that are not a multiple of 4).  The score net's
+``enc_w`` splits into row views W_x, W_y, W_t, and ``ScoreNet.condition``
+makes y @ W_y and emb(t) @ W_t + enc_b once per bind, so a forward projects
+x_t alone; three padded partial sums moved outputs by about 4e-16.  Derived
+weights (``gate_weights``, ``condition``) live with the caller, a bind or a
+training step, never on the net: in-place weight edits show in the next call.
 
 All gradients are computed by hand (reverse-mode, backprop through time); the
 test-suite checks every layer against central finite differences.
@@ -35,11 +45,12 @@ import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError, GseError
-from .sde import SdeParams, make_rng, sample_perturbed, std
+from .sde import SdeParams, make_rng, require_finite, sample_perturbed, std
 
 __all__ = [
     "TimeEmbedding",
@@ -72,14 +83,6 @@ ROW_ALIGN = 8
 PROBE_SIZE = 8
 
 
-def _sigmoid_(x: np.ndarray) -> None:
-    """In-place logistic; the tanh form is overflow-safe for large |x|."""
-    x *= 0.5
-    np.tanh(x, out=x)
-    x += 1.0
-    x *= 0.5
-
-
 def _pad_rows(x: np.ndarray) -> np.ndarray:
     """Copy of (M, K) ``x``, C-contiguous, with zero rows up to a multiple of ROW_ALIGN."""
     m = x.shape[0]
@@ -98,9 +101,10 @@ class TimeEmbedding:
         self.dim = dim
         self.omegas = omega_min * (omega_max / omega_min) ** (np.arange(half) / max(half - 1, 1))
 
-    def embed(self, t: float) -> np.ndarray:
-        phase = self.omegas * float(t)
-        return np.concatenate([np.sin(phase), np.cos(phase)])
+    def embed(self, t) -> np.ndarray:
+        """[sin(omega t) | cos(omega t)]: (dim,) for one t, (len(t), dim) for a sequence."""
+        phase = np.multiply.outer(np.asarray(t, dtype=np.float64), self.omegas)
+        return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
 class _FrameNet:
@@ -173,63 +177,80 @@ class _FrameNet:
         h, f, d = self.hidden, self.frame_size, self.d_in
         return h * d + 4 * h * h + f * 2 * h
 
-    def forward(self, inp: np.ndarray, state: np.ndarray, need_cache: bool):
-        """inp: (B, R, d_in), state: (B, H) -> (out (B, R, F), state (B, H), cache).
+    def gate_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias)."""
+        p = self.params
+        return tuple(
+            np.concatenate([0.5 * p[f"gate_u_{k}"], p[f"gate_c_{k}"]], axis=-1) for k in "wub"
+        )
+
+    def forward(self, x: np.ndarray, enc: tuple, state: np.ndarray, need_cache: bool,
+                gates=None, inputs=None):
+        """x: (B, R, d) frames, state: (B, H) -> (out (B, R, F), state (B, H), cache).
+
+        The encoder pre-activation is x @ enc_w[:d] plus each ``enc`` term,
+        (H,) or (B, R, H): what the caller made once for many calls.
+        ``gates`` defaults to ``gate_weights()``; ``inputs``, the encoder's
+        input blocks in ``enc_w`` row order, default to (x,) for ``backward``.
 
         One path for training and inference.  Per block of FRAME_BLOCK frames,
-        the encoder, the input halves of both gates (with their biases) and the
-        decoder are one matmul each, on rows zero-padded to a multiple of
-        ROW_ALIGN; the recurrent halves of the gates run per frame, writing
-        straight into the block's buffers.  A padded matmul rounds each row the
-        same whatever rows surround it (a BLAS property, guarded by
-        ``TestRowInvariance``), and everything else is per frame or elementwise,
-        so a chunked forward with threaded state is bit-identical to the
-        whole-signal forward however chunks and blocks cut the frames.
+        the encoder, the gates' input half (bias folded in) and the decoder
+        are one matmul each, on rows zero-padded to a multiple of ROW_ALIGN;
+        per frame run one (B, H) @ (H, 2H) product with the fused recurrent
+        half and one tanh over [update | candidate] (the update half carries
+        sigmoid's exact 1/2).  A padded matmul rounds each row the same
+        whatever rows surround it (a BLAS property, guarded by
+        ``TestRowInvariance``), so a chunked forward with threaded state is
+        bit-identical to the whole-signal forward however chunks cut frames.
 
         ``need_cache`` only decides whether every frame's intermediates are kept
         for ``backward``; without it the buffers hold one block and are reused.
         """
         p = self.params
-        B, R, _ = inp.shape
+        B, R, d = x.shape
         H, F = self.hidden, self.frame_size
+        w_x = p["enc_w"][:d]  # a row block of a C-contiguous array: a view
+        w_in, w_rec, b_g = self.gate_weights() if gates is None else gates
         span = R if need_cache else min(R, FRAME_BLOCK)
         cat = np.empty((B, span, 2 * H))  # per frame: [encoder output | new state]
         G = np.empty((B, span, 2 * H))  # per frame: [update gate | candidate]
         out = np.empty((B, R, F))
-        w_uu, w_cu = p["gate_u_u"], p["gate_c_u"]
-        b_g = np.concatenate([p["gate_u_b"], p["gate_c_b"]])
         s = state
         for k0 in range(0, R, FRAME_BLOCK):
             n = min(FRAME_BLOCK, R - k0)
             rows = B * n
             j0 = k0 if need_cache else 0
             blk = cat[:, j0 : j0 + n]
-            h = np.tanh(_pad_rows(inp[:, k0 : k0 + n].reshape(rows, -1)) @ p["enc_w"] + p["enc_b"])
-            hg = np.concatenate([h @ p["gate_u_w"], h @ p["gate_c_w"]], axis=1)[:rows]
+            h = _pad_rows(x[:, k0 : k0 + n].reshape(rows, d)) @ w_x
+            pre = h[:rows].reshape(B, n, H)
+            for term in enc:
+                pre += term if term.ndim == 1 else term[:, k0 : k0 + n]
+            np.tanh(h, out=h)
+            hg = (h @ w_in)[:rows]
             hg += b_g
             hg = hg.reshape(B, n, 2 * H)
-            blk[..., :H] = h[:rows].reshape(B, n, H)
+            blk[..., :H] = pre
             for k in range(n):
                 g, s_new = G[:, j0 + k], blk[:, k, H:]
-                u, c = g[:, :H], g[:, H:]
-                np.matmul(s, w_uu, out=u)
-                np.matmul(s, w_cu, out=c)
+                np.matmul(s, w_rec, out=g)
                 g += hg[:, k]
-                _sigmoid_(u)
-                np.tanh(c, out=c)
+                np.tanh(g, out=g)
+                u, c = g[:, :H], g[:, H:]
+                u += 1.0
+                u *= 0.5
                 np.subtract(c, s, out=s_new)  # s_new = s + u * (c - s)
                 s_new *= u
                 s_new += s
                 s = s_new
             dec = _pad_rows(blk.reshape(rows, 2 * H)) @ p["dec_w"]
             out[:, k0 : k0 + n] = dec[:rows].reshape(B, n, F) + p["dec_b"]
-        cache = (inp, state, cat, G) if need_cache else None
+        cache = (inputs or (x,), state, cat, G) if need_cache else None
         return out, s.copy(), cache
 
     def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given d_loss/d_out; state input treated constant."""
         p = self.params
-        inp, state, cat, G = cache
+        inputs, state, cat, G = cache
         B, R, F = d_out.shape
         H = self.hidden
         flat = lambda a: a.reshape(-1, a.shape[-1])
@@ -263,7 +284,7 @@ class _FrameNet:
         grads["gate_c_b"] = DB.sum(axis=(0, 1))
         dh += DA @ p["gate_u_w"].T + DB @ p["gate_c_w"].T
         de = dh * (1.0 - h * h)
-        grads["enc_w"] = flat(inp).T @ flat(de)
+        grads["enc_w"] = np.concatenate([flat(a).T @ flat(de) for a in inputs])
         grads["enc_b"] = de.sum(axis=(0, 1))
         return grads
 
@@ -300,19 +321,29 @@ class _WrappedNet:
             )
         return (n_samples // self.frame_size) * self.core.macs_per_frame()
 
-    def _run(self, inp: np.ndarray, states, need_cache: bool):
-        """(B, R, d_in) frames -> (out (B, R*F), states, cache); no states means zeros."""
+    def _run(self, x: np.ndarray, enc, states, need_cache: bool, gates=None, inputs=None):
+        """(B, R, d) frames -> (out (B, R*F), states, cache); no states means zeros."""
         if states is None:
-            states = np.zeros((inp.shape[0], self.hidden))
-        out, new_states, cache = self.core.forward(inp, np.atleast_2d(states), need_cache)
-        return out.reshape(inp.shape[0], -1), new_states, cache
+            states = np.zeros((x.shape[0], self.hidden))
+        out, new_states, cache = self.core.forward(
+            x, enc, np.atleast_2d(states), need_cache, gates, inputs
+        )
+        return out.reshape(x.shape[0], -1), new_states, cache
+
+
+class _Conditioning(NamedTuple):
+    y_term: np.ndarray  # (B, R, H): y @ W_y
+    t_terms: np.ndarray  # (K, H): emb(t) @ W_t + enc_b, one row per time
+    gains: list | None  # 1/std(t), one per time
+    gates: tuple  # _FrameNet.gate_weights()
 
 
 class ScoreNet(_WrappedNet):
     """Conditional score model s(x_t, y, t); recurrent state threads across chunks.
 
     The decoder output is divided by std(t): the trainable part regresses the
-    O(1) noise while the public output is the score itself.
+    O(1) noise while the public output is the score itself.  The encoder
+    pre-activation is (x_t @ W_x + y @ W_y) + (emb(t) @ W_t + enc_b).
     """
 
     kind = "score"
@@ -335,13 +366,18 @@ class ScoreNet(_WrappedNet):
     def gain(self, t: float) -> float:
         return 1.0 / std(self._clamp_t(t), self.sde_params)
 
-    def _assemble(self, x_t: np.ndarray, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        xf = _frames(x_t, self.frame_size)
-        yf = _frames(y, self.frame_size)
-        B, R, _ = xf.shape
-        te = np.stack([self.emb.embed(self._clamp_t(t)) for t in ts])
-        te = np.broadcast_to(te[:, None, :], (B, R, te.shape[-1]))
-        return np.concatenate([xf, yf, te], axis=-1)
+    def embed_times(self, ts) -> np.ndarray:
+        """Time-embedding rows (len(ts), emb_dim) at the clamped times; weight-free."""
+        return self.emb.embed([self._clamp_t(t) for t in ts])
+
+    def condition(self, y, emb_rows: np.ndarray, gains=None) -> _Conditioning:
+        """y's and the times' encoder terms, one padded matmul each, and the fused gates."""
+        F, w = self.frame_size, self.params["enc_w"]
+        yf = _frames(np.atleast_2d(y), F)
+        B, R, _ = yf.shape
+        y_term = (_pad_rows(yf.reshape(B * R, F)) @ w[F : 2 * F])[: B * R].reshape(B, R, -1)
+        t_terms = (_pad_rows(emb_rows) @ w[2 * F :])[: len(emb_rows)] + self.params["enc_b"]
+        return _Conditioning(y_term, t_terms, gains, self.core.gate_weights())
 
     def raw_batch(self, x_t, y, ts, states=None, need_cache=False):
         """Pre-gain output on a (B, L) batch; returns (raw, states, cache)."""
@@ -352,14 +388,30 @@ class ScoreNet(_WrappedNet):
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         if ts.shape[0] != x_t.shape[0]:
             raise DimensionError("one time per batch item required")
-        return self._run(self._assemble(x_t, y, ts), states, need_cache)
+        emb = self.embed_times(ts)
+        cond = self.condition(y, emb)
+        xf = _frames(x_t, self.frame_size)
+        enc = (cond.y_term, np.broadcast_to(cond.t_terms[:, None], cond.y_term.shape))
+        inputs = (xf, _frames(y, self.frame_size),
+                  np.broadcast_to(emb[:, None], xf.shape[:2] + emb.shape[1:]))
+        return self._run(xf, enc, states, need_cache, cond.gates, inputs)
 
-    def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None):
-        """Score of a single signal; returns (score, new_state)."""
+    def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None, cond=None, point=0):
+        """Score of a single signal; returns (score, new_state).
+
+        ``cond`` is a bind's ``condition`` of y and ``point`` the row of t in
+        it; without it they are made here for t, to the same bits.
+        """
         x_t = np.asarray(x_t, dtype=np.float64)
-        st = None if state is None else np.atleast_2d(state)
-        raw, new_states, _ = self.raw_batch(x_t[None, :], np.asarray(y)[None, :], [t], st)
-        return raw[0] * self.gain(t), new_states[0]
+        y = np.asarray(y, dtype=np.float64)
+        if x_t.shape != y.shape:
+            raise DimensionError(f"x_t shape {x_t.shape} != y shape {y.shape}")
+        if cond is None:
+            cond = self.condition(y, self.embed_times([t]), [self.gain(t)])
+        enc = (cond.y_term, cond.t_terms[point])
+        raw, states, _ = self._run(_frames(x_t[None], self.frame_size), enc, state, False,
+                                   cond.gates)
+        return raw[0] * cond.gains[point], states[0]
 
     def hyperparams(self) -> dict:
         return {
@@ -380,7 +432,7 @@ class DenoiserNet(_WrappedNet):
 
     def raw_batch(self, y, states=None, need_cache=False):
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        return self._run(_frames(y, self.frame_size), states, need_cache)
+        return self._run(_frames(y, self.frame_size), (self.params["enc_b"],), states, need_cache)
 
     def forward(self, y: np.ndarray, state=None):
         y = np.asarray(y, dtype=np.float64)
@@ -544,6 +596,7 @@ class TrainConfig:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
         if self.probe_every < 1:
             raise ConfigError(f"probe_every must be >= 1, got {self.probe_every}")
+        require_finite(self, "learning_rate")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
         if self.optimizer not in ("adam", "momentum"):

@@ -5,6 +5,12 @@ each followed by ``corrector_steps`` annealed Langevin refinements evaluated at
 the new time (clamped to t_eps) and sharing the predictor's guidance branch.
 The prior is x_T ~ N(y, variance(T) * I); the returned state sits at t_eps.
 
+What depends on the grid alone sits in one immutable ``StepPlan`` per
+(params, N, schedule, provider), built once per stream: per grid step t_n, the
+correctors' time, g(t_n) and the branch; per evaluation time the kernel's
+variance and mean coefficients and the score net's gain and time embedding.
+Each column is the expression a step would evaluate, so no bit changes.
+
 Every score-model forward, denoiser forward, branch decision and analytic MAC
 count lands in a ``CostLedger``; for a provider with both nets the totals obey
 
@@ -21,12 +27,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError
-from .sde import SdeParams, diffusion_coeff, drift, std, variance
+from .sde import SdeParams, diffusion_coeff, kernel_coefficients, require_finite, std
 
 __all__ = [
     "SamplerConfig",
     "CostLedger",
     "DiffusionState",
+    "StepPlan",
     "predictor_step",
     "corrector_step",
     "reverse_process",
@@ -47,6 +54,7 @@ class SamplerConfig:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.corrector_steps < 0:
             raise ConfigError("corrector_steps must be >= 0")
+        require_finite(self, "corrector_snr")
         if self.corrector_snr <= 0.0:
             raise ConfigError("corrector_snr must be positive")
 
@@ -87,6 +95,45 @@ class DiffusionState:
     t: float
 
 
+@dataclass(frozen=True)
+class StepPlan:
+    """Step columns are indexed n - 1; ``point_of`` maps each evaluation time to its row."""
+
+    n_steps: int
+    dt: float
+    prior_std: float  # std(T)
+    t: tuple  # t_n = (n T) / N
+    t_eval: tuple  # the correctors' time max(max(t_n - dt, 0), t_eps)
+    g: tuple  # g(t_n)
+    guided: tuple  # ScoreProvider.guided_steps
+    point_of: dict
+    kernel: tuple  # sde.kernel_coefficients at the clamped time, per row
+    gain: tuple | None  # the score net's 1/std(t) per row; None without a learned step
+    emb: np.ndarray | None  # the score net's time-embedding rows, read-only
+
+    @classmethod
+    def build(cls, provider, schedule, n_steps: int, params: SdeParams) -> "StepPlan":
+        if schedule is not None and schedule.n_steps != n_steps:
+            raise ConfigError(
+                f"schedule built for N={schedule.n_steps}, sampler runs N={n_steps}"
+            )
+        guided = tuple(provider.guided_steps(schedule, n_steps))
+        dt = params.T / n_steps
+        t = tuple((n * params.T) / n_steps for n in range(1, n_steps + 1))
+        t_eval = tuple(max(max(t_n - dt, 0.0), params.t_eps) for t_n in t)
+        times = tuple(dict.fromkeys(provider.clamp(s) for s in t + t_eval))  # distinct
+        kernel = tuple(kernel_coefficients(s, provider.params) for s in times)
+        embed = getattr(provider.net, "embed_times", None)  # test doubles have none
+        gain = emb = None
+        if embed is not None and not all(guided):
+            gain, emb = tuple(provider.net.gain(s) for s in times), embed(times)
+            emb.flags.writeable = False
+        point_of = {s: times.index(provider.clamp(s)) for s in t + t_eval}
+        return cls(n_steps, dt, std(params.T, params), t, t_eval,
+                   tuple(diffusion_coeff(t_n, params) for t_n in t), guided, point_of, kernel,
+                   gain, emb)
+
+
 def predictor_step(
     state: DiffusionState,
     y: np.ndarray,
@@ -94,12 +141,14 @@ def predictor_step(
     params: SdeParams,
     dt: float,
     rng: np.random.Generator,
+    g: float | None = None,
 ) -> DiffusionState:
     """One reverse Euler-Maruyama step from t to t - dt:
 
         x <- x + [-f(x, y) + g(t)^2 * score] * dt + g(t) * sqrt(dt) * z
 
-    With score = 0 and g = 0 this is pure drift reversal (x moves away from y).
+    ``g`` is g(t) from a step plan, computed here when not given.  With
+    score = 0 and g = 0 this is pure drift reversal (x moves away from y).
     """
     t = state.t
     if dt <= 0.0 or t - dt < -1e-12:
@@ -107,10 +156,11 @@ def predictor_step(
     x = state.x
     if x.shape != np.shape(y) or x.shape != np.shape(score):
         raise DimensionError("state, condition and score must share one shape")
-    g = diffusion_coeff(t, params)
+    if g is None:
+        g = diffusion_coeff(t, params)
     x_new = (
         x
-        + (-drift(x, y, params) + g * g * score) * dt
+        + (-(params.gamma * (y - x)) + g * g * score) * dt
         + g * math.sqrt(dt) * rng.standard_normal(x.shape)
     )
     return DiffusionState(x_new, max(t - dt, 0.0))
@@ -152,12 +202,13 @@ def reverse_process(
     rng: np.random.Generator,
     bank=None,
     ledger: CostLedger | None = None,
+    plan: StepPlan | None = None,
 ) -> tuple[np.ndarray, CostLedger]:
     """Full reverse pass conditioned on y; returns (x_out, ledger).
 
-    The branch of every grid step is fixed once per run by
-    ``provider.guided_steps``; the predictor, its correctors and the optional
-    final denoise (which uses step 1's branch) all read that list.
+    ``plan`` is the pass's ``StepPlan``, built here when not given.  The branch
+    of every grid step is its ``guided`` column; the predictor, its correctors
+    and the optional final denoise (which uses step 1's branch) all read it.
 
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the
@@ -167,35 +218,30 @@ def reverse_process(
     if ledger is None:
         ledger = CostLedger()
     n_steps = config.resolve_steps(params)
-    if schedule is not None and schedule.n_steps != n_steps:
-        raise ConfigError(
-            f"schedule built for N={schedule.n_steps}, sampler runs N={n_steps}"
-        )
-    guided_steps = provider.guided_steps(schedule, n_steps)  # entry n-1: grid step n
+    if plan is None:
+        plan = StepPlan.build(provider, schedule, n_steps, params)
+    elif plan.n_steps != n_steps:
+        raise ConfigError(f"step plan built for N={plan.n_steps}, sampler runs N={n_steps}")
     den_state = None if bank is None else bank.denoiser_state
-    bound, den_state = provider.bind(y, ledger, den_state)
+    bound, den_state = provider.bind(y, ledger, den_state, plan)
     if bank is not None:
         bank.denoiser_state = den_state
 
-    dt = params.T / n_steps
-    x = y + std(params.T, params) * rng.standard_normal(y.shape)
+    x = y + plan.prior_std * rng.standard_normal(y.shape)
     state = DiffusionState(x, params.T)
-    t_floor = params.t_eps
-    last_t_eval = params.T
 
     for n in range(n_steps, 0, -1):
-        t_n = (n * params.T) / n_steps
-        guided = guided_steps[n - 1]
+        t_n, t_eval, guided = plan.t[n - 1], plan.t_eval[n - 1], plan.guided[n - 1]
         ledger.record_branch(guided)
         step_state_in = bank.score_states[n] if bank is not None else None
         score, new_net_state = bound.evaluate(state.x, t_n, step_state_in, guided)
         if bank is not None and new_net_state is not None:
             bank.score_states[n] = new_net_state
-        state = predictor_step(DiffusionState(state.x, t_n), y, score, params, dt, rng)
+        state = predictor_step(
+            DiffusionState(state.x, t_n), y, score, params, plan.dt, rng, plan.g[n - 1]
+        )
         if not np.all(np.isfinite(state.x)):
             raise DivergenceError(f"non-finite state after predictor step n={n}")
-        t_eval = max(state.t, t_floor)
-        last_t_eval = t_eval
         for _ in range(config.corrector_steps):
             # the corrector re-reads the predictor's input net state; its end state is discarded
             score, _ = bound.evaluate(state.x, t_eval, step_state_in, guided)
@@ -209,8 +255,9 @@ def reverse_process(
     if config.final_denoise:
         # Tweedie-style mean projection at the terminal time (not a grid step:
         # branch counters stay untouched)
-        score, _ = bound.evaluate(x_out, last_t_eval, None, guided_steps[0])
-        mu_hat = x_out + variance(last_t_eval, params) * score
-        a = math.exp(-params.gamma * last_t_eval)
-        x_out = (mu_hat - (1.0 - a) * y) / a
+        last_t_eval = plan.t_eval[0]
+        score, _ = bound.evaluate(x_out, last_t_eval, None, plan.guided[0])
+        var, a, rise = plan.kernel[plan.point_of[last_t_eval]]
+        mu_hat = x_out + var * score
+        x_out = (mu_hat - rise * y) / a
     return x_out, ledger

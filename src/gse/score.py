@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .sde import SdeParams, mean, variance
+from .sde import SdeParams, kernel_coefficients, mean, variance
 
 __all__ = [
     "GuidanceSchedule",
@@ -89,21 +89,25 @@ def discriminative_score(
     t: float,
     x_d: np.ndarray,
     params: SdeParams,
+    kernel: tuple[float, float, float] | None = None,
 ) -> np.ndarray:
     """score = (mean(x_d, y, t) - x_t) / variance(t)
 
-    Plugging the perturbation of x_d itself back in recovers -z/std(t) exactly.
+    ``kernel`` is ``kernel_coefficients(t, params)``, computed here when not
+    given (a step plan holds it).  Plugging the perturbation of x_d itself back
+    in recovers -z/std(t) exactly.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     x_d = np.asarray(x_d, dtype=np.float64)
-    if x_t.shape != x_d.shape:
-        raise DimensionError(f"x_t shape {x_t.shape} != x_d shape {x_d.shape}")
+    y = np.asarray(y, dtype=np.float64)
+    if not x_t.shape == y.shape == x_d.shape:
+        raise DimensionError(f"x_t, y, x_d shapes {x_t.shape}, {y.shape}, {x_d.shape} differ")
     if not (params.t_eps <= t <= params.T):
         raise DomainError(f"t={t} outside [{params.t_eps}, {params.T}]")
-    v = variance(t, params)
+    v, a, rise = kernel_coefficients(t, params) if kernel is None else kernel
     if v <= 0.0:
         raise DomainError(f"variance({t}) = {v}; guided score undefined")
-    return (mean(x_d, y, t, params) - x_t) / v
+    return (a * x_d + rise * y - x_t) / v
 
 
 @dataclass(frozen=True)
@@ -189,11 +193,12 @@ class ScoreProvider:
             )
         return guided
 
-    def bind(self, y: np.ndarray, ledger, denoiser_state=None):
+    def bind(self, y: np.ndarray, ledger, denoiser_state=None, plan=None):
         """Prepare a per-utterance/chunk evaluator; returns (bound, denoiser_state).
 
         A provider holding a denoiser runs it here, once; guided evaluations
-        then cost no forward pass.
+        then cost no forward pass.  Given a ``StepPlan`` with embedding rows,
+        the score net's y and time terms are made here too (``condition``).
         """
         y = np.asarray(y, dtype=np.float64)
         x_d = None
@@ -201,14 +206,21 @@ class ScoreProvider:
             x_d, denoiser_state = self.denoiser.forward(y, denoiser_state)
             ledger.denoiser_forwards += 1
             ledger.mac_total += self.denoiser.macs_per_forward(y.size)
-        return _BoundScore(self, y, x_d, ledger), denoiser_state
+        cond = None
+        if plan is not None and plan.emb is not None:
+            cond = self.net.condition(y, plan.emb, plan.gain)
+        return _BoundScore(self, y, x_d, ledger, plan, cond), denoiser_state
 
-    def _clamp(self, t: float) -> float:
+    def clamp(self, t: float) -> float:
+        """The time a score is evaluated at: t clamped to [t_eps, T]."""
         return min(max(t, self.params.t_eps), self.params.T)
 
-    def learned_score(self, x_t, y, t, state, ledger):
-        """Learned branch: one score-net forward at the clamped time; (score, new_state)."""
-        score, new_state = self.net.forward(x_t, y, self._clamp(t), state)
+    def learned_score(self, x_t, y, t, state, ledger, at=()):
+        """Learned branch: one score-net forward at the clamped time; (score, new_state).
+
+        ``at``, if given, is (the bind's score-net conditioning, the plan row of t).
+        """
+        score, new_state = self.net.forward(x_t, y, self.clamp(t), state, *at)
         ledger.score_net_forwards += 1
         ledger.mac_total += self.net.macs_per_forward(x_t.size)
         return score, new_state
@@ -217,22 +229,30 @@ class ScoreProvider:
 class _BoundScore:
     """Per-run evaluator: a provider with its y, denoiser estimate x_d and ledger.
 
-    It holds no reference back to itself, so dropping it frees the request's y
-    and x_d by refcount alone, without waiting for a cyclic GC pass.
+    A time of the bound ``StepPlan`` reads its rows; any other time is computed
+    from scratch, to the same bits.  It holds no reference back to itself, so
+    dropping it frees the request's y and x_d by refcount alone, without
+    waiting for a cyclic GC pass.
     """
 
-    def __init__(self, provider: ScoreProvider, y: np.ndarray, x_d, ledger):
+    def __init__(self, provider: ScoreProvider, y: np.ndarray, x_d, ledger, plan=None,
+                 cond=None):
         self.provider = provider
         self.y = y
         self.x_d = x_d
         self.ledger = ledger
+        self.plan = plan
+        self.cond = cond
 
     def evaluate(self, x_t, t, state, guided: bool):
         """Return (score, new_state); new_state is state unless a net ran."""
-        p = self.provider
+        p, plan = self.provider, self.plan
+        i = None if plan is None else plan.point_of.get(t)
         if guided:
-            return discriminative_score(x_t, self.y, p._clamp(t), self.x_d, p.params), state
-        return p.learned_score(x_t, self.y, t, state, self.ledger)
+            kernel = None if i is None else plan.kernel[i]
+            return discriminative_score(x_t, self.y, p.clamp(t), self.x_d, p.params, kernel), state
+        at = () if i is None or self.cond is None else (self.cond, i)
+        return p.learned_score(x_t, self.y, t, state, self.ledger, at)
 
 
 # Named constructors of the three net combinations; none changes behaviour.
@@ -260,5 +280,5 @@ class AnalyticGaussianScore(ScoreProvider):
         super().__init__(None, None, params)
         self.prior = prior
 
-    def learned_score(self, x_t, y, t, state, ledger):
+    def learned_score(self, x_t, y, t, state, ledger, at=()):
         return analytic_gaussian_score(x_t, y, t, self.prior, self.params), state

@@ -47,6 +47,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def require_finite(config, *names: str) -> None:
+    """ConfigError unless each named field of ``config`` is a finite number."""
+    for name in names:
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
+
+
 @dataclass(frozen=True)
 class SdeParams:
     """Process constants. ``sigma_max == sigma_min`` degenerates to a noise-free ODE."""
@@ -59,6 +66,7 @@ class SdeParams:
     t_eps: float = 0.03
 
     def __post_init__(self):
+        require_finite(self, "gamma", "sigma_min", "sigma_max", "T", "t_eps")
         if not (self.gamma > 0.0):
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if not (0.0 < self.sigma_min <= self.sigma_max):
@@ -178,6 +186,12 @@ def variance(t: float, params: SdeParams) -> float:
 
 def std(t: float, params: SdeParams) -> float:
     return math.sqrt(variance(t, params))
+
+
+def kernel_coefficients(t: float, params: SdeParams) -> tuple[float, float, float]:
+    """(variance(t), e^{-gamma t}, 1 - e^{-gamma t}): mean(x0, y, t) = a x0 + (1 - a) y."""
+    a = math.exp(-params.gamma * _check_t(t, params))
+    return variance(t, params), a, 1.0 - a
 
 
 def perturb(

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .sampler import CostLedger, SamplerConfig, reverse_process
-from .sde import SdeParams, make_rng
+from .sampler import CostLedger, SamplerConfig, StepPlan, reverse_process
+from .sde import SdeParams, make_rng, require_finite
 
 __all__ = [
     "StreamConfig",
@@ -39,6 +39,7 @@ class StreamConfig:
     sample_rate: int = 16000
 
     def __post_init__(self):
+        require_finite(self, "chunk_ms")
         if self.chunk_ms <= 0.0:
             raise ConfigError(f"chunk_ms must be positive, got {self.chunk_ms}")
         if self.sample_rate < 1:
@@ -83,6 +84,7 @@ def process_chunk(
     params: SdeParams,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
+    plan: StepPlan | None = None,
 ) -> tuple[np.ndarray, HistoryBank]:
     """Run the reverse pass for one chunk, threading the bank; returns (x_c, bank)."""
     y_chunk = np.asarray(y_chunk, dtype=np.float64)
@@ -93,7 +95,7 @@ def process_chunk(
             f"history bank built for N={bank.n_steps}, sampler runs N={config.resolve_steps(params)}"
         )
     x, _ = reverse_process(y_chunk, provider, schedule, config, params, rng, bank=bank,
-                           ledger=ledger)
+                           ledger=ledger, plan=plan)
     return x, bank
 
 
@@ -208,6 +210,7 @@ class StreamEnhancer:
         self.params = params
         self.rng = make_rng(seed)
         self.bank = HistoryBank.for_provider(provider, config, params)
+        self.plan: StepPlan | None = None  # built on the first push, once per stream
         self.ledger = CostLedger()  # running total over chunks
         self.chunk_ledgers: list[CostLedger] = []
         self.report = LatencyReport(stream_config.chunk_ms, stream_config.chunk_size)
@@ -225,11 +228,13 @@ class StreamEnhancer:
         # causal per-utterance normalization: running peak of everything seen so far
         self._peak = max(self._peak, float(np.max(np.abs(chunk))))
         scale = _normalizer(self._peak)
+        if self.plan is None:
+            self.plan = StepPlan.build(self.provider, self.schedule, self.bank.n_steps, self.params)
         chunk_ledger = CostLedger()
         t0 = time.perf_counter()
         x, _ = process_chunk(
             chunk * scale, self.bank, self.provider, self.schedule, self.config,
-            self.params, self.rng, chunk_ledger,
+            self.params, self.rng, chunk_ledger, self.plan,
         )
         self.report.wall_times_s.append(time.perf_counter() - t0)
         self.chunk_ledgers.append(chunk_ledger)

@@ -6,6 +6,7 @@ models from conftest; the first run trains them (~3 minutes), later runs load
 the cached checkpoints.
 """
 
+import math
 import statistics
 import time
 
@@ -332,20 +333,23 @@ def test_criterion_10_quality_and_cost_trends(default_params, trained_models, ev
         SamplerConfig(), p, seed=1, frame_size=FRAME,
     )
     n_grid = [0, 6, 12, 18, 24, 30]
-    med_sdr, med_rtf = [], []
-    for n_phi in n_grid:
-        schedule = GuidanceSchedule.from_guided_steps(n_phi, p)
-        sdrs, rtfs = [], []
-        for seed in (0, 1, 2):
-            for i, (clean, noisy) in enumerate(utterances):
+    schedules = [GuidanceSchedule.from_guided_steps(n_phi, p) for n_phi in n_grid]
+    sdrs = {n_phi: [] for n_phi in n_grid}
+    fastest = {n_phi: [math.inf] * len(utterances) for n_phi in n_grid}
+    # The cells take turns on every (seed, utterance), so a change of host load
+    # falls on all of them alike.  The three seeds do the same work on an
+    # utterance, so each (cell, utterance) keeps the fastest of its three runs.
+    for seed in (0, 1, 2):
+        for i, (clean, noisy) in enumerate(utterances):
+            for n_phi, schedule in zip(n_grid, schedules):
                 x, _, rep = enhance_offline(
                     noisy.samples, provider, schedule, SamplerConfig(), p,
                     seed=seed * 100_003 + 7919 * n_phi + i, frame_size=FRAME,
                 )
-                sdrs.append(sdr_db(clean.samples, x))
-                rtfs.append(realtime_factor(rep))
-        med_sdr.append(statistics.median(sdrs))
-        med_rtf.append(statistics.median(rtfs))
+                sdrs[n_phi].append(sdr_db(clean.samples, x))
+                fastest[n_phi][i] = min(fastest[n_phi][i], realtime_factor(rep))
+    med_sdr = [statistics.median(sdrs[n_phi]) for n_phi in n_grid]
+    med_rtf = [statistics.median(fastest[n_phi]) for n_phi in n_grid]
     sdr_ok = all(b >= a for a, b in zip(med_sdr, med_sdr[1:]))
     rtf_ok = all(b < a for a, b in zip(med_rtf, med_rtf[1:]))
     elapsed = time.perf_counter() - t0

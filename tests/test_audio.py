@@ -39,6 +39,11 @@ class TestSignal:
 
 
 class TestMixSpec:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, value):
+        with pytest.raises(ConfigError, match="duration_s must be finite"):
+            MixSpec(duration_s=value)
+
     def test_defaults_and_sample_count(self):
         spec = MixSpec()
         assert spec.n_samples == 4000

@@ -176,6 +176,17 @@ class TestSimulateForward:
         assert run("replay", "--manifest", bad) == EXIT_CONFIG
         assert "replay command" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["sigma_max = inf", "gamma = inf", "T = inf",
+                                      "t_eps = nan"])
+    def test_non_finite_process_config_is_config_error(self, tmp_path, line, capsys):
+        cfg = tmp_path / "sde.cfg"
+        cfg.write_text(line + "\n")
+        rc = run("simulate-forward", "--config", cfg, "--out", tmp_path / "o",
+                 "--paths", 100, "--steps", 100, "--grid-points", 1)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "must be finite" in err
+
     def test_non_utf8_config_is_config_error(self, tmp_path, non_utf8_config, capsys):
         rc = run("simulate-forward", "--config", non_utf8_config, "--out", tmp_path / "o")
         assert rc == EXIT_CONFIG
@@ -236,6 +247,22 @@ class TestTrain:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("gse:") and message in err
+
+    def test_non_finite_learning_rate_is_config_error(self, tmp_path, capsys):
+        rc = run("train", "--role", "denoiser", "--out", tmp_path / "o",
+                 "--learning-rate", "nan")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "learning_rate must be finite" in err
+
+    def test_non_finite_duration_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "mix.cfg"
+        data.write_text("duration_s = nan\n")
+        rc = run("train", "--role", "denoiser", "--out", tmp_path / "o",
+                 "--data-config", data)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "duration_s must be finite" in err
 
     def test_unknown_optimizer_rejected(self, tmp_path, capsys):
         rc = run("train", "--role", "score", "--out", tmp_path / "o",
@@ -352,6 +379,20 @@ class TestEnhance:
         }
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--chunk-ms", "nan", "chunk_ms must be finite"),
+        ("--chunk-ms", "inf", "chunk_ms must be finite"),
+        ("--corrector-snr", "nan", "corrector_snr must be finite"),
+    ])
+    def test_non_finite_sampler_values_are_config_errors(self, tmp_path, noisy_wav, flag,
+                                                         value, message, capsys):
+        score_ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams())
+        rc = run("enhance", "--input", noisy_wav, "--out", tmp_path / "o",
+                 "--score-ckpt", score_ckpt, "--n-phi", 0, "--streaming", "on", flag, value)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and message in err
+
     def test_streaming_chunk_must_align_with_frames(self, tmp_path, noisy_wav,
                                                     trained_ckpt_paths, capsys):
         score_ckpt, denoiser_ckpt = trained_ckpt_paths
@@ -457,4 +498,24 @@ class TestManifest:
         assert doc["argv"] == argv
         assert doc["version"].startswith("gse-")
         assert all(os.path.exists(p) for p in doc["outputs"])
+        assert doc["platform"]["numpy"] == np.__version__
+        assert set(doc["platform"]) == {"python", "numpy", "blas_name", "blas_version"}
         capsys.readouterr()
+
+    def test_replay_warns_on_another_platform_and_still_runs(self, tmp_path, capsys):
+        out = tmp_path / "fw"
+        assert run("simulate-forward", "--out", out, "--paths", 200, "--steps", 100,
+                   "--grid-points", 1) == EXIT_OK
+        first = (out / "forward_stats.csv").read_bytes()
+        capsys.readouterr()
+        assert run("replay", "--manifest", out / "manifest.json") == EXIT_OK
+        assert "warning" not in capsys.readouterr().err  # same platform: silent
+        doc = json.loads((out / "manifest.json").read_text())
+        doc["platform"]["blas_version"] = "0.0.0"
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(doc))
+        (out / "forward_stats.csv").unlink()
+        assert run("replay", "--manifest", doctored) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith("gse: warning:") and "0.0.0" in err
+        assert (out / "forward_stats.csv").read_bytes() == first

@@ -117,6 +117,11 @@ class TestTimeEmbedding:
         ratios = emb.omegas[1:] / emb.omegas[:-1]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
+    def test_rows_of_many_times_equal_one_at_a_time(self):
+        emb = TimeEmbedding(32)
+        ts = np.linspace(0.0, 1.0, 35)
+        np.testing.assert_array_equal(emb.embed(ts), np.stack([emb.embed(t) for t in ts]))
+
     def test_dim_must_be_even(self):
         with pytest.raises(ConfigError):
             TimeEmbedding(7)
@@ -213,7 +218,10 @@ class TestRowInvariance:
     # (in, out) of the nets' hoisted matmuls: the acceptance recipe (score
     # hidden 160, denoiser hidden 96, frame 40) and the small test nets
     NET_SHAPES = [(112, 160), (160, 160), (320, 40), (40, 96), (96, 96), (192, 40),
-                  (8, 10), (10, 10), (20, 8), (20, 4)]
+                  (8, 10), (10, 10), (20, 8), (20, 4),
+                  # the score net's encoder halves (x and y: frame 40; time rows: 32)
+                  # and the fused gate inputs [update | candidate] of both nets
+                  (40, 160), (32, 160), (160, 320), (96, 192)]
 
     @pytest.mark.parametrize("d_in", [10, 112])
     def test_rows_do_not_depend_on_their_neighbours(self, d_in):
@@ -235,6 +243,92 @@ class TestRowInvariance:
         np.testing.assert_array_equal(padded[:9], x)
         assert not padded[9:].any()
         assert _pad_rows(x[:8]).shape == (8, 3)
+
+
+def _sigmoid(a):
+    """The overflow-safe logistic: (tanh(a / 2) + 1) / 2."""
+    return (np.tanh(0.5 * a) + 1.0) * 0.5
+
+
+def _textbook_cell(net, x, state):
+    """The frame net with two weight matrices per gate, written out gate by gate.
+
+    It hoists and pads the projections as the net does, so that only the
+    fused cell itself differs from ``_FrameNet.forward``.
+    """
+    p, H, F = net.params, net.hidden, net.frame_size
+    B, R, d = x.shape
+    out, s = np.empty((B, R, F)), state
+    for k0 in range(0, R, FRAME_BLOCK):
+        n = min(FRAME_BLOCK, R - k0)
+        rows = B * n
+        h = np.tanh(_pad_rows(x[:, k0 : k0 + n].reshape(rows, d)) @ p["enc_w"][:d] + p["enc_b"])
+        a_u = (h @ p["gate_u_w"])[:rows].reshape(B, n, H) + p["gate_u_b"]
+        a_c = (h @ p["gate_c_w"])[:rows].reshape(B, n, H) + p["gate_c_b"]
+        states = []
+        for k in range(n):
+            u = _sigmoid(s @ p["gate_u_u"] + a_u[:, k])
+            c = np.tanh(s @ p["gate_c_u"] + a_c[:, k])
+            s = s + u * (c - s)
+            states.append(s)
+        cat = np.concatenate([h[:rows].reshape(B, n, H), np.stack(states, axis=1)], axis=-1)
+        dec = (_pad_rows(cat.reshape(rows, 2 * H)) @ p["dec_w"])[:rows]
+        out[:, k0 : k0 + n] = dec.reshape(B, n, F) + p["dec_b"]
+    return out.reshape(B, -1), s
+
+
+class TestFusedCell:
+    """One (H, 2H) recurrent product and one tanh per frame, bit for bit the two-gate cell."""
+
+    @pytest.mark.parametrize("batch, frames", [(1, 20), (3, 71), (8, 20)])
+    def test_fused_cell_equals_the_textbook_cell(self, batch, frames):
+        net = DenoiserNet(frame_size=40, hidden=96, seed=1)  # the recipe's widths
+        rng = make_rng(50)
+        y = rng.normal(size=(batch, frames * 40))
+        state = rng.normal(size=(batch, 96))
+        got, got_state, _ = net.raw_batch(y, state)
+        want, want_state = _textbook_cell(net, y.reshape(batch, frames, 40), state)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_state, want_state)
+
+    def test_fused_layout(self):
+        net = DenoiserNet(frame_size=4, hidden=6, seed=2)
+        w_in, w_rec, b = net.core.gate_weights()
+        p = net.params
+        np.testing.assert_array_equal(w_in, np.hstack([0.5 * p["gate_u_w"], p["gate_c_w"]]))
+        np.testing.assert_array_equal(w_rec, np.hstack([0.5 * p["gate_u_u"], p["gate_c_u"]]))
+        np.testing.assert_array_equal(b, np.concatenate([0.5 * p["gate_u_b"], p["gate_c_b"]]))
+
+    @pytest.mark.parametrize("key, index", [
+        ("gate_u_u", 7),  # the fused recurrent matrix
+        ("gate_c_w", 3),  # the fused gate input
+        # enc_w is (2 * 8 + 32, 12): rows 0-7 are W_x, 8-15 W_y, 16-47 W_t
+        ("enc_w", 1 * 12 + 5),
+        ("enc_w", 9 * 12 + 5),
+        ("enc_w", 20 * 12 + 5),
+    ])
+    def test_in_place_weight_edits_show_in_the_next_forward(self, key, index):
+        """Derived weights are never cached on the net: optimizers edit params in place."""
+        net = ScoreNet(P, frame_size=8, hidden=12, seed=5)
+        x, y = make_rng(51).normal(size=(2, 64))
+        before, _ = net.forward(x, y, 0.4)
+        net.params[key].flat[index] += 0.5
+        after, _ = net.forward(x, y, 0.4)
+        assert not np.array_equal(before, after)
+
+    def test_conditioned_forward_equals_plain_forward(self):
+        """Terms made once for many times give the bits a forward for one time makes."""
+        net = ScoreNet(P, frame_size=40, hidden=160, seed=0)
+        rng = make_rng(52)
+        x, y = rng.normal(size=(2, 800))
+        state = rng.normal(size=160)
+        ts = [0.03, 0.1, 0.5, 0.97, 1.0]
+        cond = net.condition(y, net.embed_times(ts), [net.gain(t) for t in ts])
+        for i, t in enumerate(ts):
+            a, sa = net.forward(x, y, t, state, cond, i)
+            b, sb = net.forward(x, y, t, state)
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(sa, sb)
 
 
 def _score_chunks(net, x, y, t, cuts):
@@ -460,6 +554,9 @@ class TestTraining:
             TrainConfig(optimizer="sgd")
         with pytest.raises(ConfigError):
             TrainConfig(objective="mse")
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="learning_rate must be finite"):
+                TrainConfig(learning_rate=value)
 
     def test_matching_objective_also_learns(self):
         rng = make_rng(21)

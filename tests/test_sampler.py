@@ -11,6 +11,7 @@ from gse.sampler import (
     CostLedger,
     DiffusionState,
     SamplerConfig,
+    StepPlan,
     corrector_step,
     predictor_step,
     reverse_process,
@@ -24,7 +25,7 @@ from gse.score import (
     LearnedScore,
     analytic_gaussian_score,
 )
-from gse.sde import SdeParams, drift, make_rng, mean, std, variance
+from gse.sde import SdeParams, diffusion_coeff, drift, make_rng, mean, std, variance
 
 P = SdeParams()
 WIDE = SdeParams(sigma_min=0.05, sigma_max=0.5)
@@ -194,8 +195,8 @@ class TestReverseProcess:
 
     def test_divergence_reports_step_index(self):
         class ExplodingProvider(AnalyticGaussianScore):
-            def bind(self, y, ledger, denoiser_state=None):
-                bound, st = super().bind(y, ledger, denoiser_state)
+            def bind(self, y, ledger, denoiser_state=None, plan=None):
+                bound, st = super().bind(y, ledger, denoiser_state, plan)
                 bound.evaluate = lambda x, t, s, g: (np.full_like(x, np.inf), s)
                 return bound, st
 
@@ -270,6 +271,63 @@ class TestToyRecovery:
         assert errs[0] > errs[1] > errs[2]
 
 
+class TestStepPlan:
+    # the second grid has T/N below t_eps, so its two lowest steps are clamped
+    @pytest.mark.parametrize("params", [P, SdeParams(N=100, t_eps=0.03)], ids=["N30", "N100"])
+    def test_columns_equal_the_closed_forms(self, params):
+        net = ScoreNet(params, frame_size=4, hidden=6, seed=1)
+        provider = HybridScore(net, DenoiserNet(frame_size=4, hidden=5, seed=2), params)
+        schedule = GuidanceSchedule.from_guided_steps(params.N // 3, params)
+        plan = StepPlan.build(provider, schedule, params.N, params)
+        dt = params.T / params.N
+        x0, y = make_rng(30).normal(size=(2, 8))
+        assert plan.dt == dt and plan.prior_std == std(params.T, params)
+        for n in range(1, params.N + 1):
+            t_n = params.grid_time(n)
+            assert plan.t[n - 1] == t_n
+            assert plan.g[n - 1] == diffusion_coeff(t_n, params)
+            assert plan.t_eval[n - 1] == max(max(t_n - dt, 0.0), params.t_eps)
+            assert plan.guided[n - 1] == schedule.guided_at_step(n)
+            for t in (t_n, plan.t_eval[n - 1]):
+                i = plan.point_of[t]
+                tc = min(max(t, params.t_eps), params.T)
+                v, a, rise = plan.kernel[i]
+                assert v == variance(tc, params)
+                np.testing.assert_array_equal(a * x0 + rise * y, mean(x0, y, tc, params))
+                assert plan.gain[i] == net.gain(tc) == 1.0 / std(tc, params)
+                np.testing.assert_array_equal(plan.emb[i], net.emb.embed(tc))
+        assert plan.guided == tuple(provider.guided_steps(schedule, params.N))
+
+    def test_plan_is_immutable_and_only_carries_net_rows_when_needed(self):
+        net = ScoreNet(P, frame_size=4, hidden=6, seed=1)
+        provider = HybridScore(net, DenoiserNet(frame_size=4, hidden=5, seed=2), P)
+        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(12, P), P.N, P)
+        with pytest.raises(AttributeError):
+            plan.dt = 0.5
+        with pytest.raises(ValueError):
+            plan.emb[0, 0] = 1.0
+        all_guided = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(P.N, P), P.N, P)
+        assert all_guided.emb is None and all_guided.gain is None
+
+    def test_plan_for_another_grid_rejected(self):
+        provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
+        plan = StepPlan.build(provider, None, 15, P)
+        with pytest.raises(ConfigError):
+            reverse_process(np.zeros(8), provider, None, SamplerConfig(), P, make_rng(0),
+                            plan=plan)
+
+    def test_given_plan_gives_the_same_run(self):
+        y = make_rng(31).normal(size=32)
+        provider = TestReverseProcess().make_hybrid()
+        schedule = GuidanceSchedule.from_guided_steps(12, P)
+        cfg = SamplerConfig(final_denoise=True)
+        plan = StepPlan.build(provider, schedule, P.N, P)
+        a, led_a = reverse_process(y, provider, schedule, cfg, P, make_rng(3), plan=plan)
+        b, led_b = reverse_process(y, provider, schedule, cfg, P, make_rng(3))
+        np.testing.assert_array_equal(a, b)
+        assert led_a == led_b
+
+
 class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -278,6 +336,9 @@ class TestSamplerConfig:
             SamplerConfig(corrector_steps=-1)
         with pytest.raises(ConfigError):
             SamplerConfig(corrector_snr=0.0)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="corrector_snr must be finite"):
+                SamplerConfig(corrector_snr=value)
 
     def test_resolve_steps_fallback(self):
         assert SamplerConfig().resolve_steps(P) == 30

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gse.errors import ConfigError, DimensionError, DomainError
 from gse.nets import DenoiserNet, ScoreNet
-from gse.sampler import CostLedger, SamplerConfig, reverse_process
+from gse.sampler import CostLedger, SamplerConfig, StepPlan, reverse_process
 from gse.score import (
     AnalyticGaussianScore,
     DiscriminativeScore,
@@ -55,6 +55,8 @@ class TestOracleIdentity:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionError):
             discriminative_score(np.zeros(4), np.zeros(4), 0.5, np.zeros(5), P)
+        with pytest.raises(DimensionError):
+            discriminative_score(np.zeros(5), np.zeros(4), 0.5, np.zeros(5), P)
 
 
 class TestSchedule:
@@ -291,6 +293,25 @@ class TestProviders:
         s_h, _ = hb.evaluate(x_t, 0.2, state, guided=False)
         s_l, _ = lb.evaluate(x_t, 0.2, state, guided=False)
         np.testing.assert_array_equal(s_h, s_l)
+
+    def test_planned_evaluations_equal_direct_ones(self):
+        """A bind with a step plan reads its columns; the bits are those of a bind without."""
+        net, denoiser = tiny_nets()
+        provider = HybridScore(net, denoiser, P)
+        schedule = GuidanceSchedule.from_guided_steps(12, P)
+        plan = StepPlan.build(provider, schedule, P.N, P)
+        y = make_rng(11).normal(size=8)
+        x_t = y + 0.3
+        planned, _ = provider.bind(y, CostLedger(), None, plan)
+        direct, _ = provider.bind(y, CostLedger())
+        assert planned.cond is not None
+        state = make_rng(12).normal(size=net.state_dim)
+        for t in plan.point_of:
+            for guided in (True, False):
+                a, sa = planned.evaluate(x_t, t, state, guided)
+                b, sb = direct.evaluate(x_t, t, state, guided)
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(sa, sb)
 
     def test_hybrid_bound_is_freed_by_refcount_alone(self):
         """Dropping a bound evaluator frees it and the request's y at once,

@@ -215,6 +215,12 @@ class TestParams:
         with pytest.raises(ConfigError):
             SdeParams(N=0)
 
+    @pytest.mark.parametrize("field", ["gamma", "sigma_min", "sigma_max", "T", "t_eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SdeParams(**{field: value})
+
     def test_config_file_round_trip(self, tmp_path):
         p = SdeParams(gamma=2.0, sigma_min=0.02, sigma_max=0.3, T=2.0, N=16, t_eps=0.05)
         path = tmp_path / "sde.cfg"

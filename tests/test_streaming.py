@@ -48,6 +48,9 @@ class TestStreamConfig:
             StreamConfig(sample_rate=0)
         with pytest.raises(ConfigError):
             StreamConfig(chunk_ms=0.01, sample_rate=1000)  # rounds to zero samples
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="chunk_ms must be finite"):
+                StreamConfig(chunk_ms=value)
 
 
 class TestHistoryBank:
