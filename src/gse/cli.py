@@ -11,10 +11,13 @@ replay             Re-run a previous command from its manifest.
 Every run writes a `manifest.json` next to its outputs; re-running the argv
 stored there reproduces the deterministic outputs bit-exactly on one platform
 (timing fields in reports and the sweep `rtf` column are measured, not
-deterministic).  The manifest records that platform (Python, numpy, BLAS), and
-`replay` warns when it runs on another.  Exit codes: 0 success, 2 bad
-configuration or input format, 3 numerical divergence.  The environment
-variable GSE_THREADS caps sweep parallelism.
+deterministic).  The manifest records that platform (Python, numpy, BLAS),
+and `replay` warns when it runs on another.  A sweep cell runs its utterances
+as one batch (see `gse.sampler` for the row contract); its `rtf` is the batch's
+wall time over the audio of all its utterances (for one utterance, its solo
+wall time over its audio).  Exit codes: 0 success, 2 bad configuration or
+input format, 3 numerical divergence.  The environment variable GSE_THREADS
+caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -299,6 +302,9 @@ def cmd_enhance(args) -> int:
     streaming = args.streaming == "on"
     if streaming:
         stream_cfg = StreamConfig(chunk_ms=args.chunk_ms, sample_rate=sig.sample_rate)
+        if stream_cfg.chunk_size > sig.samples.size:
+            raise ConfigError(f"chunk of {stream_cfg.chunk_size} samples is longer than the "
+                              f"input's {sig.samples.size}; use --streaming off")
         if stream_cfg.chunk_size % frame_size:
             raise ConfigError(
                 f"chunk size {stream_cfg.chunk_size} is not a multiple of the "
@@ -364,7 +370,7 @@ SWEEP_CSV_HEADER = ["n_phi", "seed", "sdr_db", "lsd", "score_net_forwards", "mac
 
 
 def _sweep_worker(task: dict) -> dict:
-    """One (n_phi, seed) cell: run the shared test set, report medians.
+    """One (n_phi, seed) cell: run the shared test set as one batch, report medians.
 
     Always uses the hybrid provider so the MAC column stays exactly affine in
     n_phi (the denoiser runs once per utterance even when no step is guided).
@@ -378,28 +384,25 @@ def _sweep_worker(task: dict) -> dict:
     cfg = SamplerConfig(
         corrector_steps=task["corrector_steps"], corrector_snr=task["corrector_snr"]
     )
-    sdrs, lsds, rtfs = [], [], []
-    forwards = macs = None
-    for i in range(task["utterances"]):
-        clean, noisy = synthesize_pair(replace(spec, seed=spec.seed + i))
-        x, ledger, report = enhance_offline(
-            noisy.samples, provider, schedule, cfg, params,
-            seed=task["seed"] * 100_003 + i,
+    utts = range(task["utterances"])
+    pairs = [synthesize_pair(replace(spec, seed=spec.seed + i)) for i in utts]
+    try:
+        x, ledgers, report = enhance_offline(
+            np.stack([noisy.samples for _, noisy in pairs]), provider, schedule, cfg, params,
+            seed=[task["seed"] * 100_003 + i for i in utts],
             frame_size=score_net.frame_size, sample_rate=spec.sample_rate,
         )
-        sdrs.append(sdr_db(clean.samples, x))
-        lsds.append(lsd(clean.samples, x))
-        rtfs.append(realtime_factor(report))
-        if forwards is None:
-            forwards, macs = ledger.score_net_forwards, ledger.mac_total
+    except DivergenceError as exc:
+        cell = f"cell (n_phi={task['n_phi']}, seed={task['seed']})"
+        raise DivergenceError(f"{cell}: {exc}") from exc
     return {
         "n_phi": task["n_phi"],
         "seed": task["seed"],
-        "sdr_db": statistics.median(sdrs),
-        "lsd": statistics.median(lsds),
-        "score_net_forwards": forwards,
-        "mac_total": macs,
-        "rtf": statistics.median(rtfs),
+        "sdr_db": statistics.median(sdr_db(c.samples, x_i) for (c, _), x_i in zip(pairs, x)),
+        "lsd": statistics.median(lsd(c.samples, x_i) for (c, _), x_i in zip(pairs, x)),
+        "score_net_forwards": ledgers[0].score_net_forwards,
+        "mac_total": ledgers[0].mac_total,
+        "rtf": realtime_factor(report),
     }
 
 
@@ -425,6 +428,8 @@ def cmd_sweep_nphi(args) -> int:
         raise ConfigError("sweep-nphi needs both --score-ckpt and --denoiser-ckpt")
     if args.utterances < 1:
         raise ConfigError(f"--utterances must be >= 1, got {args.utterances}")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be >= 0, got {min(seeds)}")
     bad = [n for n in n_phis if not 0 <= n <= params.N]
     if bad:
         raise ConfigError(f"--n-phi-list entries must lie in [0, N={params.N}]: {bad}")

@@ -397,7 +397,7 @@ class ScoreNet(_WrappedNet):
         return self._run(xf, enc, states, need_cache, cond.gates, inputs)
 
     def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None, cond=None, point=0):
-        """Score of a single signal; returns (score, new_state).
+        """Score of a signal (L,), state (H,), or of rows (B, L), state (B, H).
 
         ``cond`` is a bind's ``condition`` of y and ``point`` the row of t in
         it; without it they are made here for t, to the same bits.
@@ -409,9 +409,10 @@ class ScoreNet(_WrappedNet):
         if cond is None:
             cond = self.condition(y, self.embed_times([t]), [self.gain(t)])
         enc = (cond.y_term, cond.t_terms[point])
-        raw, states, _ = self._run(_frames(x_t[None], self.frame_size), enc, state, False,
-                                   cond.gates)
-        return raw[0] * cond.gains[point], states[0]
+        raw, states, _ = self._run(_frames(np.atleast_2d(x_t), self.frame_size), enc, state,
+                                   False, cond.gates)
+        score = raw * cond.gains[point]
+        return (score[0], states[0]) if x_t.ndim == 1 else (score, states)
 
     def hyperparams(self) -> dict:
         return {
@@ -435,10 +436,10 @@ class DenoiserNet(_WrappedNet):
         return self._run(_frames(y, self.frame_size), (self.params["enc_b"],), states, need_cache)
 
     def forward(self, y: np.ndarray, state=None):
+        """Estimate of a signal (L,) or of B rows (B, L); returns (x_d, new_state)."""
         y = np.asarray(y, dtype=np.float64)
-        st = None if state is None else np.atleast_2d(state)
-        out, new_states, _ = self.raw_batch(y[None, :], st)
-        return out[0], new_states[0]
+        out, new_states, _ = self.raw_batch(y, state)
+        return (out[0], new_states[0]) if y.ndim == 1 else (out, new_states)
 
     def hyperparams(self) -> dict:
         return {"frame_size": self.frame_size, "hidden": self.hidden, "seed": self.seed}
@@ -535,7 +536,7 @@ def denoiser_loss_and_grads(net: DenoiserNet, batch):
         if p_ref == 0.0:
             raise DomainError("reference signal has zero energy")
         p_err = float(np.sum(r * r)) + SNR_LOSS_EPS
-        raw = -10.0 * math.log10(p_ref / p_err)
+        raw = -10.0 * math.log10(p_ref / p_err) if p_err < math.inf else math.inf  # diverged
         if raw <= SNR_LOSS_FLOOR_DB:
             losses[i] = SNR_LOSS_FLOOR_DB  # flat region: zero gradient
         else:

@@ -11,6 +11,13 @@ correctors' time, g(t_n) and the branch; per evaluation time the kernel's
 variance and mean coefficients and the score net's gain and time embedding.
 Each column is the expression a step would evaluate, so no bit changes.
 
+A pass runs one signal (L,), which is B = 1, or B rows (B, L) that share the
+plan, the time terms and the gates; row i has its own generator (it draws what
+a run of it alone draws), corrector norms and ``CostLedger``.  Row contract:
+B = 1 is the one-signal arithmetic (its recurrent product a gemv); from B = 2 on
+row i's bits do not depend on its batch-mates or position, and stay within
+rounding (~5e-16) of its solo run.
+
 Every score-model forward, denoiser forward, branch decision and analytic MAC
 count lands in a ``CostLedger``; for a provider with both nets the totals obey
 
@@ -27,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError
-from .sde import SdeParams, diffusion_coeff, kernel_coefficients, require_finite, std
+from .sde import SdeParams, diffusion_coeff, kernel_coefficients, per_row, require_finite, std
 
 __all__ = [
     "SamplerConfig",
@@ -134,13 +141,31 @@ class StepPlan:
                    gain, emb)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(L,) or (B, L) as a (B, L) view."""
+    return a[None] if a.ndim == 1 else a
+
+
+def _normal(rng, shape: tuple) -> np.ndarray:
+    """A standard-normal draw of ``shape``; from a list of generators, row i draws from rng[i]."""
+    if not isinstance(rng, (list, tuple)):
+        return rng.standard_normal(shape)
+    return np.array([r.standard_normal(shape[-1]) for r in per_row(rng, math.prod(shape[:-1]))])
+
+
+def _check_finite(x: np.ndarray, n: int, phase: str) -> None:
+    if not np.isfinite(x).all():
+        rows = np.flatnonzero(~np.isfinite(_rows(x)).all(axis=-1)).tolist()
+        raise DivergenceError(f"non-finite state after the {phase} at step n={n} in rows {rows}")
+
+
 def predictor_step(
     state: DiffusionState,
     y: np.ndarray,
     score: np.ndarray,
     params: SdeParams,
     dt: float,
-    rng: np.random.Generator,
+    rng,
     g: float | None = None,
 ) -> DiffusionState:
     """One reverse Euler-Maruyama step from t to t - dt:
@@ -149,6 +174,7 @@ def predictor_step(
 
     ``g`` is g(t) from a step plan, computed here when not given.  With
     score = 0 and g = 0 this is pure drift reversal (x moves away from y).
+    ``rng`` is one generator, or a list of one per row of a (B, L) state.
     """
     t = state.t
     if dt <= 0.0 or t - dt < -1e-12:
@@ -161,7 +187,7 @@ def predictor_step(
     x_new = (
         x
         + (-(params.gamma * (y - x)) + g * g * score) * dt
-        + g * math.sqrt(dt) * rng.standard_normal(x.shape)
+        + g * math.sqrt(dt) * _normal(rng, x.shape)
     )
     return DiffusionState(x_new, max(t - dt, 0.0))
 
@@ -170,27 +196,34 @@ def corrector_step(
     state: DiffusionState,
     score: np.ndarray,
     r: float,
-    rng: np.random.Generator,
-    ledger: CostLedger | None = None,
+    rng,
+    ledger=None,
 ) -> DiffusionState:
     """Annealed Langevin refinement at fixed time, given the score s at (state.x, state.t):
 
-        eps = 2 * (r * ||z|| / ||s||)^2,   x <- x + eps * s + sqrt(2 eps) * z
+        eps_i = 2 * (r * ||z_i|| / ||s_i||)^2,   x_i <- x_i + eps_i * s_i + sqrt(2 eps_i) * z_i
 
-    The caller evaluates s, as it does for ``predictor_step``.  A zero score
-    skips the step (a copy of the input state, no draw), recorded in the ledger.
+    per row i.  The caller evaluates s, as for ``predictor_step``; ``rng`` and
+    ``ledger`` are one or a list of one per row.  A row with a zero score skips
+    the step (its input row, no draw), recorded in its ledger.
     """
-    s = np.asarray(score, dtype=np.float64)
-    if ledger is not None:
-        ledger.corrector_evals += 1
-    s_norm = float(np.linalg.norm(s))
-    if s_norm == 0.0:
-        if ledger is not None:
-            ledger.corrector_skips += 1
-        return DiffusionState(state.x.copy(), state.t)
-    z = rng.standard_normal(state.x.shape)
-    eps = 2.0 * (r * float(np.linalg.norm(z)) / s_norm) ** 2
-    return DiffusionState(state.x + eps * s + math.sqrt(2.0 * eps) * z, state.t)
+    s, x = _rows(np.asarray(score, dtype=np.float64)), _rows(state.x)
+    rngs, ledgers = per_row(rng, len(s)), per_row(ledger, len(s))
+    x_new = x.copy()  # a skipped row keeps its input
+    for x_i, s_i, rng_i, led, out in zip(x, s, rngs, ledgers, x_new):
+        s_norm = float(np.linalg.norm(s_i))
+        if led is not None:
+            led.corrector_evals += 1
+            led.corrector_skips += s_norm == 0.0
+        if s_norm == 0.0:
+            continue
+        z = rng_i.standard_normal(s_i.shape)
+        try:
+            eps = 2.0 * (r * float(np.linalg.norm(z)) / s_norm) ** 2
+        except OverflowError:  # so large a step diverges; the caller's check names the row
+            eps = math.inf
+        np.add(x_i + eps * s_i, math.sqrt(2.0 * eps) * z, out=out)
+    return DiffusionState(x_new[0] if state.x.ndim == 1 else x_new, state.t)
 
 
 def reverse_process(
@@ -199,24 +232,29 @@ def reverse_process(
     schedule,
     config: SamplerConfig,
     params: SdeParams,
-    rng: np.random.Generator,
+    rng,
     bank=None,
-    ledger: CostLedger | None = None,
+    ledger=None,
     plan: StepPlan | None = None,
-) -> tuple[np.ndarray, CostLedger]:
-    """Full reverse pass conditioned on y; returns (x_out, ledger).
+):
+    """Full reverse pass conditioned on y, (L,) or (B, L); returns (x_out, ledger).
 
-    ``plan`` is the pass's ``StepPlan``, built here when not given.  The branch
-    of every grid step is its ``guided`` column; the predictor, its correctors
-    and the optional final denoise (which uses step 1's branch) all read it.
+    ``rng`` and ``ledger`` are one, or for rows a list of one per row (fresh
+    ledgers by default).  ``plan`` is the pass's ``StepPlan``, built here when
+    not given.  The branch of every grid step is its ``guided`` column; the
+    predictor, its correctors and the optional final denoise (which uses step
+    1's branch) all read it.
 
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the
     updated state back; the denoiser state is threaded through the bank as well.
+    A non-finite state raises ``DivergenceError`` naming step, phase and rows.
     """
     y = np.asarray(y, dtype=np.float64)
+    rows = len(_rows(y))
     if ledger is None:
-        ledger = CostLedger()
+        ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in range(rows)]
+    ledgers = per_row(ledger, rows)
     n_steps = config.resolve_steps(params)
     if plan is None:
         plan = StepPlan.build(provider, schedule, n_steps, params)
@@ -227,12 +265,13 @@ def reverse_process(
     if bank is not None:
         bank.denoiser_state = den_state
 
-    x = y + plan.prior_std * rng.standard_normal(y.shape)
+    x = y + plan.prior_std * _normal(rng, y.shape)
     state = DiffusionState(x, params.T)
 
     for n in range(n_steps, 0, -1):
         t_n, t_eval, guided = plan.t[n - 1], plan.t_eval[n - 1], plan.guided[n - 1]
-        ledger.record_branch(guided)
+        for led in ledgers:
+            led.record_branch(guided)
         step_state_in = bank.score_states[n] if bank is not None else None
         score, new_net_state = bound.evaluate(state.x, t_n, step_state_in, guided)
         if bank is not None and new_net_state is not None:
@@ -240,16 +279,14 @@ def reverse_process(
         state = predictor_step(
             DiffusionState(state.x, t_n), y, score, params, plan.dt, rng, plan.g[n - 1]
         )
-        if not np.all(np.isfinite(state.x)):
-            raise DivergenceError(f"non-finite state after predictor step n={n}")
+        _check_finite(state.x, n, "predictor")
         for _ in range(config.corrector_steps):
             # the corrector re-reads the predictor's input net state; its end state is discarded
             score, _ = bound.evaluate(state.x, t_eval, step_state_in, guided)
             state = corrector_step(
                 DiffusionState(state.x, t_eval), score, config.corrector_snr, rng, ledger
             )
-            if not np.all(np.isfinite(state.x)):
-                raise DivergenceError(f"non-finite state after corrector at step n={n}")
+            _check_finite(state.x, n, "corrector")
 
     x_out = state.x
     if config.final_denoise:

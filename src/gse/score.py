@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .sde import SdeParams, kernel_coefficients, mean, variance
+from .sde import SdeParams, kernel_coefficients, mean, per_row, variance
 
 __all__ = [
     "GuidanceSchedule",
@@ -196,38 +196,43 @@ class ScoreProvider:
     def bind(self, y: np.ndarray, ledger, denoiser_state=None, plan=None):
         """Prepare a per-utterance/chunk evaluator; returns (bound, denoiser_state).
 
-        A provider holding a denoiser runs it here, once; guided evaluations
-        then cost no forward pass.  Given a ``StepPlan`` with embedding rows,
-        the score net's y and time terms are made here too (``condition``).
+        ``y`` is (L,) or rows (B, L); each row is charged what it costs alone,
+        to its own ledger if ``ledger`` is a list.  A provider holding a
+        denoiser runs it here, once; guided evaluations then cost no forward
+        pass.  Given a ``StepPlan`` with embedding rows, the score net's y and
+        time terms are made here too (``condition``).
         """
         y = np.asarray(y, dtype=np.float64)
+        ledgers = per_row(ledger, len(np.atleast_2d(y)))
         x_d = None
         if self.denoiser is not None:
             x_d, denoiser_state = self.denoiser.forward(y, denoiser_state)
-            ledger.denoiser_forwards += 1
-            ledger.mac_total += self.denoiser.macs_per_forward(y.size)
+            for led in ledgers:
+                led.denoiser_forwards += 1
+                led.mac_total += self.denoiser.macs_per_forward(y.shape[-1])
         cond = None
         if plan is not None and plan.emb is not None:
             cond = self.net.condition(y, plan.emb, plan.gain)
-        return _BoundScore(self, y, x_d, ledger, plan, cond), denoiser_state
+        return _BoundScore(self, y, x_d, ledgers, plan, cond), denoiser_state
 
     def clamp(self, t: float) -> float:
         """The time a score is evaluated at: t clamped to [t_eps, T]."""
         return min(max(t, self.params.t_eps), self.params.T)
 
-    def learned_score(self, x_t, y, t, state, ledger, at=()):
+    def learned_score(self, x_t, y, t, state, ledgers, at=()):
         """Learned branch: one score-net forward at the clamped time; (score, new_state).
 
         ``at``, if given, is (the bind's score-net conditioning, the plan row of t).
         """
         score, new_state = self.net.forward(x_t, y, self.clamp(t), state, *at)
-        ledger.score_net_forwards += 1
-        ledger.mac_total += self.net.macs_per_forward(x_t.size)
+        for led in ledgers:
+            led.score_net_forwards += 1
+            led.mac_total += self.net.macs_per_forward(x_t.shape[-1])
         return score, new_state
 
 
 class _BoundScore:
-    """Per-run evaluator: a provider with its y, denoiser estimate x_d and ledger.
+    """Per-run evaluator: a provider with its y, denoiser estimate x_d and row ledgers.
 
     A time of the bound ``StepPlan`` reads its rows; any other time is computed
     from scratch, to the same bits.  It holds no reference back to itself, so
@@ -235,12 +240,12 @@ class _BoundScore:
     waiting for a cyclic GC pass.
     """
 
-    def __init__(self, provider: ScoreProvider, y: np.ndarray, x_d, ledger, plan=None,
+    def __init__(self, provider: ScoreProvider, y: np.ndarray, x_d, ledgers, plan=None,
                  cond=None):
         self.provider = provider
         self.y = y
         self.x_d = x_d
-        self.ledger = ledger
+        self.ledgers = ledgers
         self.plan = plan
         self.cond = cond
 
@@ -252,7 +257,7 @@ class _BoundScore:
             kernel = None if i is None else plan.kernel[i]
             return discriminative_score(x_t, self.y, p.clamp(t), self.x_d, p.params, kernel), state
         at = () if i is None or self.cond is None else (self.cond, i)
-        return p.learned_score(x_t, self.y, t, state, self.ledger, at)
+        return p.learned_score(x_t, self.y, t, state, self.ledgers, at)
 
 
 # Named constructors of the three net combinations; none changes behaviour.
@@ -280,5 +285,5 @@ class AnalyticGaussianScore(ScoreProvider):
         super().__init__(None, None, params)
         self.prior = prior
 
-    def learned_score(self, x_t, y, t, state, ledger, at=()):
+    def learned_score(self, x_t, y, t, state, ledgers, at=()):
         return analytic_gaussian_score(x_t, y, t, self.prior, self.params), state

@@ -13,7 +13,7 @@ With that g(t) the perturbation kernel is Gaussian with
                      * ln(sigma_max/sigma_min) / (gamma + ln(sigma_max/sigma_min))
 
 which is the unique variance satisfying d/dt var = -2*gamma*var + g(t)^2 with
-var(0) = 0.  All state vectors are 1-D float64 arrays.
+var(0) = 0.  State vectors are float64 arrays, 1-D or stacked rows (B, L).
 """
 
 from __future__ import annotations
@@ -44,7 +44,18 @@ __all__ = [
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; a fixed seed reproduces every draw bit-exactly."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
+
+
+def per_row(item, rows: int) -> tuple:
+    """``item`` per row: a list or tuple holds one per row, anything else serves every row."""
+    if not isinstance(item, (list, tuple)):
+        return (item,) * rows
+    if len(item) != rows:
+        raise DimensionError(f"{len(item)} per-row items for {rows} rows")
+    return tuple(item)
 
 
 def require_finite(config, *names: str) -> None:

@@ -55,24 +55,26 @@ class StreamConfig:
 
 @dataclass
 class HistoryBank:
-    """Recurrent state for every grid step plus the denoiser; fresh = all zeros."""
+    """Recurrent state, (H,) or (rows, H), for every grid step plus the denoiser; fresh = 0."""
 
     n_steps: int
     score_states: dict[int, np.ndarray]
     denoiser_state: np.ndarray | None
 
     @classmethod
-    def fresh(cls, n_steps: int, score_state_dim: int, denoiser_state_dim: int | None = None):
+    def fresh(cls, n_steps: int, score_state_dim: int, denoiser_state_dim: int | None = None,
+              rows: int | None = None):
         if n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
-        states = {n: np.zeros(score_state_dim) for n in range(1, n_steps + 1)}
-        den = None if denoiser_state_dim is None else np.zeros(denoiser_state_dim)
+        lead = () if rows is None else (rows,)
+        states = {n: np.zeros(lead + (score_state_dim,)) for n in range(1, n_steps + 1)}
+        den = None if denoiser_state_dim is None else np.zeros(lead + (denoiser_state_dim,))
         return cls(n_steps, states, den)
 
     @classmethod
-    def for_provider(cls, provider, config: SamplerConfig, params: SdeParams):
+    def for_provider(cls, provider, config: SamplerConfig, params: SdeParams, rows=None):
         n_steps = config.resolve_steps(params)
-        return cls.fresh(n_steps, max(provider.state_dim, 1), provider.denoiser_state_dim)
+        return cls.fresh(n_steps, max(provider.state_dim, 1), provider.denoiser_state_dim, rows)
 
 
 def process_chunk(
@@ -86,10 +88,10 @@ def process_chunk(
     ledger: CostLedger | None = None,
     plan: StepPlan | None = None,
 ) -> tuple[np.ndarray, HistoryBank]:
-    """Run the reverse pass for one chunk, threading the bank; returns (x_c, bank)."""
+    """Run the reverse pass for one chunk (L,) or rows (B, L), threading the bank; (x_c, bank)."""
     y_chunk = np.asarray(y_chunk, dtype=np.float64)
-    if y_chunk.ndim != 1 or y_chunk.size < 1:
-        raise DimensionError("chunk must be a non-empty 1-D array")
+    if y_chunk.ndim not in (1, 2) or y_chunk.size < 1:
+        raise DimensionError("chunk must be a non-empty 1-D array or (B, L) rows")
     if bank.n_steps != config.resolve_steps(params):
         raise ConfigError(
             f"history bank built for N={bank.n_steps}, sampler runs N={config.resolve_steps(params)}"
@@ -133,8 +135,9 @@ def _normalizer(peak: float) -> float:
 
 
 def _pad_to_multiple(x: np.ndarray, m: int) -> np.ndarray:
-    rem = x.size % m
-    return x if rem == 0 else np.concatenate([x, np.zeros(m - rem)])
+    """``x`` with zeros appended along its last axis up to a multiple of m."""
+    rem = x.shape[-1] % m
+    return x if rem == 0 else np.concatenate([x, np.zeros(x.shape[:-1] + (m - rem,))], axis=-1)
 
 
 def enhance_offline(
@@ -147,20 +150,26 @@ def enhance_offline(
     frame_size: int = 1,
     sample_rate: int = 16000,
 ) -> tuple[np.ndarray, CostLedger, LatencyReport]:
-    """Whole-utterance enhancement: one chunk, fresh zero history, peak-normalized."""
+    """Whole-utterance enhancement: one chunk, fresh zero history, peak-normalized.
+
+    B utterances (B, L) with a list of B seeds run as one batch under the
+    sampler's row contract, each row normalized and charged as if alone; x is
+    (B, L) and the ledger a list.  The report's chunk is all rows' audio.
+    """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 1:
-        raise DimensionError("signal must be a non-empty 1-D array")
-    rng = make_rng(seed)
-    scale = _normalizer(float(np.max(np.abs(y))))
+    if y.ndim not in (1, 2) or y.size < 1:
+        raise DimensionError("signal must be a non-empty 1-D array or (B, L) rows")
+    rows = np.atleast_2d(y)
+    rng = [make_rng(s) for s in seed] if isinstance(seed, (list, tuple)) else make_rng(seed)
+    scale = np.reshape([_normalizer(float(np.max(np.abs(r)))) for r in rows], y.shape[:-1] + (1,))
     padded = _pad_to_multiple(y * scale, frame_size)
-    bank = HistoryBank.for_provider(provider, config, params)
-    ledger = CostLedger()
+    bank = HistoryBank.for_provider(provider, config, params, None if y.ndim == 1 else len(y))
+    ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in rows]
     report = LatencyReport(chunk_ms=1000.0 * padded.size / sample_rate, chunk_size=padded.size)
     t0 = time.perf_counter()
     x, _ = process_chunk(padded, bank, provider, schedule, config, params, rng, ledger)
     report.wall_times_s.append(time.perf_counter() - t0)
-    return x[: y.size] / scale, ledger, report
+    return x[..., : y.shape[-1]] / scale, ledger, report
 
 
 def enhance_stream(

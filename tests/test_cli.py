@@ -3,20 +3,23 @@
 import csv
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import gse.cli
 from gse.audio import MixSpec, read_wav, synthesize_pair, write_wav
 from gse.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     FORWARD_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    _sweep_worker,
     main,
     sweep_threads,
 )
-from gse.errors import ConfigError
+from gse.errors import ConfigError, DivergenceError
 from gse.nets import DenoiserNet, ScoreNet, save_checkpoint
 from gse.sde import SdeParams
 
@@ -264,6 +267,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("gse:") and "duration_s must be finite" in err
 
+    def test_denoiser_blown_up_by_its_learning_rate_is_a_divergence(self, tmp_path, capsys):
+        data_cfg = tmp_path / "mix.cfg"
+        MixSpec(duration_s=0.05).to_file(data_cfg)
+        with np.errstate(all="ignore"):
+            rc = run("train", "--out", tmp_path / "o", "--role", "denoiser", "--data-config",
+                     data_cfg, "--steps", 3, "--batch-size", 2, "--utterances", 2, "--hidden", 4,
+                     "--frame-size", 8, "--learning-rate", "1e300")
+        assert rc == 3
+        assert "numerical divergence" in capsys.readouterr().err
+
     def test_unknown_optimizer_rejected(self, tmp_path, capsys):
         rc = run("train", "--role", "score", "--out", tmp_path / "o",
                  "--optimizer", "rmsprop")
@@ -393,6 +406,14 @@ class TestEnhance:
         err = capsys.readouterr().err
         assert err.startswith("gse:") and message in err
 
+    def test_overflowing_corrector_step_is_a_divergence(self, tmp_path, noisy_wav, capsys):
+        score_ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams())
+        with np.errstate(all="ignore"):
+            rc = run("enhance", "--input", noisy_wav, "--out", tmp_path / "o",
+                     "--score-ckpt", score_ckpt, "--n-phi", 0, "--corrector-snr", "1e300")
+        assert rc == 3
+        assert "after the corrector at step n=30 in rows [0]" in capsys.readouterr().err
+
     def test_streaming_chunk_must_align_with_frames(self, tmp_path, noisy_wav,
                                                     trained_ckpt_paths, capsys):
         score_ckpt, denoiser_ckpt = trained_ckpt_paths
@@ -485,6 +506,77 @@ class TestSweep:
                  "--denoiser-ckpt", denoiser_ckpt, "--n-phi-list", "a,b")
         assert rc == EXIT_CONFIG
         capsys.readouterr()
+
+
+class TestNegativeSeeds:
+    """A negative seed is a configuration error (exit 2), not a traceback."""
+
+    def check(self, rc, capsys, flag="--seed"):
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "must be >= 0" in err and flag.lstrip("-") in err
+
+    def test_simulate_forward(self, tmp_path, capsys):
+        self.check(run("simulate-forward", "--out", tmp_path / "o", "--paths", 4, "--steps", 4,
+                       "--grid-points", 2, "--seed", -1), capsys)
+
+    def test_train(self, tmp_path, capsys):
+        data_cfg = tmp_path / "mix.cfg"
+        MixSpec(duration_s=0.05).to_file(data_cfg)
+        self.check(run("train", "--out", tmp_path / "o", "--role", "denoiser",
+                       "--data-config", data_cfg, "--steps", 1, "--batch-size", 2,
+                       "--utterances", 2, "--hidden", 4, "--frame-size", 8, "--seed", -1),
+                   capsys)
+
+    def test_enhance(self, tmp_path, noisy_wav, capsys):
+        score_ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams())
+        self.check(run("enhance", "--input", noisy_wav, "--out", tmp_path / "o",
+                       "--score-ckpt", score_ckpt, "--n-phi", 0, "--seed", -1), capsys)
+
+    def test_sweep_rejects_before_any_worker(self, tmp_path, capsys):
+        # the checkpoints do not exist: a worker would fail on them first
+        self.check(run("sweep-nphi", "--out", tmp_path / "o", "--score-ckpt", "s.npz",
+                       "--denoiser-ckpt", "d.npz", "--seeds", "0,-1"), capsys, "--seeds")
+
+
+class TestStreamingChunkLongerThanInput:
+    @pytest.mark.parametrize("chunk_ms", ["1e300", "60000"])
+    def test_rejected_before_any_allocation(self, tmp_path, noisy_wav, chunk_ms, capsys):
+        score_ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams())
+        rc = run("enhance", "--input", noisy_wav, "--out", tmp_path / "o",
+                 "--score-ckpt", score_ckpt, "--n-phi", 0, "--streaming", "on",
+                 "--chunk-ms", chunk_ms)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "800" in err and "--streaming off" in err
+
+
+def sweep_task(tmp_path, utterances, n_phi=12, seed=3):
+    params = SdeParams()
+    score = tiny_score_ckpt(tmp_path / "score.npz", params)
+    den = tmp_path / "denoiser.npz"
+    save_checkpoint(den, DenoiserNet(frame_size=40, hidden=6, seed=1))
+    return {"n_phi": n_phi, "seed": seed, "sde": params.as_dict(),
+            "mix": asdict(MixSpec(duration_s=0.05, seed=600)), "score_ckpt": str(score),
+            "denoiser_ckpt": str(den), "utterances": utterances, "corrector_steps": 1,
+            "corrector_snr": 0.5}
+
+
+class TestSweepCellBatch:
+    def test_cost_columns_do_not_depend_on_the_batch(self, tmp_path):
+        one = _sweep_worker(sweep_task(tmp_path, 1))
+        three = _sweep_worker(sweep_task(tmp_path, 3))
+        for col in ("score_net_forwards", "mac_total"):
+            assert three[col] == one[col]
+        assert one["score_net_forwards"] == 2 * (30 - 12)
+
+    def test_divergence_names_the_cell(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("non-finite state after the predictor at step n=4 in rows [2]")
+
+        monkeypatch.setattr(gse.cli, "enhance_offline", diverge)
+        with pytest.raises(DivergenceError, match=r"cell \(n_phi=12, seed=3\): .* rows \[2\]"):
+            _sweep_worker(sweep_task(tmp_path, 3))
 
 
 class TestManifest:

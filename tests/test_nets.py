@@ -236,6 +236,22 @@ class TestRowInvariance:
                     part = (_pad_rows(X[offset : offset + rows, :k]) @ W)[:rows]
                     assert np.array_equal(part, whole[offset : offset + rows]), (k, n, rows, offset)
 
+    @pytest.mark.parametrize("k, n", [(160, 320), (96, 192)])
+    def test_recurrent_rows_round_alike_from_two_rows_on(self, k, n):
+        """The per-frame (B, H) @ (H, 2H) product is not padded: for every row count
+        M = 2..8 each row rounds as it does among 16 rows, wherever it sits.
+
+        This is what makes a batched row's bits independent of its batch-mates;
+        M = 1 goes through gemv and may round differently (a solo run).
+        """
+        rng = make_rng(46)
+        X, W = rng.normal(size=(16, k)), rng.normal(size=(k, n))
+        whole = X @ W
+        for rows in range(2, 9):
+            for offset in (0, 1, 3, 16 - rows):
+                part = X[offset : offset + rows] @ W
+                assert np.array_equal(part, whole[offset : offset + rows]), (k, n, rows, offset)
+
     def test_padding_is_zero_rows_to_the_alignment(self):
         x = make_rng(41).normal(size=(9, 3))
         padded = _pad_rows(x)

@@ -206,6 +206,57 @@ class TestReverseProcess:
                 np.zeros(4), provider, None, SamplerConfig(), P, make_rng(12)
             )
 
+    def test_divergence_names_the_step_phase_and_rows(self):
+        class RowOneExploding(AnalyticGaussianScore):
+            def bind(self, y, ledger, denoiser_state=None, plan=None):
+                bound, st = super().bind(y, ledger, denoiser_state, plan)
+
+                def evaluate(x, t, s, g):
+                    score = np.zeros_like(x)
+                    score[1] = np.inf
+                    return score, s
+
+                bound.evaluate = evaluate
+                return bound, st
+
+        provider = RowOneExploding(GaussianPrior(1.0, 0.04), P)
+        rngs = [make_rng(i) for i in range(3)]
+        with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match=r"after the predictor at step n=30 in rows \[1\]$"
+        ):
+            reverse_process(np.zeros((3, 4)), provider, None, SamplerConfig(), P, rngs)
+
+    def test_rows_draw_from_their_own_generators(self):
+        """Row i of a batch draws what a run of it alone draws, whatever the other rows."""
+        provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
+        y = make_rng(13).normal(size=(3, 8))
+        cfg = SamplerConfig(corrector_steps=2)
+        rngs = [make_rng(20 + i) for i in range(3)]
+        x, ledgers = reverse_process(y, provider, None, cfg, P, rngs)
+        for i in range(3):
+            solo, led = reverse_process(y[i], provider, None, cfg, P, make_rng(20 + i))
+            np.testing.assert_array_equal(x[i], solo)
+            assert ledgers[i] == led
+
+    def test_corrector_skips_and_counts_per_row(self):
+        x = make_rng(14).normal(size=(2, 6))
+        score = np.vstack([np.zeros(6), np.ones(6)])
+        ledgers = [CostLedger(), CostLedger()]
+        rngs = [make_rng(15), make_rng(16)]
+        out = corrector_step(DiffusionState(x, 0.4), score, 0.5, rngs, ledgers)
+        np.testing.assert_array_equal(out.x[0], x[0])
+        solo = corrector_step(DiffusionState(x[1], 0.4), score[1], 0.5, make_rng(16))
+        np.testing.assert_array_equal(out.x[1], solo.x)
+        assert [(l.corrector_evals, l.corrector_skips) for l in ledgers] == [(1, 1), (1, 0)]
+        # the skipped row drew nothing
+        np.testing.assert_array_equal(rngs[0].standard_normal(3), make_rng(15).standard_normal(3))
+
+    def test_generator_count_must_match_rows(self):
+        provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
+        with pytest.raises(DimensionError):
+            reverse_process(np.zeros((3, 4)), provider, None, SamplerConfig(), P,
+                            [make_rng(0), make_rng(1)])
+
     def test_schedule_grid_mismatch_rejected(self):
         y = np.zeros(8)
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)

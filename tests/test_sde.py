@@ -264,3 +264,8 @@ def test_rng_is_reproducible():
     b = make_rng(123).standard_normal(5)
     np.testing.assert_array_equal(a, b)
     assert isinstance(make_rng(0).bit_generator, np.random.Philox)
+
+
+def test_negative_seed_is_config_error():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        make_rng(-1)

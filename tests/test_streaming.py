@@ -129,6 +129,74 @@ class TestStreamingEquivalence:
         assert len(report.wall_times_s) == 3
 
 
+class TestBatchedRows:
+    """The row contract of a batch of utterances at the benchmark's widths."""
+
+    RTOL = 1e-12  # the benchmark's reference tolerance (gsebench/reference.py)
+    ORDERS = ([0, 1], [1, 0], [2, 0, 1, 3], [3, 4, 0, 2], [4, 3, 2, 1, 0], [0, 2, 4, 1, 3])
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        return (ScoreNet(P, frame_size=40, hidden=160, seed=0),
+                DenoiserNet(frame_size=40, hidden=96, seed=1))
+
+    @pytest.mark.parametrize("n_phi", [0, 12, 30])
+    def test_rows_are_independent_of_batch_and_close_to_solo(self, nets, n_phi):
+        provider = HybridScore(*nets, P)
+        schedule = GuidanceSchedule.from_guided_steps(n_phi, P)
+        cfg = SamplerConfig(corrector_steps=1)
+        ys = [make_rng(60 + i).normal(size=800) for i in range(5)]
+        seeds = [70 + i for i in range(5)]
+        solo = [enhance_offline(y, provider, schedule, cfg, P, s, frame_size=40)
+                for y, s in zip(ys, seeds)]
+        rows = {i: [] for i in range(5)}
+        for order in self.ORDERS:
+            x, ledgers, _ = enhance_offline(np.stack([ys[i] for i in order]), provider,
+                                            schedule, cfg, P, [seeds[i] for i in order],
+                                            frame_size=40)
+            for r, i in enumerate(order):
+                rows[i].append(x[r])
+                assert ledgers[r] == solo[i][1], (order, r)
+        for i, got in rows.items():
+            for other in got[1:]:
+                np.testing.assert_array_equal(other, got[0])
+            x_solo = solo[i][0]
+            assert np.linalg.norm(got[0] - x_solo) <= self.RTOL * np.linalg.norm(x_solo)
+
+    def test_one_row_is_the_one_dimensional_run(self, nets):
+        provider = HybridScore(*nets, P)
+        schedule = GuidanceSchedule.from_guided_steps(12, P)
+        y = make_rng(61).normal(size=800)
+        x, led, rep = enhance_offline(y, provider, schedule, SamplerConfig(), P, 5,
+                                      frame_size=40)
+        xb, leds, repb = enhance_offline(y[None], provider, schedule, SamplerConfig(), P, [5],
+                                         frame_size=40)
+        np.testing.assert_array_equal(xb[0], x)
+        assert leds == [led] and repb.chunk_size == rep.chunk_size
+
+    def test_report_covers_the_audio_of_all_rows(self):
+        provider = tiny_provider()
+        schedule = GuidanceSchedule.from_guided_steps(12, P)
+        y = make_rng(62).normal(size=(3, 30))  # padded to 32 samples per row
+        x, ledgers, report = enhance_offline(y, provider, schedule, SamplerConfig(), P,
+                                             [1, 2, 3], frame_size=FRAME)
+        assert x.shape == y.shape and len(ledgers) == 3
+        assert report.chunk_size == 3 * 32
+        assert report.chunk_ms == 1000.0 * 3 * 32 / 16000
+
+    def test_batched_bank_holds_one_state_row_per_row(self):
+        bank = HistoryBank.for_provider(tiny_provider(), SamplerConfig(), P, rows=3)
+        assert all(s.shape == (3, 6) for s in bank.score_states.values())
+        assert bank.denoiser_state.shape == (3, 5)
+
+    def test_seed_count_must_match_rows(self):
+        provider = tiny_provider()
+        schedule = GuidanceSchedule.from_guided_steps(12, P)
+        with pytest.raises(DimensionError):
+            enhance_offline(np.zeros((3, 32)), provider, schedule, SamplerConfig(), P, [1, 2],
+                            frame_size=FRAME)
+
+
 class TestLedgers:
     def test_totals_are_exact_sums_of_chunk_ledgers(self):
         provider = tiny_provider()
