@@ -179,6 +179,8 @@ def sdr_db(reference: np.ndarray, estimate: np.ndarray) -> float:
     p_err = float(np.sum((reference - estimate) ** 2))
     if p_err == 0.0:
         return SDR_CAP_DB
+    if p_err == math.inf:  # an infinite estimate
+        return -SDR_CAP_DB
     return float(np.clip(10.0 * math.log10(p_ref / p_err), -SDR_CAP_DB, SDR_CAP_DB))
 
 

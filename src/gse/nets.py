@@ -33,6 +33,12 @@ x_t alone; three padded partial sums moved outputs by about 4e-16.  Derived
 weights (``gate_weights``, ``condition``) live with the caller, a bind or a
 training step, never on the net: in-place weight edits show in the next call.
 
+The forward's buffers are frame-major, (frames, B, features): a frame's B
+rows form one contiguous gate block and one state block, so that each
+per-frame call walks one piece of memory, not B strided rows.  Row
+invariance keeps every bit; ``backward`` copies the cache back to
+batch-major, so that its reductions sum rows in batch order.
+
 All gradients are computed by hand (reverse-mode, backprop through time); the
 test-suite checks every layer against central finite differences.
 """
@@ -81,13 +87,25 @@ FRAME_BLOCK = 32
 ROW_ALIGN = 8
 #: Pairs in the fixed probe set that training reports its progress on.
 PROBE_SIZE = 8
+#: Byte alignment of the fused gate weights: OpenBLAS's gemv ran the B = 1
+#: recurrent product 10-20 % slower on a matrix that starts off a cache line.
+GATE_ALIGN = 64
+
+
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """Uninitialised float64 array of ``shape`` whose data starts on GATE_ALIGN bytes."""
+    size = math.prod(shape)
+    raw = np.empty(size + GATE_ALIGN // 8)
+    start = (-raw.ctypes.data % GATE_ALIGN) // 8
+    return raw[start : start + size].reshape(shape)
 
 
 def _pad_rows(x: np.ndarray) -> np.ndarray:
-    """Copy of (M, K) ``x``, C-contiguous, with zero rows up to a multiple of ROW_ALIGN."""
-    m = x.shape[0]
-    padded = np.zeros((m + (-m % ROW_ALIGN), x.shape[1]))
-    padded[:m] = x
+    """(M, K) copy of the M rows of (..., K) ``x`` in C order, zero-padded to a multiple of
+    ROW_ALIGN rows; a transposed view is copied in the order it reads."""
+    m = math.prod(x.shape[:-1])
+    padded = np.zeros((m + (-m % ROW_ALIGN), x.shape[-1]))
+    padded[:m].reshape(x.shape)[...] = x
     return padded
 
 
@@ -178,10 +196,12 @@ class _FrameNet:
         return h * d + 4 * h * h + f * 2 * h
 
     def gate_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias)."""
+        """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias), GATE_ALIGN-ed."""
         p = self.params
+        halves = ((0.5 * p[f"gate_u_{k}"], p[f"gate_c_{k}"]) for k in "wub")
         return tuple(
-            np.concatenate([0.5 * p[f"gate_u_{k}"], p[f"gate_c_{k}"]], axis=-1) for k in "wub"
+            np.concatenate(h, axis=-1, out=_aligned_empty(h[0].shape[:-1] + (2 * self.hidden,)))
+            for h in halves
         )
 
     def forward(self, x: np.ndarray, enc: tuple, state: np.ndarray, need_cache: bool,
@@ -189,7 +209,7 @@ class _FrameNet:
         """x: (B, R, d) frames, state: (B, H) -> (out (B, R, F), state (B, H), cache).
 
         The encoder pre-activation is x @ enc_w[:d] plus each ``enc`` term,
-        (H,) or (B, R, H): what the caller made once for many calls.
+        (H,) or frame-major (R, B, H): what the caller made once for many calls.
         ``gates`` defaults to ``gate_weights()``; ``inputs``, the encoder's
         input blocks in ``enc_w`` row order, default to (x,) for ``backward``.
 
@@ -203,8 +223,12 @@ class _FrameNet:
         ``TestRowInvariance``), so a chunked forward with threaded state is
         bit-identical to the whole-signal forward however chunks cut frames.
 
-        ``need_cache`` only decides whether every frame's intermediates are kept
-        for ``backward``; without it the buffers hold one block and are reused.
+        ``cat`` and ``G`` are frame-major, (frames, B, 2H), and so is ``S``, a
+        block's new states: a frame's gates and states are contiguous (B, 2H)
+        and (B, H) blocks, and ``S`` fills ``cat``'s state half once per
+        block.  ``need_cache`` only decides whether every frame's
+        intermediates are kept for ``backward``; without it the buffers hold
+        one block and are reused.
         """
         p = self.params
         B, R, d = x.shape
@@ -212,28 +236,27 @@ class _FrameNet:
         w_x = p["enc_w"][:d]  # a row block of a C-contiguous array: a view
         w_in, w_rec, b_g = self.gate_weights() if gates is None else gates
         span = R if need_cache else min(R, FRAME_BLOCK)
-        cat = np.empty((B, span, 2 * H))  # per frame: [encoder output | new state]
-        G = np.empty((B, span, 2 * H))  # per frame: [update gate | candidate]
+        cat = np.empty((span, B, 2 * H))  # per frame: [encoder output | new state]
+        G = np.empty((span, B, 2 * H))  # per frame: [update gate | candidate]
+        S = np.empty((min(R, FRAME_BLOCK), B, H))  # per frame of a block: new state
         out = np.empty((B, R, F))
         s = state
         for k0 in range(0, R, FRAME_BLOCK):
             n = min(FRAME_BLOCK, R - k0)
             rows = B * n
             j0 = k0 if need_cache else 0
-            blk = cat[:, j0 : j0 + n]
-            h = _pad_rows(x[:, k0 : k0 + n].reshape(rows, d)) @ w_x
-            pre = h[:rows].reshape(B, n, H)
+            blk = cat[j0 : j0 + n]
+            h = _pad_rows(x[:, k0 : k0 + n].swapaxes(0, 1)) @ w_x
+            pre = h[:rows].reshape(n, B, H)
             for term in enc:
-                pre += term if term.ndim == 1 else term[:, k0 : k0 + n]
+                pre += term if term.ndim == 1 else term[k0 : k0 + n]
             np.tanh(h, out=h)
             hg = (h @ w_in)[:rows]
             hg += b_g
-            hg = hg.reshape(B, n, 2 * H)
             blk[..., :H] = pre
-            for k in range(n):
-                g, s_new = G[:, j0 + k], blk[:, k, H:]
+            for g, s_new, hg_k in zip(G[j0 : j0 + n], S, hg.reshape(n, B, 2 * H)):
                 np.matmul(s, w_rec, out=g)
-                g += hg[:, k]
+                g += hg_k
                 np.tanh(g, out=g)
                 u, c = g[:, :H], g[:, H:]
                 u += 1.0
@@ -242,15 +265,17 @@ class _FrameNet:
                 s_new *= u
                 s_new += s
                 s = s_new
-            dec = _pad_rows(blk.reshape(rows, 2 * H)) @ p["dec_w"]
-            out[:, k0 : k0 + n] = dec[:rows].reshape(B, n, F) + p["dec_b"]
+            blk[..., H:] = S[:n]
+            dec = (_pad_rows(blk) @ p["dec_w"])[:rows].reshape(n, B, F)
+            np.add(dec.swapaxes(0, 1), p["dec_b"], out=out[:, k0 : k0 + n])
         cache = (inputs or (x,), state, cat, G) if need_cache else None
         return out, s.copy(), cache
 
     def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given d_loss/d_out; state input treated constant."""
         p = self.params
-        inputs, state, cat, G = cache
+        inputs, state, *frame_major = cache
+        cat, G = (np.ascontiguousarray(a.swapaxes(0, 1)) for a in frame_major)  # batch-major
         B, R, F = d_out.shape
         H = self.hidden
         flat = lambda a: a.reshape(-1, a.shape[-1])
@@ -332,7 +357,7 @@ class _WrappedNet:
 
 
 class _Conditioning(NamedTuple):
-    y_term: np.ndarray  # (B, R, H): y @ W_y
+    y_term: np.ndarray  # (R, B, H): y @ W_y, frame-major as the forward reads it
     t_terms: np.ndarray  # (K, H): emb(t) @ W_t + enc_b, one row per time
     gains: list | None  # 1/std(t), one per time
     gates: tuple  # _FrameNet.gate_weights()
@@ -375,7 +400,7 @@ class ScoreNet(_WrappedNet):
         F, w = self.frame_size, self.params["enc_w"]
         yf = _frames(np.atleast_2d(y), F)
         B, R, _ = yf.shape
-        y_term = (_pad_rows(yf.reshape(B * R, F)) @ w[F : 2 * F])[: B * R].reshape(B, R, -1)
+        y_term = (_pad_rows(yf.swapaxes(0, 1)) @ w[F : 2 * F])[: B * R].reshape(R, B, -1)
         t_terms = (_pad_rows(emb_rows) @ w[2 * F :])[: len(emb_rows)] + self.params["enc_b"]
         return _Conditioning(y_term, t_terms, gains, self.core.gate_weights())
 
@@ -391,7 +416,7 @@ class ScoreNet(_WrappedNet):
         emb = self.embed_times(ts)
         cond = self.condition(y, emb)
         xf = _frames(x_t, self.frame_size)
-        enc = (cond.y_term, np.broadcast_to(cond.t_terms[:, None], cond.y_term.shape))
+        enc = (cond.y_term, np.broadcast_to(cond.t_terms, cond.y_term.shape))
         inputs = (xf, _frames(y, self.frame_size),
                   np.broadcast_to(emb[:, None], xf.shape[:2] + emb.shape[1:]))
         return self._run(xf, enc, states, need_cache, cond.gates, inputs)
@@ -518,6 +543,8 @@ def snr_loss(x_hat: np.ndarray, x0: np.ndarray) -> float:
     if p_ref == 0.0:
         raise DomainError("reference signal has zero energy")
     p_err = float(np.sum((x0 - x_hat) ** 2)) + SNR_LOSS_EPS
+    if p_err == math.inf:  # an infinite estimate: the loss of a diverged row
+        return math.inf
     return max(-10.0 * math.log10(p_ref / p_err), SNR_LOSS_FLOOR_DB)
 
 

@@ -76,6 +76,15 @@ class HistoryBank:
         n_steps = config.resolve_steps(params)
         return cls.fresh(n_steps, max(provider.state_dim, 1), provider.denoiser_state_dim, rows)
 
+    def require_rows(self, lead: tuple) -> None:
+        """DimensionError unless all states are (H,) for a 1-D chunk, () = ``lead``,
+        or (B, H) for B rows, (B,) = ``lead``."""
+        rows = lambda shape: f"{shape[0]} rows" if shape else "a 1-D signal"
+        for state in [*self.score_states.values(), self.denoiser_state]:
+            if state is not None and state.shape[:-1] != lead:
+                raise DimensionError(f"history bank holds states for {rows(state.shape[:-1])}, "
+                                     f"chunk has {rows(lead)}")
+
 
 def process_chunk(
     y_chunk: np.ndarray,
@@ -96,6 +105,7 @@ def process_chunk(
         raise ConfigError(
             f"history bank built for N={bank.n_steps}, sampler runs N={config.resolve_steps(params)}"
         )
+    bank.require_rows(y_chunk.shape[:-1])
     x, _ = reverse_process(y_chunk, provider, schedule, config, params, rng, bank=bank,
                            ledger=ledger, plan=plan)
     return x, bank

@@ -140,6 +140,9 @@ class TestSdr:
         est = ref + 1e8
         assert sdr_db(ref, est) == -120.0
 
+    def test_infinite_estimate_caps_low(self):
+        assert sdr_db(np.ones(4), np.full(4, np.inf)) == -120.0
+
     def test_zero_reference_rejected(self):
         with pytest.raises(DomainError):
             sdr_db(np.zeros(8), np.ones(8))

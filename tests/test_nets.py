@@ -9,6 +9,7 @@ import pytest
 from gse.errors import ConfigError, DimensionError, DivergenceError, DomainError
 from gse.nets import (
     FRAME_BLOCK,
+    GATE_ALIGN,
     ROW_ALIGN,
     DenoiserNet,
     ScoreNet,
@@ -314,6 +315,7 @@ class TestFusedCell:
         np.testing.assert_array_equal(w_in, np.hstack([0.5 * p["gate_u_w"], p["gate_c_w"]]))
         np.testing.assert_array_equal(w_rec, np.hstack([0.5 * p["gate_u_u"], p["gate_c_u"]]))
         np.testing.assert_array_equal(b, np.concatenate([0.5 * p["gate_u_b"], p["gate_c_b"]]))
+        assert all(a.ctypes.data % GATE_ALIGN == 0 for a in (w_in, w_rec, b))
 
     @pytest.mark.parametrize("key, index", [
         ("gate_u_u", 7),  # the fused recurrent matrix
@@ -345,6 +347,142 @@ class TestFusedCell:
             b, sb = net.forward(x, y, t, state)
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(sa, sb)
+
+
+def _batch_major_forward(core, x, enc, state, need_cache, gates, inputs):
+    """``_FrameNet.forward`` with its per-frame buffers batch-major, (B, R, 2H).
+
+    The same ops on the same values, with rows in batch order: the reference
+    that the frame-major layout must match bit for bit.  Its cache is
+    batch-major too; ``enc`` terms are (H,) or (B, R, H).
+    """
+    p = core.params
+    B, R, d = x.shape
+    H, F = core.hidden, core.frame_size
+    w_in, w_rec, b_g = gates
+    span = R if need_cache else min(R, FRAME_BLOCK)
+    cat, G = np.empty((B, span, 2 * H)), np.empty((B, span, 2 * H))
+    out, s = np.empty((B, R, F)), state
+    for k0 in range(0, R, FRAME_BLOCK):
+        n = min(FRAME_BLOCK, R - k0)
+        rows = B * n
+        j0 = k0 if need_cache else 0
+        blk = cat[:, j0 : j0 + n]
+        h = _pad_rows(x[:, k0 : k0 + n].reshape(rows, d)) @ p["enc_w"][:d]
+        pre = h[:rows].reshape(B, n, H)
+        for term in enc:
+            pre += term if term.ndim == 1 else term[:, k0 : k0 + n]
+        np.tanh(h, out=h)
+        hg = (h @ w_in)[:rows]
+        hg += b_g
+        hg = hg.reshape(B, n, 2 * H)
+        blk[..., :H] = pre
+        for k in range(n):
+            g, s_new = G[:, j0 + k], blk[:, k, H:]
+            np.matmul(s, w_rec, out=g)
+            g += hg[:, k]
+            np.tanh(g, out=g)
+            u, c = g[:, :H], g[:, H:]
+            u += 1.0
+            u *= 0.5
+            np.subtract(c, s, out=s_new)
+            s_new *= u
+            s_new += s
+            s = s_new
+        dec = _pad_rows(blk.reshape(rows, 2 * H)) @ p["dec_w"]
+        out[:, k0 : k0 + n] = dec[:rows].reshape(B, n, F) + p["dec_b"]
+    return out, s.copy(), (inputs, state, cat, G) if need_cache else None
+
+
+def _batch_major_backward(core, cache, d_out):
+    """``_FrameNet.backward`` on a batch-major cache: every reduction sums rows in batch order."""
+    p, H = core.params, core.hidden
+    inputs, state, cat, G = cache
+    B, R, _ = d_out.shape
+    flat = lambda a: a.reshape(-1, a.shape[-1])
+    h, S, U, C = cat[..., :H], cat[..., H:], G[..., :H], G[..., H:]
+    S_prev = np.concatenate([state[:, None], S[:, :-1]], axis=1)
+    grads = {"dec_w": flat(cat).T @ flat(d_out), "dec_b": d_out.sum(axis=(0, 1))}
+    d_cat = d_out @ p["dec_w"].T
+    dh, dS = d_cat[..., :H].copy(), d_cat[..., H:]
+    DA, DB, carry = np.empty((B, R, H)), np.empty((B, R, H)), np.zeros((B, H))
+    for k in range(R - 1, -1, -1):
+        g = dS[:, k] + carry
+        u, c, sp = U[:, k], C[:, k], S_prev[:, k]
+        DA[:, k] = da = g * (c - sp) * u * (1.0 - u)
+        DB[:, k] = db = g * u * (1.0 - c * c)
+        carry = g * (1.0 - u) + da @ p["gate_u_u"].T + db @ p["gate_c_u"].T
+    for gate, D in (("u", DA), ("c", DB)):
+        grads[f"gate_{gate}_w"] = flat(h).T @ flat(D)
+        grads[f"gate_{gate}_u"] = flat(S_prev).T @ flat(D)
+        grads[f"gate_{gate}_b"] = D.sum(axis=(0, 1))
+    dh += DA @ p["gate_u_w"].T + DB @ p["gate_c_w"].T
+    de = dh * (1.0 - h * h)
+    grads["enc_w"] = np.concatenate([flat(a).T @ flat(de) for a in inputs])
+    grads["enc_b"] = de.sum(axis=(0, 1))
+    return grads
+
+
+class TestFrameMajorLayout:
+    """The forward's frame-major buffers, (R, B, 2H), against the batch-major reference.
+
+    Outputs, final states, the cached ``cat``/``G`` and the gradients must
+    keep every bit, at the recipe's widths, for row counts on both sides of
+    gemv/gemm and frame counts that cross FRAME_BLOCK.
+    """
+
+    @staticmethod
+    def _score_case(B, R, need_cache):
+        net = ScoreNet(P, frame_size=40, hidden=160, seed=0)
+        rng = make_rng(53)
+        x, y = rng.normal(size=(2, B, R * 40))
+        ts, state = rng.uniform(0.05, 1.0, size=B), rng.normal(size=(B, 160))
+        got = net.raw_batch(x, y, ts, state, need_cache)
+        # the parent's batch-major conditioning: y's term and the time terms per row
+        F, w = 40, net.params["enc_w"]
+        xf, yf = x.reshape(B, R, F), y.reshape(B, R, F)
+        emb = net.embed_times(ts)
+        y_term = (_pad_rows(yf.reshape(B * R, F)) @ w[F : 2 * F])[: B * R].reshape(B, R, -1)
+        t_terms = (_pad_rows(emb) @ w[2 * F :])[:B] + net.params["enc_b"]
+        enc = (y_term, np.broadcast_to(t_terms[:, None], y_term.shape))
+        inputs = (xf, yf, np.broadcast_to(emb[:, None], (B, R, emb.shape[1])))
+        want = _batch_major_forward(net.core, xf, enc, state, need_cache,
+                                    net.core.gate_weights(), inputs)
+        return net, got, want
+
+    @staticmethod
+    def _denoiser_case(B, R, need_cache):
+        net = DenoiserNet(frame_size=40, hidden=96, seed=1)
+        rng = make_rng(54)
+        y, state = rng.normal(size=(B, R * 40)), rng.normal(size=(B, 96))
+        got = net.raw_batch(y, state, need_cache)
+        yf = y.reshape(B, R, 40)
+        want = _batch_major_forward(net.core, yf, (net.params["enc_b"],), state, need_cache,
+                                    net.core.gate_weights(), (yf,))
+        return net, got, want
+
+    @pytest.mark.parametrize("need_cache", [False, True])
+    @pytest.mark.parametrize("R", [20, 33, 71])
+    @pytest.mark.parametrize("B", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("case", ["_score_case", "_denoiser_case"])
+    def test_bit_identical_to_the_batch_major_loop(self, case, B, R, need_cache):
+        net, (out, state, cache), (want_out, want_state, want_cache) = getattr(self, case)(
+            B, R, need_cache)
+        np.testing.assert_array_equal(out, want_out.reshape(B, -1))
+        np.testing.assert_array_equal(state, want_state)
+        if not need_cache:
+            assert cache is None
+            return
+        cat, G = cache[2:]
+        assert cat.shape == G.shape == (R, B, 2 * net.hidden)
+        np.testing.assert_array_equal(cat.swapaxes(0, 1), want_cache[2])
+        np.testing.assert_array_equal(G.swapaxes(0, 1), want_cache[3])
+        d_out = make_rng(55).normal(size=(B, R, net.frame_size))
+        grads = net.core.backward(cache, d_out)
+        want_grads = _batch_major_backward(net.core, want_cache, d_out)
+        assert grads.keys() == want_grads.keys()
+        for key, g in grads.items():
+            np.testing.assert_array_equal(g, want_grads[key], err_msg=key)
 
 
 def _score_chunks(net, x, y, t, cuts):
@@ -463,6 +601,10 @@ class TestSnrLoss:
     def test_silent_reference_rejected(self):
         with pytest.raises(DomainError):
             snr_loss(np.ones(4), np.zeros(4))
+
+    def test_infinite_estimate_gives_infinite_loss(self):
+        """What ``denoiser_loss_and_grads`` records for a diverged row."""
+        assert snr_loss(np.full(4, np.inf), np.ones(4)) == math.inf
 
 
 class TestTraining:

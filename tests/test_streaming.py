@@ -189,6 +189,30 @@ class TestBatchedRows:
         assert all(s.shape == (3, 6) for s in bank.score_states.values())
         assert bank.denoiser_state.shape == (3, 5)
 
+    @pytest.mark.parametrize("bank_rows, chunk_shape, message", [
+        (None, (3, 32), "states for a 1-D signal, chunk has 3 rows"),
+        (2, (3, 32), "states for 2 rows, chunk has 3 rows"),
+        (3, (32,), "states for 3 rows, chunk has a 1-D signal"),
+    ])
+    def test_bank_rows_must_match_chunk_rows(self, bank_rows, chunk_shape, message):
+        provider = tiny_provider()
+        bank = HistoryBank.for_provider(provider, SamplerConfig(), P, rows=bank_rows)
+        ledgers = [CostLedger() for _ in range(3)]
+        with pytest.raises(DimensionError, match=message):
+            process_chunk(np.zeros(chunk_shape), bank, provider,
+                          GuidanceSchedule.from_guided_steps(12, P), SamplerConfig(), P,
+                          make_rng(0), ledgers if len(chunk_shape) == 2 else ledgers[0])
+        assert ledgers == [CostLedger()] * 3  # raised before any forward
+
+    def test_denoiser_state_rows_are_checked_too(self):
+        provider = tiny_provider()
+        bank = HistoryBank.for_provider(provider, SamplerConfig(), P, rows=3)
+        bank.denoiser_state = np.zeros(5)
+        with pytest.raises(DimensionError, match="states for a 1-D signal, chunk has 3 rows"):
+            process_chunk(np.zeros((3, 32)), bank, provider,
+                          GuidanceSchedule.from_guided_steps(12, P), SamplerConfig(), P,
+                          make_rng(0))
+
     def test_seed_count_must_match_rows(self):
         provider = tiny_provider()
         schedule = GuidanceSchedule.from_guided_steps(12, P)
