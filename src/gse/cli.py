@@ -52,6 +52,7 @@ from .score import GuidanceSchedule, HybridScore, ScoreProvider
 from .sde import SdeParams, forward_ensemble_moments, make_rng
 from .streaming import (
     StreamConfig,
+    _normalizer,
     _pad_to_multiple,
     enhance_offline,
     enhance_stream,
@@ -125,11 +126,11 @@ def sweep_threads() -> int:
 def make_dataset(
     spec: MixSpec, n_utterances: int, frame_size: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Synthetic (clean, noisy) pairs, peak-normalized to 0.9 like the inference path."""
+    """Synthetic (clean, noisy) pairs, peak-normalized as the inference path normalizes."""
     pairs = []
     for i in range(n_utterances):
         clean, noisy = synthesize_pair(replace(spec, seed=spec.seed + i))
-        scale = 0.9 / max(float(np.max(np.abs(noisy.samples))), 1e-8)
+        scale = _normalizer(float(np.max(np.abs(noisy.samples))))
         pairs.append(
             (
                 _pad_to_multiple(clean.samples * scale, frame_size),
@@ -146,7 +147,7 @@ def _resolve_schedule(args, params: SdeParams) -> GuidanceSchedule:
     return GuidanceSchedule.from_guided_steps(n_phi, params)
 
 
-# The SdeParams fields a score net reads (ScoreNet.gain / _clamp_t); N is only
+# The SdeParams fields a score net reads (ScoreNet.gain / SdeParams.clamp); N is only
 # the sampler's grid, so a checkpoint may be run at any N.
 _SCORE_NET_SDE_FIELDS = ("gamma", "sigma_min", "sigma_max", "T", "t_eps")
 

@@ -5,9 +5,10 @@ affine encoder embeds each frame, a single gated recurrent memory cell carries
 context across frames (and across chunk boundaries when its state is threaded),
 and a framewise affine decoder maps back to samples.  Processing is therefore
 non-causal only *within* a frame; the recurrence is strictly left-to-right.
-``ScoreNet`` and ``DenoiserNet`` share one private wrapper that owns the core,
-its weights, its MAC count and the zero default of the recurrent state; they
-differ only in their encoder input (the score net's frame is [x_t | y | emb(t)]).
+``ScoreNet`` and ``DenoiserNet`` subclass one private frame net that owns the
+weights, the MAC count, the zero default of the recurrent state and the
+forward; they differ only in their encoder input (the score net's frame is
+[x_t | y | emb(t)]).
 
 Training and inference share one forward path.  Weight matrices are stored
 ``(in, out)`` and C-contiguous, so a projection is ``rows @ w``.  Frames run in
@@ -64,9 +65,7 @@ __all__ = [
     "DenoiserNet",
     "TrainConfig",
     "TrainResult",
-    "score_matching_loss",
     "draw_matching_samples",
-    "matching_loss_from_draws",
     "weighted_matching_loss_from_draws",
     "snr_loss",
     "denoiser_loss_and_grads",
@@ -126,7 +125,8 @@ class TimeEmbedding:
 
 
 class _FrameNet:
-    """Encoder -> gated recurrent cell -> decoder, on (batch, frames, features)."""
+    """Encoder -> gated recurrent cell -> decoder, on (batch, frames, features);
+    the weights, cost and forward that both frame nets share."""
 
     #: parameter name -> layer name, the unit of the per-layer gradient checks
     LAYERS = {
@@ -190,10 +190,16 @@ class _FrameNet:
     def params(self, value: dict[str, np.ndarray]) -> None:
         self._params = value
 
-    def macs_per_frame(self) -> int:
-        """Multiply-accumulates of the affine blocks for one frame."""
+    @property
+    def state_dim(self) -> int:
+        return self.hidden
+
+    def macs_per_forward(self, n_samples: int) -> int:
+        """Multiply-accumulates of the affine blocks over the frames of ``n_samples``."""
         h, f, d = self.hidden, self.frame_size, self.d_in
-        return h * d + 4 * h * h + f * 2 * h
+        if n_samples % f != 0:
+            raise DimensionError(f"length {n_samples} not a multiple of frame_size {f}")
+        return (n_samples // f) * (h * d + 4 * h * h + f * 2 * h)
 
     def gate_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias), GATE_ALIGN-ed."""
@@ -204,9 +210,10 @@ class _FrameNet:
             for h in halves
         )
 
-    def forward(self, x: np.ndarray, enc: tuple, state: np.ndarray, need_cache: bool,
-                gates=None, inputs=None):
-        """x: (B, R, d) frames, state: (B, H) -> (out (B, R, F), state (B, H), cache).
+    def forward_frames(self, x: np.ndarray, enc: tuple, state, need_cache: bool,
+                       gates=None, inputs=None):
+        """x: (B, R, d) frames, state: (B, H), (H,) or None for zeros
+        -> (out (B, R*F), state (B, H), cache).
 
         The encoder pre-activation is x @ enc_w[:d] plus each ``enc`` term,
         (H,) or frame-major (R, B, H): what the caller made once for many calls.
@@ -235,6 +242,7 @@ class _FrameNet:
         H, F = self.hidden, self.frame_size
         w_x = p["enc_w"][:d]  # a row block of a C-contiguous array: a view
         w_in, w_rec, b_g = self.gate_weights() if gates is None else gates
+        state = np.zeros((B, H)) if state is None else np.atleast_2d(state)
         span = R if need_cache else min(R, FRAME_BLOCK)
         cat = np.empty((span, B, 2 * H))  # per frame: [encoder output | new state]
         G = np.empty((span, B, 2 * H))  # per frame: [update gate | candidate]
@@ -269,7 +277,7 @@ class _FrameNet:
             dec = (_pad_rows(blk) @ p["dec_w"])[:rows].reshape(n, B, F)
             np.add(dec.swapaxes(0, 1), p["dec_b"], out=out[:, k0 : k0 + n])
         cache = (inputs or (x,), state, cat, G) if need_cache else None
-        return out, s.copy(), cache
+        return out.reshape(B, -1), s.copy(), cache
 
     def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given d_loss/d_out; state input treated constant."""
@@ -322,40 +330,6 @@ def _frames(x: np.ndarray, frame_size: int) -> np.ndarray:
     return x.reshape(*x.shape[:-1], x.shape[-1] // frame_size, frame_size)
 
 
-class _WrappedNet:
-    """What both frame nets share: the core, its weights, its cost and its call."""
-
-    def __init__(self, d_in: int, frame_size: int, hidden: int, seed: int):
-        self.frame_size = frame_size
-        self.hidden = hidden
-        self.seed = seed
-        self.core = _FrameNet(d_in, frame_size, hidden, seed)
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return self.core.params
-
-    @property
-    def state_dim(self) -> int:
-        return self.hidden
-
-    def macs_per_forward(self, n_samples: int) -> int:
-        if n_samples % self.frame_size != 0:
-            raise DimensionError(
-                f"length {n_samples} not a multiple of frame_size {self.frame_size}"
-            )
-        return (n_samples // self.frame_size) * self.core.macs_per_frame()
-
-    def _run(self, x: np.ndarray, enc, states, need_cache: bool, gates=None, inputs=None):
-        """(B, R, d) frames -> (out (B, R*F), states, cache); no states means zeros."""
-        if states is None:
-            states = np.zeros((x.shape[0], self.hidden))
-        out, new_states, cache = self.core.forward(
-            x, enc, np.atleast_2d(states), need_cache, gates, inputs
-        )
-        return out.reshape(x.shape[0], -1), new_states, cache
-
-
 class _Conditioning(NamedTuple):
     y_term: np.ndarray  # (R, B, H): y @ W_y, frame-major as the forward reads it
     t_terms: np.ndarray  # (K, H): emb(t) @ W_t + enc_b, one row per time
@@ -363,7 +337,7 @@ class _Conditioning(NamedTuple):
     gates: tuple  # _FrameNet.gate_weights()
 
 
-class ScoreNet(_WrappedNet):
+class ScoreNet(_FrameNet):
     """Conditional score model s(x_t, y, t); recurrent state threads across chunks.
 
     The decoder output is divided by std(t): the trainable part regresses the
@@ -385,15 +359,12 @@ class ScoreNet(_WrappedNet):
         self.emb = TimeEmbedding(emb_dim)
         super().__init__(2 * frame_size + emb_dim, frame_size, hidden, seed)
 
-    def _clamp_t(self, t: float) -> float:
-        return min(max(float(t), self.sde_params.t_eps), self.sde_params.T)
-
     def gain(self, t: float) -> float:
-        return 1.0 / std(self._clamp_t(t), self.sde_params)
+        return 1.0 / std(self.sde_params.clamp(t), self.sde_params)
 
     def embed_times(self, ts) -> np.ndarray:
         """Time-embedding rows (len(ts), emb_dim) at the clamped times; weight-free."""
-        return self.emb.embed([self._clamp_t(t) for t in ts])
+        return self.emb.embed([self.sde_params.clamp(t) for t in ts])
 
     def condition(self, y, emb_rows: np.ndarray, gains=None) -> _Conditioning:
         """y's and the times' encoder terms, one padded matmul each, and the fused gates."""
@@ -402,7 +373,7 @@ class ScoreNet(_WrappedNet):
         B, R, _ = yf.shape
         y_term = (_pad_rows(yf.swapaxes(0, 1)) @ w[F : 2 * F])[: B * R].reshape(R, B, -1)
         t_terms = (_pad_rows(emb_rows) @ w[2 * F :])[: len(emb_rows)] + self.params["enc_b"]
-        return _Conditioning(y_term, t_terms, gains, self.core.gate_weights())
+        return _Conditioning(y_term, t_terms, gains, self.gate_weights())
 
     def raw_batch(self, x_t, y, ts, states=None, need_cache=False):
         """Pre-gain output on a (B, L) batch; returns (raw, states, cache)."""
@@ -419,7 +390,7 @@ class ScoreNet(_WrappedNet):
         enc = (cond.y_term, np.broadcast_to(cond.t_terms, cond.y_term.shape))
         inputs = (xf, _frames(y, self.frame_size),
                   np.broadcast_to(emb[:, None], xf.shape[:2] + emb.shape[1:]))
-        return self._run(xf, enc, states, need_cache, cond.gates, inputs)
+        return self.forward_frames(xf, enc, states, need_cache, cond.gates, inputs)
 
     def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None, cond=None, point=0):
         """Score of a signal (L,), state (H,), or of rows (B, L), state (B, H).
@@ -434,8 +405,8 @@ class ScoreNet(_WrappedNet):
         if cond is None:
             cond = self.condition(y, self.embed_times([t]), [self.gain(t)])
         enc = (cond.y_term, cond.t_terms[point])
-        raw, states, _ = self._run(_frames(np.atleast_2d(x_t), self.frame_size), enc, state,
-                                   False, cond.gates)
+        raw, states, _ = self.forward_frames(_frames(np.atleast_2d(x_t), self.frame_size), enc,
+                                             state, False, cond.gates)
         score = raw * cond.gains[point]
         return (score[0], states[0]) if x_t.ndim == 1 else (score, states)
 
@@ -448,7 +419,7 @@ class ScoreNet(_WrappedNet):
         }
 
 
-class DenoiserNet(_WrappedNet):
+class DenoiserNet(_FrameNet):
     """One-shot signal estimator x_d = D(y); same family, no time conditioning."""
 
     kind = "denoiser"
@@ -458,7 +429,8 @@ class DenoiserNet(_WrappedNet):
 
     def raw_batch(self, y, states=None, need_cache=False):
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-        return self._run(_frames(y, self.frame_size), (self.params["enc_b"],), states, need_cache)
+        return self.forward_frames(_frames(y, self.frame_size), (self.params["enc_b"],), states,
+                                   need_cache)
 
     def forward(self, y: np.ndarray, state=None):
         """Estimate of a signal (L,) or of B rows (B, L); returns (x_d, new_state)."""
@@ -501,35 +473,18 @@ def draw_matching_samples(batch, params: SdeParams, rng: np.random.Generator) ->
     return MatchingDraws(xts, ys, zs, ts, stds)
 
 
-def matching_loss_from_draws(net: ScoreNet, draws: MatchingDraws):
-    """Batch mean of || s(x_t, y, t) + z / std(t) ||^2 and its parameter gradient."""
-    B = draws.x_t.shape[0]
-    raw, _, cache = net.raw_batch(draws.x_t, draws.y, draws.ts, need_cache=True)
-    gains = (1.0 / draws.stds)[:, None]
-    resid = raw * gains + draws.z * gains  # score + z/std
-    loss = float(np.mean(np.sum(resid * resid, axis=1)))
-    d_raw = 2.0 * resid * gains / B
-    grads = net.core.backward(cache, _frames(d_raw, net.frame_size))
-    return loss, grads
-
-
-def score_matching_loss(net: ScoreNet, batch, params: SdeParams, rng: np.random.Generator):
-    """Draw perturbations and return (loss, grads) of the matching objective."""
-    return matching_loss_from_draws(net, draw_matching_samples(batch, params, rng))
-
-
 def weighted_matching_loss_from_draws(net: ScoreNet, draws: MatchingDraws):
     """Variance-weighted objective (noise-prediction MSE): mean (raw + z)^2.
 
-    Same minimizer as the literal matching loss; conditioning is flat in t,
-    which is what makes small-scale training converge.
+    Same minimizer as the literal matching loss, mean ||s + z / std(t)||^2;
+    conditioning is flat in t, which is what makes small-scale training converge.
     """
     B, L = draws.x_t.shape
     raw, _, cache = net.raw_batch(draws.x_t, draws.y, draws.ts, need_cache=True)
     resid = raw + draws.z
     loss = float(np.mean(resid * resid))
     d_raw = 2.0 * resid / (B * L)
-    grads = net.core.backward(cache, _frames(d_raw, net.frame_size))
+    grads = net.backward(cache, _frames(d_raw, net.frame_size))
     return loss, grads
 
 
@@ -569,7 +524,7 @@ def denoiser_loss_and_grads(net: DenoiserNet, batch):
         else:
             losses[i] = raw
             d_out[i] = scale * (-2.0 * r) / p_err / B
-    grads = net.core.backward(cache, _frames(d_out, net.frame_size))
+    grads = net.backward(cache, _frames(d_out, net.frame_size))
     return float(losses.mean()), grads
 
 
@@ -614,10 +569,6 @@ class TrainConfig:
     seed: int = 0
     optimizer: str = "adam"  # adam | momentum
     probe_every: int = 25
-    # "weighted" is the noise-prediction form (flat conditioning across t, the
-    # default); "matching" is the literal score-space objective, useful as a
-    # low-lr polish when accuracy at small noise scales matters.
-    objective: str = "weighted"
 
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1:
@@ -629,8 +580,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be >= 0")
         if self.optimizer not in ("adam", "momentum"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.objective not in ("weighted", "matching"):
-            raise ConfigError(f"unknown objective {self.objective!r}")
 
 
 @dataclass
@@ -682,18 +631,15 @@ def _fit(net, pairs, cfg: TrainConfig, batch_loss_fn, probe_loss_fn) -> TrainRes
 
 
 def train_score(net: ScoreNet, pairs, params: SdeParams, cfg: TrainConfig) -> TrainResult:
-    """Fit the score net on (x0, y) pairs with the objective named in the config."""
-    loss_fn = (
-        weighted_matching_loss_from_draws if cfg.objective == "weighted" else matching_loss_from_draws
-    )
+    """Fit the score net on (x0, y) pairs with the variance-weighted matching objective."""
     probe_pairs, probe_rng = _probe_pairs(pairs, cfg)
     probe_draws = draw_matching_samples(probe_pairs, params, probe_rng)
 
     def batch_loss(batch, rng):
-        return loss_fn(net, draw_matching_samples(batch, params, rng))
+        return weighted_matching_loss_from_draws(net, draw_matching_samples(batch, params, rng))
 
     def probe_loss():
-        return loss_fn(net, probe_draws)[0]
+        return weighted_matching_loss_from_draws(net, probe_draws)[0]
 
     return _fit(net, pairs, cfg, batch_loss, probe_loss)
 
@@ -752,7 +698,7 @@ def load_checkpoint(path: str | Path):
             else:
                 raise ConfigError(f"{path}: unknown net kind {meta['kind']!r}")
             params = {}
-            for k, (shape, _) in net.core.init_spec().items():
+            for k, (shape, _) in net.init_spec().items():
                 key = f"param_{k}"
                 if key not in data:
                     raise ConfigError(f"{path}: missing parameter array {k}")
@@ -767,5 +713,5 @@ def load_checkpoint(path: str | Path):
         raise
     except (ValueError, EOFError, KeyError, TypeError, AttributeError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path}: unreadable checkpoint ({type(exc).__name__}: {exc})") from exc
-    net.core.params = params
+    net.params = params
     return net, meta

@@ -54,7 +54,6 @@ class SamplerConfig:
     n_steps: int | None = None
     corrector_steps: int = 1
     corrector_snr: float = 0.5
-    final_denoise: bool = False  # optional terminal mean projection (ablation)
 
     def __post_init__(self):
         if self.n_steps is not None and self.n_steps < 1:
@@ -128,14 +127,14 @@ class StepPlan:
         dt = params.T / n_steps
         t = tuple((n * params.T) / n_steps for n in range(1, n_steps + 1))
         t_eval = tuple(max(max(t_n - dt, 0.0), params.t_eps) for t_n in t)
-        times = tuple(dict.fromkeys(provider.clamp(s) for s in t + t_eval))  # distinct
+        times = tuple(dict.fromkeys(provider.params.clamp(s) for s in t + t_eval))  # distinct
         kernel = tuple(kernel_coefficients(s, provider.params) for s in times)
         embed = getattr(provider.net, "embed_times", None)  # test doubles have none
         gain = emb = None
         if embed is not None and not all(guided):
             gain, emb = tuple(provider.net.gain(s) for s in times), embed(times)
             emb.flags.writeable = False
-        point_of = {s: times.index(provider.clamp(s)) for s in t + t_eval}
+        point_of = {s: times.index(provider.params.clamp(s)) for s in t + t_eval}
         return cls(n_steps, dt, std(params.T, params), t, t_eval,
                    tuple(diffusion_coeff(t_n, params) for t_n in t), guided, point_of, kernel,
                    gain, emb)
@@ -242,8 +241,7 @@ def reverse_process(
     ``rng`` and ``ledger`` are one, or for rows a list of one per row (fresh
     ledgers by default).  ``plan`` is the pass's ``StepPlan``, built here when
     not given.  The branch of every grid step is its ``guided`` column; the
-    predictor, its correctors and the optional final denoise (which uses step
-    1's branch) all read it.
+    predictor and its correctors read it.
 
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the
@@ -261,7 +259,7 @@ def reverse_process(
     elif plan.n_steps != n_steps:
         raise ConfigError(f"step plan built for N={plan.n_steps}, sampler runs N={n_steps}")
     den_state = None if bank is None else bank.denoiser_state
-    bound, den_state = provider.bind(y, ledger, den_state, plan)
+    bound, den_state = provider.bind(y, ledger, plan, den_state)
     if bank is not None:
         bank.denoiser_state = den_state
 
@@ -288,13 +286,4 @@ def reverse_process(
             )
             _check_finite(state.x, n, "corrector")
 
-    x_out = state.x
-    if config.final_denoise:
-        # Tweedie-style mean projection at the terminal time (not a grid step:
-        # branch counters stay untouched)
-        last_t_eval = plan.t_eval[0]
-        score, _ = bound.evaluate(x_out, last_t_eval, None, plan.guided[0])
-        var, a, rise = plan.kernel[plan.point_of[last_t_eval]]
-        mu_hat = x_out + var * score
-        x_out = (mu_hat - rise * y) / a
-    return x_out, ledger
+    return state.x, ledger

@@ -193,14 +193,15 @@ class ScoreProvider:
             )
         return guided
 
-    def bind(self, y: np.ndarray, ledger, denoiser_state=None, plan=None):
-        """Prepare a per-utterance/chunk evaluator; returns (bound, denoiser_state).
+    def bind(self, y: np.ndarray, ledger, plan, denoiser_state=None):
+        """Prepare a per-utterance/chunk evaluator on ``plan``, a ``StepPlan``;
+        returns (bound, denoiser_state).
 
         ``y`` is (L,) or rows (B, L); each row is charged what it costs alone,
         to its own ledger if ``ledger`` is a list.  A provider holding a
         denoiser runs it here, once; guided evaluations then cost no forward
-        pass.  Given a ``StepPlan`` with embedding rows, the score net's y and
-        time terms are made here too (``condition``).
+        pass.  If the plan has embedding rows, the score net's y and time
+        terms are made here too (``condition``).
         """
         y = np.asarray(y, dtype=np.float64)
         ledgers = per_row(ledger, len(np.atleast_2d(y)))
@@ -210,21 +211,15 @@ class ScoreProvider:
             for led in ledgers:
                 led.denoiser_forwards += 1
                 led.mac_total += self.denoiser.macs_per_forward(y.shape[-1])
-        cond = None
-        if plan is not None and plan.emb is not None:
-            cond = self.net.condition(y, plan.emb, plan.gain)
+        cond = None if plan.emb is None else self.net.condition(y, plan.emb, plan.gain)
         return _BoundScore(self, y, x_d, ledgers, plan, cond), denoiser_state
 
-    def clamp(self, t: float) -> float:
-        """The time a score is evaluated at: t clamped to [t_eps, T]."""
-        return min(max(t, self.params.t_eps), self.params.T)
+    def learned_score(self, x_t, y, t, state, ledgers, cond, point):
+        """Learned branch: one score-net forward; (score, new_state).
 
-    def learned_score(self, x_t, y, t, state, ledgers, at=()):
-        """Learned branch: one score-net forward at the clamped time; (score, new_state).
-
-        ``at``, if given, is (the bind's score-net conditioning, the plan row of t).
+        ``cond`` is the bind's score-net conditioning and ``point`` the row of t in it.
         """
-        score, new_state = self.net.forward(x_t, y, self.clamp(t), state, *at)
+        score, new_state = self.net.forward(x_t, y, t, state, cond, point)
         for led in ledgers:
             led.score_net_forwards += 1
             led.mac_total += self.net.macs_per_forward(x_t.shape[-1])
@@ -234,14 +229,13 @@ class ScoreProvider:
 class _BoundScore:
     """Per-run evaluator: a provider with its y, denoiser estimate x_d and row ledgers.
 
-    A time of the bound ``StepPlan`` reads its rows; any other time is computed
-    from scratch, to the same bits.  It holds no reference back to itself, so
+    An evaluation at a time of the bound ``StepPlan`` reads its rows; any
+    other time raises KeyError.  It holds no reference back to itself, so
     dropping it frees the request's y and x_d by refcount alone, without
     waiting for a cyclic GC pass.
     """
 
-    def __init__(self, provider: ScoreProvider, y: np.ndarray, x_d, ledgers, plan=None,
-                 cond=None):
+    def __init__(self, provider: ScoreProvider, y: np.ndarray, x_d, ledgers, plan, cond):
         self.provider = provider
         self.y = y
         self.x_d = x_d
@@ -251,13 +245,11 @@ class _BoundScore:
 
     def evaluate(self, x_t, t, state, guided: bool):
         """Return (score, new_state); new_state is state unless a net ran."""
-        p, plan = self.provider, self.plan
-        i = None if plan is None else plan.point_of.get(t)
+        p, i = self.provider, self.plan.point_of[t]
         if guided:
-            kernel = None if i is None else plan.kernel[i]
-            return discriminative_score(x_t, self.y, p.clamp(t), self.x_d, p.params, kernel), state
-        at = () if i is None or self.cond is None else (self.cond, i)
-        return p.learned_score(x_t, self.y, t, state, self.ledgers, at)
+            return discriminative_score(x_t, self.y, p.params.clamp(t), self.x_d, p.params,
+                                        self.plan.kernel[i]), state
+        return p.learned_score(x_t, self.y, t, state, self.ledgers, self.cond, i)
 
 
 # Named constructors of the three net combinations; none changes behaviour.
@@ -285,5 +277,5 @@ class AnalyticGaussianScore(ScoreProvider):
         super().__init__(None, None, params)
         self.prior = prior
 
-    def learned_score(self, x_t, y, t, state, ledgers, at=()):
+    def learned_score(self, x_t, y, t, state, ledgers, cond, point):
         return analytic_gaussian_score(x_t, y, t, self.prior, self.params), state

@@ -101,9 +101,9 @@ class SdeParams:
             raise DomainError(f"grid index {n} outside 0..{self.N}")
         return (n * self.T) / self.N
 
-    @property
-    def dt(self) -> float:
-        return self.T / self.N
+    def clamp(self, t: float) -> float:
+        """The time a score is evaluated at: t clamped to [t_eps, T]."""
+        return min(max(float(t), self.t_eps), self.T)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

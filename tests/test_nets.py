@@ -19,9 +19,7 @@ from gse.nets import (
     denoiser_loss_and_grads,
     draw_matching_samples,
     load_checkpoint,
-    matching_loss_from_draws,
     save_checkpoint,
-    score_matching_loss,
     snr_loss,
     train_denoiser,
     train_score,
@@ -53,7 +51,7 @@ def central_difference(loss_fn, params, key, index, h=1e-5):
 def check_layer_gradients(net, loss_and_grads, probes_per_layer, rng, rel_tol=1e-4):
     """Probe random entries of every layer; returns the worst relative error."""
     layers = {}
-    for key, layer in type(net.core).LAYERS.items():
+    for key, layer in net.LAYERS.items():
         layers.setdefault(layer, []).append(key)
     _, grads = loss_and_grads()
     worst = 0.0
@@ -73,7 +71,7 @@ def frozen_score_loss(net, params, seed=0, batch=3, length=12):
     rng = make_rng(seed)
     pairs = [(rng.normal(size=length), rng.normal(size=length)) for _ in range(batch)]
     draws = draw_matching_samples(pairs, params, rng)
-    return lambda: matching_loss_from_draws(net, draws)
+    return lambda: weighted_matching_loss_from_draws(net, draws)
 
 
 def frozen_denoiser_loss(net, seed=0, batch=3, length=12):
@@ -310,7 +308,7 @@ class TestFusedCell:
 
     def test_fused_layout(self):
         net = DenoiserNet(frame_size=4, hidden=6, seed=2)
-        w_in, w_rec, b = net.core.gate_weights()
+        w_in, w_rec, b = net.gate_weights()
         p = net.params
         np.testing.assert_array_equal(w_in, np.hstack([0.5 * p["gate_u_w"], p["gate_c_w"]]))
         np.testing.assert_array_equal(w_rec, np.hstack([0.5 * p["gate_u_u"], p["gate_c_u"]]))
@@ -350,7 +348,7 @@ class TestFusedCell:
 
 
 def _batch_major_forward(core, x, enc, state, need_cache, gates, inputs):
-    """``_FrameNet.forward`` with its per-frame buffers batch-major, (B, R, 2H).
+    """``_FrameNet.forward_frames`` with its per-frame buffers batch-major, (B, R, 2H).
 
     The same ops on the same values, with rows in batch order: the reference
     that the frame-major layout must match bit for bit.  Its cache is
@@ -446,8 +444,8 @@ class TestFrameMajorLayout:
         t_terms = (_pad_rows(emb) @ w[2 * F :])[:B] + net.params["enc_b"]
         enc = (y_term, np.broadcast_to(t_terms[:, None], y_term.shape))
         inputs = (xf, yf, np.broadcast_to(emb[:, None], (B, R, emb.shape[1])))
-        want = _batch_major_forward(net.core, xf, enc, state, need_cache,
-                                    net.core.gate_weights(), inputs)
+        want = _batch_major_forward(net, xf, enc, state, need_cache,
+                                    net.gate_weights(), inputs)
         return net, got, want
 
     @staticmethod
@@ -457,8 +455,8 @@ class TestFrameMajorLayout:
         y, state = rng.normal(size=(B, R * 40)), rng.normal(size=(B, 96))
         got = net.raw_batch(y, state, need_cache)
         yf = y.reshape(B, R, 40)
-        want = _batch_major_forward(net.core, yf, (net.params["enc_b"],), state, need_cache,
-                                    net.core.gate_weights(), (yf,))
+        want = _batch_major_forward(net, yf, (net.params["enc_b"],), state, need_cache,
+                                    net.gate_weights(), (yf,))
         return net, got, want
 
     @pytest.mark.parametrize("need_cache", [False, True])
@@ -478,8 +476,8 @@ class TestFrameMajorLayout:
         np.testing.assert_array_equal(cat.swapaxes(0, 1), want_cache[2])
         np.testing.assert_array_equal(G.swapaxes(0, 1), want_cache[3])
         d_out = make_rng(55).normal(size=(B, R, net.frame_size))
-        grads = net.core.backward(cache, d_out)
-        want_grads = _batch_major_backward(net.core, want_cache, d_out)
+        grads = net.backward(cache, d_out)
+        want_grads = _batch_major_backward(net, want_cache, d_out)
         assert grads.keys() == want_grads.keys()
         for key, g in grads.items():
             np.testing.assert_array_equal(g, want_grads[key], err_msg=key)
@@ -551,34 +549,21 @@ class TestMatchingLoss:
         stub = SimpleNamespace(
             frame_size=4,
             raw_batch=lambda x_t, y, ts, states=None, need_cache=False: (-draws.z, None, None),
-            core=SimpleNamespace(backward=lambda cache, d_out: {}),
+            backward=lambda cache, d_out: {},
         )
-        loss, _ = matching_loss_from_draws(stub, draws)
+        loss, _ = weighted_matching_loss_from_draws(stub, draws)
         assert loss == 0.0
-        loss_w, _ = weighted_matching_loss_from_draws(stub, draws)
-        assert loss_w == 0.0
 
     def test_zero_network_loss_equals_noise_energy(self):
-        """With raw = 0 the loss is exactly the mean of ||z/std||^2 on the draws."""
+        """With raw = 0 the loss is exactly the mean of z^2 on the draws."""
         net = ScoreNet(P, frame_size=4, hidden=6, seed=1)
         net.params["dec_w"][:] = 0.0
         net.params["dec_b"][:] = 0.0
         rng = make_rng(11)
         pairs = [(rng.normal(size=8), rng.normal(size=8)) for _ in range(6)]
         draws = draw_matching_samples(pairs, P, rng)
-        loss, _ = matching_loss_from_draws(net, draws)
-        expected = float(np.mean(np.sum((draws.z / draws.stds[:, None]) ** 2, axis=1)))
-        assert loss == pytest.approx(expected, rel=1e-12)
-        loss_w, _ = weighted_matching_loss_from_draws(net, draws)
-        assert loss_w == pytest.approx(float(np.mean(draws.z**2)), rel=1e-12)
-
-    def test_score_matching_loss_smoke(self):
-        net = ScoreNet(WIDE, frame_size=4, hidden=6, seed=2)
-        rng = make_rng(12)
-        pairs = [(rng.normal(size=8), rng.normal(size=8)) for _ in range(3)]
-        loss, grads = score_matching_loss(net, pairs, WIDE, rng)
-        assert math.isfinite(loss) and loss > 0
-        assert set(grads) == set(net.params)
+        loss, _ = weighted_matching_loss_from_draws(net, draws)
+        assert loss == pytest.approx(float(np.mean(draws.z**2)), rel=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
@@ -710,23 +695,9 @@ class TestTraining:
             TrainConfig(learning_rate=-0.1)
         with pytest.raises(ConfigError):
             TrainConfig(optimizer="sgd")
-        with pytest.raises(ConfigError):
-            TrainConfig(objective="mse")
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="learning_rate must be finite"):
                 TrainConfig(learning_rate=value)
-
-    def test_matching_objective_also_learns(self):
-        rng = make_rng(21)
-        pairs = [(rng.normal(1.0, 0.1, size=4), np.full(4, 0.4)) for _ in range(32)]
-        net = ScoreNet(WIDE, frame_size=1, hidden=8, seed=2)
-        cfg = TrainConfig(
-            steps=300, batch_size=16, learning_rate=1e-3, seed=0, probe_every=100,
-            objective="matching",
-        )
-        result = train_score(net, pairs, WIDE, cfg)
-        probes = result.probe_losses()
-        assert probes[-1] < probes[0]
 
     def test_loss_curve_csv(self, tmp_path):
         net = DenoiserNet(frame_size=4, hidden=6, seed=0)

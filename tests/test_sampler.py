@@ -195,8 +195,8 @@ class TestReverseProcess:
 
     def test_divergence_reports_step_index(self):
         class ExplodingProvider(AnalyticGaussianScore):
-            def bind(self, y, ledger, denoiser_state=None, plan=None):
-                bound, st = super().bind(y, ledger, denoiser_state, plan)
+            def bind(self, y, ledger, plan, denoiser_state=None):
+                bound, st = super().bind(y, ledger, plan, denoiser_state)
                 bound.evaluate = lambda x, t, s, g: (np.full_like(x, np.inf), s)
                 return bound, st
 
@@ -208,8 +208,8 @@ class TestReverseProcess:
 
     def test_divergence_names_the_step_phase_and_rows(self):
         class RowOneExploding(AnalyticGaussianScore):
-            def bind(self, y, ledger, denoiser_state=None, plan=None):
-                bound, st = super().bind(y, ledger, denoiser_state, plan)
+            def bind(self, y, ledger, plan, denoiser_state=None):
+                bound, st = super().bind(y, ledger, plan, denoiser_state)
 
                 def evaluate(x, t, s, g):
                     score = np.zeros_like(x)
@@ -263,19 +263,6 @@ class TestReverseProcess:
         schedule = GuidanceSchedule.from_guided_steps(5, SdeParams(N=15))
         with pytest.raises(ConfigError):
             reverse_process(y, provider, schedule, SamplerConfig(), P, make_rng(0))
-
-    def test_final_denoise_changes_output_not_counters(self):
-        y = np.full(8, 0.4)
-        provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        plain, led_plain = reverse_process(
-            y, provider, None, SamplerConfig(), P, make_rng(20)
-        )
-        projected, led_proj = reverse_process(
-            y, provider, None, SamplerConfig(final_denoise=True), P, make_rng(20)
-        )
-        assert not np.array_equal(plain, projected)
-        assert led_plain.steps_learned == led_proj.steps_learned == 30
-        assert led_plain.steps_guided == led_proj.steps_guided == 0
 
 
 class TestToyRecovery:
@@ -371,7 +358,7 @@ class TestStepPlan:
         y = make_rng(31).normal(size=32)
         provider = TestReverseProcess().make_hybrid()
         schedule = GuidanceSchedule.from_guided_steps(12, P)
-        cfg = SamplerConfig(final_denoise=True)
+        cfg = SamplerConfig()
         plan = StepPlan.build(provider, schedule, P.N, P)
         a, led_a = reverse_process(y, provider, schedule, cfg, P, make_rng(3), plan=plan)
         b, led_b = reverse_process(y, provider, schedule, cfg, P, make_rng(3))

@@ -140,7 +140,7 @@ class _ConstScoreNet:
     def __init__(self, value: float):
         self.value = value
 
-    def forward(self, x_t, y, t, state=None):
+    def forward(self, x_t, y, t, state=None, cond=None, point=0):
         return np.full_like(x_t, self.value), state
 
     def macs_per_forward(self, n_samples: int) -> int:
@@ -160,6 +160,11 @@ class _FixedDenoiser:
         return 0
 
 
+def bind(provider, y, ledger, schedule=None, params=P):
+    """``provider.bind`` on the step plan of ``schedule`` over the grid of ``params``."""
+    return provider.bind(y, ledger, StepPlan.build(provider, schedule, params.N, params))
+
+
 class TestHybridDispatch:
     """The provider's per-step rule: guided above the switch time, learned below."""
 
@@ -173,7 +178,7 @@ class TestHybridDispatch:
 
     def test_branches(self):
         guided = self.provider.guided_steps(self.sched, P.N)
-        bound, _ = self.provider.bind(self.y, CostLedger())
+        bound, _ = bind(self.provider, self.y, CostLedger(), self.sched)
         # the top step, the lowest guided step, the step on the switch time, the last step
         for n in (P.N, 19, 18, 1):
             t = P.grid_time(n)
@@ -204,7 +209,7 @@ class TestProviders:
         net, _ = tiny_nets()
         ledger = CostLedger()
         provider = LearnedScore(net, P)
-        bound, _ = provider.bind(np.zeros(8), ledger)
+        bound, _ = bind(provider, np.zeros(8), ledger)
         state = np.zeros(net.state_dim)
         _, state = bound.evaluate(np.zeros(8), 0.5, state, guided=False)
         _, state = bound.evaluate(np.zeros(8), 0.4, state, guided=False)
@@ -213,19 +218,22 @@ class TestProviders:
         assert ledger.mac_total == 2 * net.macs_per_forward(8)
 
     def test_learned_provider_clamps_time(self):
-        net, _ = tiny_nets()
-        provider = LearnedScore(net, P)
-        bound, _ = provider.bind(np.zeros(8), CostLedger())
-        s_below, _ = bound.evaluate(np.ones(8), P.t_eps / 10, np.zeros(net.state_dim), False)
-        s_floor, _ = bound.evaluate(np.ones(8), P.t_eps, np.zeros(net.state_dim), False)
-        np.testing.assert_array_equal(s_below, s_floor)
+        """At N = 100, T/N < t_eps: the lowest grid times are evaluated at t_eps."""
+        params = SdeParams(N=100)
+        net = ScoreNet(params, frame_size=4, hidden=6, seed=3)
+        bound, _ = bind(LearnedScore(net, params), np.zeros(8), CostLedger(), params=params)
+        state = np.zeros(net.state_dim)
+        s_floor, _ = net.forward(np.ones(8), np.zeros(8), params.t_eps, state)
+        for t in (params.grid_time(1), params.grid_time(2), params.t_eps):
+            s, _ = bound.evaluate(np.ones(8), t, state, False)
+            np.testing.assert_array_equal(s, s_floor)
 
     def test_discriminative_provider_runs_denoiser_once(self):
         _, denoiser = tiny_nets()
         ledger = CostLedger()
         provider = DiscriminativeScore(denoiser, P)
         y = make_rng(1).normal(size=8)
-        bound, den_state = provider.bind(y, ledger)
+        bound, den_state = bind(provider, y, ledger)
         assert ledger.denoiser_forwards == 1
         assert ledger.mac_total == denoiser.macs_per_forward(8)
         before = ledger.mac_total
@@ -240,9 +248,9 @@ class TestProviders:
         net, denoiser = tiny_nets()
         ledger = CostLedger()
         provider = HybridScore(net, denoiser, P)
-        provider.bind(np.zeros(8), ledger)
-        assert ledger.denoiser_forwards == 1
         sched = GuidanceSchedule.from_guided_steps(0, P)
+        bind(provider, np.zeros(8), ledger, sched)
+        assert ledger.denoiser_forwards == 1
         assert not any(provider.guided_steps(sched, P.N))
 
     def test_hybrid_bound_requires_schedule(self):
@@ -283,9 +291,9 @@ class TestProviders:
         y = make_rng(9).normal(size=8)
         x_t = y + 0.1
         hybrid = HybridScore(net, denoiser, P)
-        hb, _ = hybrid.bind(y, CostLedger())
-        lb, _ = LearnedScore(net, P).bind(y, CostLedger())
-        db, _ = DiscriminativeScore(denoiser, P).bind(y, CostLedger())
+        hb, _ = bind(hybrid, y, CostLedger(), GuidanceSchedule.from_guided_steps(12, P))
+        lb, _ = bind(LearnedScore(net, P), y, CostLedger())
+        db, _ = bind(DiscriminativeScore(denoiser, P), y, CostLedger())
         state = np.zeros(net.state_dim)
         s_h, _ = hb.evaluate(x_t, 0.9, state, guided=True)
         s_d, _ = db.evaluate(x_t, 0.9, state, guided=True)
@@ -295,23 +303,33 @@ class TestProviders:
         np.testing.assert_array_equal(s_h, s_l)
 
     def test_planned_evaluations_equal_direct_ones(self):
-        """A bind with a step plan reads its columns; the bits are those of a bind without."""
+        """A bound evaluation reads its plan's rows; the bits are those of direct calls."""
+        net, denoiser = tiny_nets()
+        provider = HybridScore(net, denoiser, P)
+        y = make_rng(11).normal(size=8)
+        x_t = y + 0.3
+        bound, _ = bind(provider, y, CostLedger(), GuidanceSchedule.from_guided_steps(12, P))
+        assert bound.cond is not None
+        x_d, _ = denoiser.forward(y)
+        state = make_rng(12).normal(size=net.state_dim)
+        for t in bound.plan.point_of:
+            s, s_state = bound.evaluate(x_t, t, state, True)
+            np.testing.assert_array_equal(s, discriminative_score(x_t, y, P.clamp(t), x_d, P))
+            assert s_state is state
+            s, s_state = bound.evaluate(x_t, t, state, False)
+            want, want_state = net.forward(x_t, y, t, state)
+            np.testing.assert_array_equal(s, want)
+            np.testing.assert_array_equal(s_state, want_state)
+
+    def test_evaluation_off_the_plan_raises(self):
+        """A bound evaluator reads plan rows only; it does not recompute an off-grid time."""
         net, denoiser = tiny_nets()
         provider = HybridScore(net, denoiser, P)
         schedule = GuidanceSchedule.from_guided_steps(12, P)
-        plan = StepPlan.build(provider, schedule, P.N, P)
-        y = make_rng(11).normal(size=8)
-        x_t = y + 0.3
-        planned, _ = provider.bind(y, CostLedger(), None, plan)
-        direct, _ = provider.bind(y, CostLedger())
-        assert planned.cond is not None
-        state = make_rng(12).normal(size=net.state_dim)
-        for t in plan.point_of:
-            for guided in (True, False):
-                a, sa = planned.evaluate(x_t, t, state, guided)
-                b, sb = direct.evaluate(x_t, t, state, guided)
-                np.testing.assert_array_equal(a, b)
-                np.testing.assert_array_equal(sa, sb)
+        bound, _ = bind(provider, np.zeros(8), CostLedger(), schedule)
+        for guided in (True, False):
+            with pytest.raises(KeyError):
+                bound.evaluate(np.zeros(8), 0.55, np.zeros(net.state_dim), guided)
 
     def test_hybrid_bound_is_freed_by_refcount_alone(self):
         """Dropping a bound evaluator frees it and the request's y at once,
@@ -322,7 +340,7 @@ class TestProviders:
         try:
             y = make_rng(10).normal(size=8)
             y_ref = weakref.ref(y)
-            bound, _ = provider.bind(y, CostLedger())
+            bound, _ = bind(provider, y, CostLedger(), GuidanceSchedule.from_guided_steps(12, P))
             bound_ref = weakref.ref(bound)
             bound.evaluate(y, 0.9, np.zeros(net.state_dim), guided=True)
             bound.evaluate(y, 0.2, np.zeros(net.state_dim), guided=False)
@@ -335,7 +353,7 @@ class TestProviders:
     def test_analytic_provider_costs_nothing(self):
         ledger = CostLedger()
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        bound, _ = provider.bind(np.full(4, 0.4), ledger)
+        bound, _ = bind(provider, np.full(4, 0.4), ledger)
         bound.evaluate(np.zeros(4), 0.5, None, guided=False)
         assert ledger.score_net_forwards == 0
         assert ledger.mac_total == 0

@@ -201,7 +201,7 @@ class TestParams:
         assert P.grid_time(0) == 0.0
         assert P.grid_time(P.N) == P.T
         assert P.grid_time(12) == pytest.approx(0.4, abs=0)
-        assert P.dt == P.T / P.N
+        assert (P.clamp(0.0), P.clamp(0.5), P.clamp(2.0)) == (P.t_eps, 0.5, P.T)
         with pytest.raises(DomainError):
             P.grid_time(P.N + 1)
 
