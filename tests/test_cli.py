@@ -3,7 +3,7 @@
 import csv
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,11 +17,13 @@ from gse.cli import (
     SWEEP_CSV_HEADER,
     _sweep_worker,
     main,
+    make_dataset,
     sweep_threads,
 )
 from gse.errors import ConfigError, DivergenceError
 from gse.nets import DenoiserNet, ScoreNet, save_checkpoint
 from gse.sde import SdeParams
+from gse.streaming import PEAK_TARGET, _normalizer
 
 
 def run(*argv) -> int:
@@ -194,6 +196,23 @@ class TestSimulateForward:
         rc = run("simulate-forward", "--config", non_utf8_config, "--out", tmp_path / "o")
         assert rc == EXIT_CONFIG
         assert "unreadable config" in capsys.readouterr().err
+
+
+class TestMakeDataset:
+    def test_pairs_share_the_inference_peak_normaliser(self):
+        """Each pair is scaled so its noisy peak is the inference path's PEAK_TARGET."""
+        spec = MixSpec(duration_s=0.05, seed=40)
+        pairs = make_dataset(spec, 3, 40)
+        assert len(pairs) == 3
+        for i, (clean, noisy) in enumerate(pairs):
+            raw_clean, raw_noisy = synthesize_pair(replace(spec, seed=spec.seed + i))
+            n = raw_noisy.samples.size
+            assert clean.size == noisy.size and noisy.size % 40 == 0 and noisy.size >= n
+            scale = _normalizer(float(np.max(np.abs(raw_noisy.samples))))
+            np.testing.assert_array_equal(noisy[:n], raw_noisy.samples * scale)
+            np.testing.assert_array_equal(clean[:n], raw_clean.samples * scale)
+            assert not noisy[n:].any() and not clean[n:].any()
+            assert float(np.max(np.abs(noisy))) == pytest.approx(PEAK_TARGET, rel=1e-12)
 
 
 class TestTrain:

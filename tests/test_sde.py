@@ -201,9 +201,17 @@ class TestParams:
         assert P.grid_time(0) == 0.0
         assert P.grid_time(P.N) == P.T
         assert P.grid_time(12) == pytest.approx(0.4, abs=0)
-        assert (P.clamp(0.0), P.clamp(0.5), P.clamp(2.0)) == (P.t_eps, 0.5, P.T)
         with pytest.raises(DomainError):
             P.grid_time(P.N + 1)
+
+    def test_clamp(self):
+        """Score times are clamped to [t_eps, T] and returned as a plain float."""
+        assert (P.clamp(0.0), P.clamp(0.5), P.clamp(2.0)) == (P.t_eps, 0.5, P.T)
+        assert P.clamp(P.t_eps / 10) == P.t_eps
+        assert P.clamp(P.t_eps) == P.t_eps and P.clamp(P.T) == P.T
+        clamped = P.clamp(np.float32(0.25))
+        assert type(clamped) is float and clamped == float(np.float32(0.25))
+        assert all(P.clamp(P.grid_time(n)) == max(P.grid_time(n), P.t_eps) for n in range(P.N + 1))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
