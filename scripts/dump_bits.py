@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per case over everything a run, a training run or a checkpoint writes.
 
-    PYTHONPATH=src python3 scripts/dump_bits.py [--case PREFIX ...]
+    PYTHONPATH=src python3 scripts/dump_bits.py
 
 Run it on two trees (``PYTHONPATH=<tree>/src``) and diff the outputs: equal
 lines mean equal bits.  The cases use the acceptance recipe's nets (frame 40,
@@ -13,19 +13,16 @@ initialised from fixed seeds:
   ``AnalyticGaussianScore`` at each n_phi in {0, 12, 30} the provider can run,
   whole-signal (``offline``), through ``StreamEnhancer`` in 50 ms chunks with
   each chunk's ledger (``stream``), and as one 3-row batch (``rows3``);
-* ``train/<role>``: a short ``train_score`` or ``train_denoiser`` curve and
-  the trained weights;
-* ``checkpoint/<role>``: the name and bytes of every array that
+* ``train/<role>``: a short ``train_score`` or ``train_denoiser`` curve,
+  the trained weights, and the name and bytes of every array that
   ``save_checkpoint`` writes for the trained net (the zip container also
   stores its write time, so its own bytes differ from run to run).
 
-``--case`` keeps the cases whose name starts with one of the given prefixes.
 The script uses only public names of the ``gse`` package.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import io
 import json
@@ -108,19 +105,16 @@ def _checkpoint_members(net) -> list:
         return [part for name in sorted(z.namelist()) for part in (name.encode(), z.read(name))]
 
 
-def _train(role: str):
-    """A freshly initialised net of ``role`` after a short training run; (net, result)."""
+def _training(role: str) -> str:
+    """Train a freshly initialised net of ``role`` briefly; digest its curve, weights and checkpoint."""
     pairs = make_dataset(gse.MixSpec(duration_s=0.05, seed=101), 6, FRAME)
     score, denoiser = _nets()
     if role == "score":
-        return score, gse.train_score(score, pairs, PARAMS, TRAIN)
-    return denoiser, gse.train_denoiser(denoiser, pairs, TRAIN)
-
-
-def _training(role: str) -> str:
-    net, result = _train(role)
+        net, result = score, gse.train_score(score, pairs, PARAMS, TRAIN)
+    else:
+        net, result = denoiser, gse.train_denoiser(denoiser, pairs, TRAIN)
     return _digest(result.curve, result.final_probe_loss,
-                   *(net.params[k] for k in sorted(net.params)))
+                   *(net.params[k] for k in sorted(net.params)), *_checkpoint_members(net))
 
 
 def cases():
@@ -133,17 +127,11 @@ def cases():
                        lambda p=provider, n=n_phi, m=mode: _run(p, n, m))
     for role in ("score", "denoiser"):
         yield f"train/{role}", lambda r=role: _training(r)
-        yield f"checkpoint/{role}", lambda r=role: _digest(*_checkpoint_members(_train(r)[0]))
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--case", action="append", default=[],
-                    help="print only the cases whose name starts with this prefix")
-    args = ap.parse_args(argv)
+def main() -> int:
     for name, digest in cases():
-        if not args.case or any(name.startswith(p) for p in args.case):
-            print(f"{name} {digest()}", flush=True)
+        print(f"{name} {digest()}", flush=True)
     return 0
 
 

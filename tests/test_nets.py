@@ -88,14 +88,6 @@ class TestGradients:
         loss = frozen_score_loss(net, WIDE, seed=1)
         check_layer_gradients(net, loss, probes_per_layer=6, rng=make_rng(2))
 
-    def test_weighted_objective_gradients_match_finite_differences(self):
-        net = ScoreNet(WIDE, frame_size=4, hidden=6, seed=12)
-        rng = make_rng(3)
-        pairs = [(rng.normal(size=12), rng.normal(size=12)) for _ in range(3)]
-        draws = draw_matching_samples(pairs, WIDE, rng)
-        loss = lambda: weighted_matching_loss_from_draws(net, draws)
-        check_layer_gradients(net, loss, probes_per_layer=4, rng=make_rng(4))
-
     def test_denoiser_layers_match_finite_differences(self):
         net = DenoiserNet(frame_size=4, hidden=6, seed=13)
         loss = frozen_denoiser_loss(net, seed=5)
