@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per case over everything a run, a training run or a checkpoint writes.
 
-    PYTHONPATH=src python3 scripts/dump_bits.py
+    PYTHONPATH=src python3 scripts/dump_bits.py [--base REV]
 
-Run it on two trees (``PYTHONPATH=<tree>/src``) and diff the outputs: equal
-lines mean equal bits.  The cases use the acceptance recipe's nets (frame 40,
-score net hidden 160, denoiser hidden 96, N = 30, one corrector), randomly
-initialised from fixed seeds:
+Run on two trees (``PYTHONPATH=<tree>/src``), equal lines mean equal bits.
+``--base REV`` does that itself: it exports ``REV`` with ``git archive``, as
+``scripts/ab.py`` does, runs this script on the library of ``REV`` and on
+this checkout's, prints every case whose digest differs (``name base
+change``, ``-`` for a case one side lacks) and exits 1 on any difference.
+
+The cases use the acceptance recipe's nets (frame 40, score net hidden 160,
+denoiser hidden 96, N = 30, one corrector), randomly initialised from fixed
+seeds:
 
 * ``<provider>/nphi<n>/<mode>``: the enhanced samples and every ``CostLedger``
   field of ``LearnedScore``, ``HybridScore``, ``DiscriminativeScore`` and
@@ -23,16 +28,24 @@ The script uses only public names of the ``gse`` package.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 
 import gse
 from gse.cli import make_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ab import ROOT, export  # noqa: E402  (a sibling script, not a package)
 
 FRAME = 40
 SECONDS = 0.25
@@ -129,10 +142,35 @@ def cases():
         yield f"train/{role}", lambda r=role: _training(r)
 
 
-def main() -> int:
-    for name, digest in cases():
-        print(f"{name} {digest()}", flush=True)
-    return 0
+def compare(base: dict, change: dict) -> list[str]:
+    """``name base change`` for each case whose digests differ, in first-seen order."""
+    return [f"{name} {base.get(name, '-')} {change.get(name, '-')}"
+            for name in dict.fromkeys([*base, *change]) if base.get(name) != change.get(name)]
+
+
+def _digests(tree: Path) -> dict:
+    """name -> digest, from this script run on the library in ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, __file__], env=env, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"dump_bits: the run on {tree} exited with {proc.returncode}")
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", metavar="REV", help="compare with git revision REV")
+    args = p.parse_args(argv)
+    if args.base is None:
+        for name, digest in cases():
+            print(f"{name} {digest()}", flush=True)
+        return 0
+    with tempfile.TemporaryDirectory(prefix="gse-bits-") as tmp:
+        export(args.base, Path(tmp))
+        base = _digests(Path(tmp))
+    diffs = compare(base, _digests(ROOT))
+    print("\n".join(diffs) if diffs else f"all {len(base)} digests equal")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, WavFormatError
-from .sde import make_rng, read_key_values, require_finite
+from .sde import make_rng, read_key_values, require_finite, write_key_values
 
 __all__ = [
     "Signal",
@@ -26,8 +26,6 @@ __all__ = [
 
 SDR_CAP_DB = 120.0
 LSD_EPS = 1e-8
-CLEAN_KINDS = ("sinusoid-sum", "ar-process", "gaussian-toy")
-NOISE_KINDS = ("white", "pink")
 
 
 @dataclass
@@ -63,10 +61,9 @@ class MixSpec:
     sample_rate: int = 16000
 
     def __post_init__(self):
-        if self.clean_kind not in CLEAN_KINDS:
-            raise ConfigError(f"clean_kind must be one of {CLEAN_KINDS}, got {self.clean_kind!r}")
-        if self.noise_kind not in NOISE_KINDS:
-            raise ConfigError(f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}")
+        for name, kinds in (("clean_kind", CLEAN_KINDS), ("noise_kind", NOISE_KINDS)):
+            if (kind := getattr(self, name)) not in kinds:
+                raise ConfigError(f"{name} must be one of {tuple(kinds)}, got {kind!r}")
         require_finite(self, "duration_s")
         if self.duration_s <= 0.0:
             raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
@@ -80,16 +77,11 @@ class MixSpec:
         return max(round(self.duration_s * self.sample_rate), 1)
 
     def to_file(self, path: str | Path) -> None:
-        lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_key_values(path, self)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MixSpec":
-        casts = {
-            "clean_kind": str, "noise_kind": str, "snr_db": float,
-            "duration_s": float, "seed": int, "sample_rate": int,
-        }
-        return cls(**read_key_values(path, casts))
+        return cls(**read_key_values(path, cls))
 
 
 def _clean_sinusoid_sum(n: int, rate: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,6 +129,12 @@ def _noise_pink(n: int, rng: np.random.Generator) -> np.ndarray:
     return x / np.std(x)
 
 
+# kind name -> generator: what MixSpec accepts and what synthesize_pair runs
+CLEAN_KINDS = {"sinusoid-sum": _clean_sinusoid_sum, "ar-process": _clean_ar_process,
+               "gaussian-toy": _clean_gaussian_toy}
+NOISE_KINDS = {"white": _noise_white, "pink": _noise_pink}
+
+
 def synthesize_pair(spec: MixSpec) -> tuple[Signal, Signal]:
     """Deterministic (clean, noisy) pair with the requested SNR hit exactly.
 
@@ -144,15 +142,10 @@ def synthesize_pair(spec: MixSpec) -> tuple[Signal, Signal]:
     """
     rng = make_rng(spec.seed)
     n = spec.n_samples
-    clean_fn = {
-        "sinusoid-sum": _clean_sinusoid_sum,
-        "ar-process": _clean_ar_process,
-        "gaussian-toy": _clean_gaussian_toy,
-    }[spec.clean_kind]
-    x0 = clean_fn(n, spec.sample_rate, rng)
+    x0 = CLEAN_KINDS[spec.clean_kind](n, spec.sample_rate, rng)
     if math.isinf(spec.snr_db):
         return Signal(x0, spec.sample_rate), Signal(x0.copy(), spec.sample_rate)
-    noise = {"white": _noise_white, "pink": _noise_pink}[spec.noise_kind](n, rng)
+    noise = NOISE_KINDS[spec.noise_kind](n, rng)
     p_clean = float(np.sum(x0 * x0))
     p_noise = float(np.sum(noise * noise))
     if p_noise == 0.0:

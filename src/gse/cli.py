@@ -71,12 +71,9 @@ EXIT_DIVERGED = 3
 # --------------------------------------------------------------------------
 
 
-def _load_sde_params(path: str | None) -> SdeParams:
-    return SdeParams.from_file(path) if path else SdeParams()
-
-
-def _load_mix_spec(path: str | None) -> MixSpec:
-    return MixSpec.from_file(path) if path else MixSpec()
+def _load_config(cls, path: str | None):
+    """``cls`` read from a ``key = value`` file, or its defaults without one."""
+    return cls.from_file(path) if path else cls()
 
 
 def _out_dir(args) -> Path:
@@ -152,19 +149,21 @@ def _resolve_schedule(args, params: SdeParams) -> GuidanceSchedule:
 _SCORE_NET_SDE_FIELDS = ("gamma", "sigma_min", "sigma_max", "T", "t_eps")
 
 
-def _load_score_net(path: str, params: SdeParams) -> ScoreNet:
-    """Load a score checkpoint and check it was trained for the same process."""
-    score_net, _ = load_checkpoint(path)
-    if not isinstance(score_net, ScoreNet):
-        raise ConfigError(f"{path}: not a score checkpoint")
-    stored = score_net.sde_params
+def _load_net(path: str, cls, params: SdeParams):
+    """Load a checkpoint of ``cls``; a score net must be trained for the same process."""
+    net, _ = load_checkpoint(path)
+    if not isinstance(net, cls):
+        raise ConfigError(f"{path}: not a {cls.kind} checkpoint")
+    if cls is not ScoreNet:
+        return net
+    stored = net.sde_params
     bad = [f for f in _SCORE_NET_SDE_FIELDS if getattr(stored, f) != getattr(params, f)]
     if bad:
         raise ConfigError(
             f"{path}: checkpoint sde_params differ from the config in "
             + ", ".join(f"{f} ({getattr(stored, f)!r} vs {getattr(params, f)!r})" for f in bad)
         )
-    return score_net
+    return net
 
 
 def _load_nets(args, params: SdeParams, schedule: GuidanceSchedule):
@@ -173,13 +172,11 @@ def _load_nets(args, params: SdeParams, schedule: GuidanceSchedule):
     if schedule.n_guided < schedule.n_steps:
         if not args.score_ckpt:
             raise ConfigError("--score-ckpt is required unless every step is guided")
-        score_net = _load_score_net(args.score_ckpt, params)
+        score_net = _load_net(args.score_ckpt, ScoreNet, params)
     if schedule.n_guided > 0:
         if not args.denoiser_ckpt:
             raise ConfigError("--denoiser-ckpt is required when guided steps > 0")
-        denoiser, _ = load_checkpoint(args.denoiser_ckpt)
-        if not isinstance(denoiser, DenoiserNet):
-            raise ConfigError(f"{args.denoiser_ckpt}: not a denoiser checkpoint")
+        denoiser = _load_net(args.denoiser_ckpt, DenoiserNet, params)
     return score_net, denoiser
 
 
@@ -191,7 +188,7 @@ FORWARD_CSV_HEADER = ["t", "mean_rel_err", "empirical_var", "model_var"]
 
 
 def cmd_simulate_forward(args) -> int:
-    params = _load_sde_params(args.config)
+    params = _load_config(SdeParams, args.config)
     out = _out_dir(args)
     if args.paths < 2 or args.grid_points < 1:
         raise ConfigError("need --paths >= 2 and --grid-points >= 1")
@@ -238,8 +235,8 @@ _OPTIMIZERS = {"adam": "adam", "sgd-momentum": "momentum"}
 
 
 def cmd_train(args) -> int:
-    params = _load_sde_params(args.config)
-    spec = _load_mix_spec(args.data_config)
+    params = _load_config(SdeParams, args.config)
+    spec = _load_config(MixSpec, args.data_config)
     out = _out_dir(args)
     cfg = TrainConfig(
         steps=args.steps,
@@ -290,7 +287,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_enhance(args) -> int:
-    params = _load_sde_params(args.config)
+    params = _load_config(SdeParams, args.config)
     out = _out_dir(args)
     schedule = _resolve_schedule(args, params)
     score_net, denoiser = _load_nets(args, params, schedule)
@@ -378,8 +375,8 @@ def _sweep_worker(task: dict) -> dict:
     """
     params = SdeParams(**task["sde"])
     spec = MixSpec(**task["mix"])
-    score_net = _load_score_net(task["score_ckpt"], params)
-    denoiser, _ = load_checkpoint(task["denoiser_ckpt"])
+    score_net = _load_net(task["score_ckpt"], ScoreNet, params)
+    denoiser = _load_net(task["denoiser_ckpt"], DenoiserNet, params)
     provider = HybridScore(score_net, denoiser, params)
     schedule = GuidanceSchedule.from_guided_steps(task["n_phi"], params)
     cfg = SamplerConfig(
@@ -420,8 +417,8 @@ def _format_sweep_row(row: dict) -> dict:
 
 
 def cmd_sweep_nphi(args) -> int:
-    params = _load_sde_params(args.config)
-    spec = _load_mix_spec(args.data_config)
+    params = _load_config(SdeParams, args.config)
+    spec = _load_config(MixSpec, args.data_config)
     out = _out_dir(args)
     n_phis = _parse_int_list(args.n_phi_list, "--n-phi-list")
     seeds = _parse_int_list(args.seeds, "--seeds")

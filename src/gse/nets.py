@@ -41,7 +41,8 @@ invariance keeps every bit; ``backward`` copies the cache back to
 batch-major, so that its reductions sum rows in batch order.
 
 All gradients are computed by hand (reverse-mode, backprop through time); the
-test-suite checks every layer against central finite differences.
+test-suite checks every layer against central finite differences.  One helper
+computes the SNR loss for both ``snr_loss`` and the denoiser's training loss.
 """
 
 from __future__ import annotations
@@ -455,7 +456,6 @@ class MatchingDraws:
     y: np.ndarray  # (B, L)
     z: np.ndarray  # (B, L)
     ts: np.ndarray  # (B,)
-    stds: np.ndarray  # (B,)
 
 
 def draw_matching_samples(batch, params: SdeParams, rng: np.random.Generator) -> MatchingDraws:
@@ -469,8 +469,7 @@ def draw_matching_samples(batch, params: SdeParams, rng: np.random.Generator) ->
     zs = np.empty_like(x0s)
     for i, t in enumerate(ts):
         xts[i], zs[i] = sample_perturbed(x0s[i], ys[i], float(t), params, rng)
-    stds = np.array([std(float(t), params) for t in ts])
-    return MatchingDraws(xts, ys, zs, ts, stds)
+    return MatchingDraws(xts, ys, zs, ts)
 
 
 def weighted_matching_loss_from_draws(net: ScoreNet, draws: MatchingDraws):
@@ -488,19 +487,25 @@ def weighted_matching_loss_from_draws(net: ScoreNet, draws: MatchingDraws):
     return loss, grads
 
 
+def _snr_loss_terms(x_hat: np.ndarray, x0: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(unfloored loss, residual x0 - x_hat, ||x0 - x_hat||^2 + 1e-12) of one row."""
+    r = x0 - x_hat
+    p_ref = float(np.sum(x0 * x0))
+    if p_ref == 0.0:
+        raise DomainError("reference signal has zero energy")
+    p_err = float(np.sum(r * r)) + SNR_LOSS_EPS
+    if p_err == math.inf:  # an infinite estimate: the loss of a diverged row
+        return math.inf, r, p_err
+    return -10.0 * math.log10(p_ref / p_err), r, p_err
+
+
 def snr_loss(x_hat: np.ndarray, x0: np.ndarray) -> float:
     """Negative SNR in dB: -10*log10(||x0||^2 / (||x0 - x_hat||^2 + 1e-12)), floored at -120."""
     x_hat = np.asarray(x_hat, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     if x_hat.shape != x0.shape:
         raise DimensionError(f"shape mismatch: {x_hat.shape} vs {x0.shape}")
-    p_ref = float(np.sum(x0 * x0))
-    if p_ref == 0.0:
-        raise DomainError("reference signal has zero energy")
-    p_err = float(np.sum((x0 - x_hat) ** 2)) + SNR_LOSS_EPS
-    if p_err == math.inf:  # an infinite estimate: the loss of a diverged row
-        return math.inf
-    return max(-10.0 * math.log10(p_ref / p_err), SNR_LOSS_FLOOR_DB)
+    return max(_snr_loss_terms(x_hat, x0)[0], SNR_LOSS_FLOOR_DB)
 
 
 def denoiser_loss_and_grads(net: DenoiserNet, batch):
@@ -513,16 +518,9 @@ def denoiser_loss_and_grads(net: DenoiserNet, batch):
     d_out = np.zeros_like(x_hat)
     scale = 10.0 / math.log(10.0)
     for i in range(B):
-        r = x0s[i] - x_hat[i]
-        p_ref = float(np.sum(x0s[i] ** 2))
-        if p_ref == 0.0:
-            raise DomainError("reference signal has zero energy")
-        p_err = float(np.sum(r * r)) + SNR_LOSS_EPS
-        raw = -10.0 * math.log10(p_ref / p_err) if p_err < math.inf else math.inf  # diverged
-        if raw <= SNR_LOSS_FLOOR_DB:
-            losses[i] = SNR_LOSS_FLOOR_DB  # flat region: zero gradient
-        else:
-            losses[i] = raw
+        raw, r, p_err = _snr_loss_terms(x_hat[i], x0s[i])
+        losses[i] = max(raw, SNR_LOSS_FLOOR_DB)
+        if raw > SNR_LOSS_FLOOR_DB:  # at the floor the loss is flat: zero gradient
             d_out[i] = scale * (-2.0 * r) / p_err / B
     grads = net.backward(cache, _frames(d_out, net.frame_size))
     return float(losses.mean()), grads
@@ -561,6 +559,10 @@ class _Momentum:
             params[k] += self.v[k]
 
 
+# TrainConfig.optimizer -> its class
+_OPTIMIZERS = {"adam": _Adam, "momentum": _Momentum}
+
+
 @dataclass
 class TrainConfig:
     steps: int = 500
@@ -578,7 +580,7 @@ class TrainConfig:
         require_finite(self, "learning_rate")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
-        if self.optimizer not in ("adam", "momentum"):
+        if self.optimizer not in _OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -598,12 +600,6 @@ class TrainResult:
                 w.writerow([step, f"{train:.10g}", "" if probe is None else f"{probe:.10g}"])
 
 
-def _make_optimizer(cfg: TrainConfig, params):
-    if cfg.optimizer == "adam":
-        return _Adam(params, cfg.learning_rate)
-    return _Momentum(params, cfg.learning_rate)
-
-
 def _probe_pairs(pairs, cfg: TrainConfig):
     """The fixed probe set, PROBE_SIZE pairs from a stream of its own; (pairs, rng)."""
     if len(pairs) == 0:
@@ -612,9 +608,10 @@ def _probe_pairs(pairs, cfg: TrainConfig):
     return [pairs[i] for i in rng.integers(0, len(pairs), size=PROBE_SIZE)], rng
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss raises DivergenceError
 def _fit(net, pairs, cfg: TrainConfig, batch_loss_fn, probe_loss_fn) -> TrainResult:
     rng = make_rng(cfg.seed)
-    opt = _make_optimizer(cfg, net.params)
+    opt = _OPTIMIZERS[cfg.optimizer](net.params, cfg.learning_rate)
     result = TrainResult()
     probe = probe_loss_fn()
     result.curve.append((0, probe, probe))

@@ -5,10 +5,11 @@ each followed by ``corrector_steps`` annealed Langevin refinements evaluated at
 the new time (clamped to t_eps) and sharing the predictor's guidance branch.
 The prior is x_T ~ N(y, variance(T) * I); the returned state sits at t_eps.
 
-What depends on the grid alone sits in one immutable ``StepPlan`` per
-(params, N, schedule, provider), built once per stream: per grid step t_n, the
-correctors' time, g(t_n) and the branch; per evaluation time the kernel's
-variance and mean coefficients and the score net's gain and time embedding.
+The grid size N is ``SdeParams.N`` and nothing else.  What depends on the
+grid alone sits in one immutable ``StepPlan`` per (params, schedule,
+provider), built once per stream: per grid step t_n, the correctors' time,
+g(t_n) and the branch; per evaluation time the kernel's variance and mean
+coefficients and the score net's gain and time embedding.
 Each column is the expression a step would evaluate, so no bit changes.
 
 A pass runs one signal (L,), which is B = 1, or B rows (B, L) that share the
@@ -49,23 +50,17 @@ __all__ = [
 
 @dataclass
 class SamplerConfig:
-    """Reverse-pass knobs. ``n_steps=None`` falls back to SdeParams.N."""
+    """The corrector's knobs; the grid size is ``SdeParams.N``."""
 
-    n_steps: int | None = None
     corrector_steps: int = 1
     corrector_snr: float = 0.5
 
     def __post_init__(self):
-        if self.n_steps is not None and self.n_steps < 1:
-            raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.corrector_steps < 0:
             raise ConfigError("corrector_steps must be >= 0")
         require_finite(self, "corrector_snr")
         if self.corrector_snr <= 0.0:
             raise ConfigError("corrector_snr must be positive")
-
-    def resolve_steps(self, params: SdeParams) -> int:
-        return params.N if self.n_steps is None else self.n_steps
 
 
 @dataclass
@@ -118,14 +113,12 @@ class StepPlan:
     emb: np.ndarray | None  # the score net's time-embedding rows, read-only
 
     @classmethod
-    def build(cls, provider, schedule, n_steps: int, params: SdeParams) -> "StepPlan":
-        if schedule is not None and schedule.n_steps != n_steps:
-            raise ConfigError(
-                f"schedule built for N={schedule.n_steps}, sampler runs N={n_steps}"
-            )
-        guided = tuple(provider.guided_steps(schedule, n_steps))
-        dt = params.T / n_steps
-        t = tuple((n * params.T) / n_steps for n in range(1, n_steps + 1))
+    def build(cls, provider, schedule, params: SdeParams) -> "StepPlan":
+        if schedule is not None and schedule.n_steps != params.N:
+            raise ConfigError(f"schedule built for N={schedule.n_steps}, sampler runs N={params.N}")
+        guided = tuple(provider.guided_steps(schedule, params.N))
+        dt = params.T / params.N
+        t = tuple(params.grid_time(n) for n in range(1, params.N + 1))
         t_eval = tuple(max(max(t_n - dt, 0.0), params.t_eps) for t_n in t)
         times = tuple(dict.fromkeys(provider.params.clamp(s) for s in t + t_eval))  # distinct
         kernel = tuple(kernel_coefficients(s, provider.params) for s in times)
@@ -135,7 +128,7 @@ class StepPlan:
             gain, emb = tuple(provider.net.gain(s) for s in times), embed(times)
             emb.flags.writeable = False
         point_of = {s: times.index(provider.params.clamp(s)) for s in t + t_eval}
-        return cls(n_steps, dt, std(params.T, params), t, t_eval,
+        return cls(params.N, dt, std(params.T, params), t, t_eval,
                    tuple(diffusion_coeff(t_n, params) for t_n in t), guided, point_of, kernel,
                    gain, emb)
 
@@ -225,6 +218,7 @@ def corrector_step(
     return DiffusionState(x_new[0] if state.x.ndim == 1 else x_new, state.t)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises DivergenceError
 def reverse_process(
     y: np.ndarray,
     provider,
@@ -253,11 +247,10 @@ def reverse_process(
     if ledger is None:
         ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in range(rows)]
     ledgers = per_row(ledger, rows)
-    n_steps = config.resolve_steps(params)
     if plan is None:
-        plan = StepPlan.build(provider, schedule, n_steps, params)
-    elif plan.n_steps != n_steps:
-        raise ConfigError(f"step plan built for N={plan.n_steps}, sampler runs N={n_steps}")
+        plan = StepPlan.build(provider, schedule, params)
+    elif plan.n_steps != params.N:
+        raise ConfigError(f"step plan built for N={plan.n_steps}, sampler runs N={params.N}")
     den_state = None if bank is None else bank.denoiser_state
     bound, den_state = provider.bind(y, ledger, plan, den_state)
     if bank is not None:
@@ -266,7 +259,7 @@ def reverse_process(
     x = y + plan.prior_std * _normal(rng, y.shape)
     state = DiffusionState(x, params.T)
 
-    for n in range(n_steps, 0, -1):
+    for n in range(params.N, 0, -1):
         t_n, t_eval, guided = plan.t[n - 1], plan.t_eval[n - 1], plan.guided[n - 1]
         for led in ledgers:
             led.record_branch(guided)

@@ -163,14 +163,6 @@ class ScoreProvider:
         self.denoiser = denoiser
         self.params = params
 
-    @property
-    def state_dim(self) -> int:
-        return 0 if self.net is None else self.net.state_dim
-
-    @property
-    def denoiser_state_dim(self) -> int | None:
-        return None if self.denoiser is None else self.denoiser.state_dim
-
     def guided_steps(self, schedule: GuidanceSchedule | None, n_steps: int) -> list[bool]:
         """Branch of grid steps 1..n_steps (entry n-1 is step n, True = guided).
 

@@ -110,21 +110,25 @@ class SdeParams:
 
     # -- flat key=value config round-trip -------------------------------------
     def to_file(self, path: str | Path) -> None:
-        lines = [f"{f.name} = {getattr(self, f.name)!r}" for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_key_values(path, self)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SdeParams":
-        casts = {f.name: (int if f.name == "N" else float) for f in fields(cls)}
-        return cls(**read_key_values(path, casts))
+        return cls(**read_key_values(path, cls))
 
 
-def read_key_values(path: str | Path, casts: dict) -> dict:
-    """Parse a flat ``key = value`` file ('#' starts a comment) into cast values.
+def write_key_values(path: str | Path, obj) -> None:
+    """Write each field of the dataclass ``obj`` as one ``key = value`` line."""
+    Path(path).write_text("".join(f"{f.name} = {getattr(obj, f.name)}\n" for f in fields(obj)))
 
-    Unknown keys, malformed lines, bad values and unreadable or non-UTF-8
-    files raise ConfigError.
+
+def read_key_values(path: str | Path, cls) -> dict:
+    """Parse a flat ``key = value`` file ('#' starts a comment) into dataclass ``cls``'s fields.
+
+    Each value is cast to its field default's type.  Unknown keys, malformed
+    lines, bad values and unreadable or non-UTF-8 files raise ConfigError.
     """
+    casts = {f.name: type(f.default) for f in fields(cls)}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -73,8 +73,11 @@ class HistoryBank:
 
     @classmethod
     def for_provider(cls, provider, config: SamplerConfig, params: SdeParams, rows=None):
-        n_steps = config.resolve_steps(params)
-        return cls.fresh(n_steps, max(provider.state_dim, 1), provider.denoiser_state_dim, rows)
+        """A fresh bank for ``provider``'s nets on the grid of ``params``; ``config`` is unused.
+
+        Without a score net the score states are 1 wide; without a denoiser there is none."""
+        return cls.fresh(params.N, getattr(provider.net, "state_dim", 1),
+                         getattr(provider.denoiser, "state_dim", None), rows)
 
     def require_rows(self, lead: tuple) -> None:
         """DimensionError unless all states are (H,) for a 1-D chunk, () = ``lead``,
@@ -101,10 +104,8 @@ def process_chunk(
     y_chunk = np.asarray(y_chunk, dtype=np.float64)
     if y_chunk.ndim not in (1, 2) or y_chunk.size < 1:
         raise DimensionError("chunk must be a non-empty 1-D array or (B, L) rows")
-    if bank.n_steps != config.resolve_steps(params):
-        raise ConfigError(
-            f"history bank built for N={bank.n_steps}, sampler runs N={config.resolve_steps(params)}"
-        )
+    if bank.n_steps != params.N:
+        raise ConfigError(f"history bank built for N={bank.n_steps}, sampler runs N={params.N}")
     bank.require_rows(y_chunk.shape[:-1])
     x, _ = reverse_process(y_chunk, provider, schedule, config, params, rng, bank=bank,
                            ledger=ledger, plan=plan)
@@ -156,21 +157,27 @@ def enhance_offline(
     schedule,
     config: SamplerConfig,
     params: SdeParams,
-    seed: int,
+    seed: int | list[int],
     frame_size: int = 1,
     sample_rate: int = 16000,
 ) -> tuple[np.ndarray, CostLedger, LatencyReport]:
     """Whole-utterance enhancement: one chunk, fresh zero history, peak-normalized.
 
-    B utterances (B, L) with a list of B seeds run as one batch under the
-    sampler's row contract, each row normalized and charged as if alone; x is
-    (B, L) and the ledger a list.  The report's chunk is all rows' audio.
+    A signal (L,) takes one int seed.  B utterances (B, L) take a list of B
+    seeds, one generator per row, and run as one batch under the sampler's
+    row contract, each row normalized and charged as if alone; x is (B, L)
+    and the ledger a list.  Any other seed raises DimensionError.  The
+    report's chunk is all rows' audio.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.size < 1:
         raise DimensionError("signal must be a non-empty 1-D array or (B, L) rows")
+    seed_per_row = isinstance(seed, (list, tuple)) and len(seed) == len(y)
+    if not (seed_per_row if y.ndim == 2 else isinstance(seed, (int, np.integer))):
+        raise DimensionError(f"a 1-D signal takes one int seed and (B, L) rows a list of B "
+                             f"seeds; got seed {seed!r} for shape {y.shape}")
     rows = np.atleast_2d(y)
-    rng = [make_rng(s) for s in seed] if isinstance(seed, (list, tuple)) else make_rng(seed)
+    rng = make_rng(seed) if y.ndim == 1 else [make_rng(s) for s in seed]
     scale = np.reshape([_normalizer(float(np.max(np.abs(r)))) for r in rows], y.shape[:-1] + (1,))
     padded = _pad_to_multiple(y * scale, frame_size)
     bank = HistoryBank.for_provider(provider, config, params, None if y.ndim == 1 else len(y))
@@ -248,7 +255,7 @@ class StreamEnhancer:
         self._peak = max(self._peak, float(np.max(np.abs(chunk))))
         scale = _normalizer(self._peak)
         if self.plan is None:
-            self.plan = StepPlan.build(self.provider, self.schedule, self.bank.n_steps, self.params)
+            self.plan = StepPlan.build(self.provider, self.schedule, self.params)
         chunk_ledger = CostLedger()
         t0 = time.perf_counter()
         x, _ = process_chunk(

@@ -137,10 +137,10 @@ def test_criterion_04_reverse_sampler_recovers_gaussian_prior():
     coordinates give 10112 terminal samples.
     """
     t0 = time.perf_counter()
-    p = SdeParams(sigma_min=0.05, sigma_max=0.5, t_eps=1e-3)
+    p = SdeParams(sigma_min=0.05, sigma_max=0.5, t_eps=1e-3, N=200)
     prior = GaussianPrior(m0=1.0, var0=0.04)
     provider = AnalyticGaussianScore(prior, p)
-    cfg = SamplerConfig(n_steps=200, corrector_steps=1, corrector_snr=0.1)
+    cfg = SamplerConfig(corrector_steps=1, corrector_snr=0.1)
     y = np.full(128, 0.4)
     outs = []
     for run in range(79):

@@ -1,6 +1,7 @@
 """Synthetic mixtures, metrics, the radix-2 transform, and WAV round-trips."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -50,9 +51,12 @@ class TestMixSpec:
         assert MixSpec(duration_s=0.1, sample_rate=8000).n_samples == 800
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(
+                "clean_kind must be one of ('sinusoid-sum', 'ar-process', 'gaussian-toy'), "
+                "got 'speech'")):
             MixSpec(clean_kind="speech")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(
+                "noise_kind must be one of ('white', 'pink'), got 'brown'")):
             MixSpec(noise_kind="brown")
         with pytest.raises(ConfigError):
             MixSpec(duration_s=0.0)

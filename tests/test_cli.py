@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -287,9 +288,11 @@ class TestTrain:
         assert err.startswith("gse:") and "duration_s must be finite" in err
 
     def test_denoiser_blown_up_by_its_learning_rate_is_a_divergence(self, tmp_path, capsys):
+        """Exit 3 without a numpy warning, even with warnings as errors."""
         data_cfg = tmp_path / "mix.cfg"
         MixSpec(duration_s=0.05).to_file(data_cfg)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = run("train", "--out", tmp_path / "o", "--role", "denoiser", "--data-config",
                      data_cfg, "--steps", 3, "--batch-size", 2, "--utterances", 2, "--hidden", 4,
                      "--frame-size", 8, "--learning-rate", "1e300")
@@ -426,8 +429,10 @@ class TestEnhance:
         assert err.startswith("gse:") and message in err
 
     def test_overflowing_corrector_step_is_a_divergence(self, tmp_path, noisy_wav, capsys):
+        """A diverging run exits 3 without a numpy warning, even with warnings as errors."""
         score_ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams())
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = run("enhance", "--input", noisy_wav, "--out", tmp_path / "o",
                      "--score-ckpt", score_ckpt, "--n-phi", 0, "--corrector-snr", "1e300")
         assert rc == 3
@@ -511,6 +516,15 @@ class TestSweep:
                  "--utterances", 1)
         assert rc == EXIT_CONFIG
         assert "t_eps" in capsys.readouterr().err
+
+    def test_wrong_role_checkpoint_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GSE_THREADS", "1")
+        ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams())
+        rc = run("sweep-nphi", "--out", tmp_path / "o", "--score-ckpt", ckpt,
+                 "--denoiser-ckpt", ckpt, "--n-phi-list", "0", "--seeds", "0",
+                 "--utterances", 1)
+        assert rc == EXIT_CONFIG
+        assert "not a denoiser checkpoint" in capsys.readouterr().err
 
     def test_zero_utterances_is_config_error(self, tmp_path, capsys):
         rc = run("sweep-nphi", "--out", tmp_path / "o", "--score-ckpt", "s.npz",

@@ -1,4 +1,5 @@
-"""scripts/dump_bits.py runs against the library and gives a stable digest per case."""
+"""scripts/dump_bits.py runs against the library, gives a stable digest per case and compares
+two digest maps."""
 
 import importlib.util
 import re
@@ -7,11 +8,23 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "dump_bits.py"
 
 
-def test_one_case_gives_the_same_digest_twice():
+def load():
     spec = importlib.util.spec_from_file_location("dump_bits", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    digest = dict(module.cases())["hybrid/nphi12/offline"]
+    return module
+
+
+def test_one_case_gives_the_same_digest_twice():
+    digest = dict(load().cases())["hybrid/nphi12/offline"]
     first, second = digest(), digest()
     assert re.fullmatch(r"[0-9a-f]{64}", first)
     assert first == second
+
+
+def test_compare_names_each_differing_or_one_sided_case():
+    base = {"a": "1", "b": "2", "c": "3"}
+    change = {"a": "1", "b": "9", "d": "4"}
+    compare = load().compare
+    assert compare(base, change) == ["b 2 9", "c 3 -", "d - 4"]
+    assert compare(base, dict(base)) == []

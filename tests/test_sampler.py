@@ -1,6 +1,7 @@
 """Reverse predictor-corrector sampler: step algebra, cost accounting, toy recovery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,11 +277,11 @@ class TestToyRecovery:
         (a (L+2)/L variance factor) and is outright unstable for scalar states,
         so a production-sized L is part of the contract, not a shortcut.
         """
-        params = SdeParams(sigma_min=0.05, sigma_max=0.5, t_eps=1e-3)
+        params = SdeParams(sigma_min=0.05, sigma_max=0.5, t_eps=1e-3, N=200)
         prior = GaussianPrior(m0=1.0, var0=0.04)
         y = np.full(128, 0.4)
         provider = AnalyticGaussianScore(prior, params)
-        cfg = SamplerConfig(n_steps=200, corrector_steps=1, corrector_snr=0.1)
+        cfg = SamplerConfig(corrector_steps=1, corrector_snr=0.1)
         rng = make_rng(100)
         finals = []
         for _ in range(200):
@@ -316,7 +317,7 @@ class TestStepPlan:
         net = ScoreNet(params, frame_size=4, hidden=6, seed=1)
         provider = HybridScore(net, DenoiserNet(frame_size=4, hidden=5, seed=2), params)
         schedule = GuidanceSchedule.from_guided_steps(params.N // 3, params)
-        plan = StepPlan.build(provider, schedule, params.N, params)
+        plan = StepPlan.build(provider, schedule, params)
         dt = params.T / params.N
         x0, y = make_rng(30).normal(size=(2, 8))
         assert plan.dt == dt and plan.prior_std == std(params.T, params)
@@ -339,17 +340,17 @@ class TestStepPlan:
     def test_plan_is_immutable_and_only_carries_net_rows_when_needed(self):
         net = ScoreNet(P, frame_size=4, hidden=6, seed=1)
         provider = HybridScore(net, DenoiserNet(frame_size=4, hidden=5, seed=2), P)
-        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(12, P), P.N, P)
+        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(12, P), P)
         with pytest.raises(AttributeError):
             plan.dt = 0.5
         with pytest.raises(ValueError):
             plan.emb[0, 0] = 1.0
-        all_guided = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(P.N, P), P.N, P)
+        all_guided = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(P.N, P), P)
         assert all_guided.emb is None and all_guided.gain is None
 
     def test_plan_for_another_grid_rejected(self):
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        plan = StepPlan.build(provider, None, 15, P)
+        plan = StepPlan.build(provider, None, replace(P, N=15))
         with pytest.raises(ConfigError):
             reverse_process(np.zeros(8), provider, None, SamplerConfig(), P, make_rng(0),
                             plan=plan)
@@ -359,7 +360,7 @@ class TestStepPlan:
         provider = TestReverseProcess().make_hybrid()
         schedule = GuidanceSchedule.from_guided_steps(12, P)
         cfg = SamplerConfig()
-        plan = StepPlan.build(provider, schedule, P.N, P)
+        plan = StepPlan.build(provider, schedule, P)
         a, led_a = reverse_process(y, provider, schedule, cfg, P, make_rng(3), plan=plan)
         b, led_b = reverse_process(y, provider, schedule, cfg, P, make_rng(3))
         np.testing.assert_array_equal(a, b)
@@ -369,18 +370,12 @@ class TestStepPlan:
 class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            SamplerConfig(n_steps=0)
-        with pytest.raises(ConfigError):
             SamplerConfig(corrector_steps=-1)
         with pytest.raises(ConfigError):
             SamplerConfig(corrector_snr=0.0)
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="corrector_snr must be finite"):
                 SamplerConfig(corrector_snr=value)
-
-    def test_resolve_steps_fallback(self):
-        assert SamplerConfig().resolve_steps(P) == 30
-        assert SamplerConfig(n_steps=200).resolve_steps(P) == 200
 
     def test_ledger_addition(self):
         a = CostLedger(score_net_forwards=2, mac_total=10, steps_learned=1)

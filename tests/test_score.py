@@ -162,7 +162,7 @@ class _FixedDenoiser:
 
 def bind(provider, y, ledger, schedule=None, params=P):
     """``provider.bind`` on the step plan of ``schedule`` over the grid of ``params``."""
-    return provider.bind(y, ledger, StepPlan.build(provider, schedule, params.N, params))
+    return provider.bind(y, ledger, StepPlan.build(provider, schedule, params))
 
 
 class TestHybridDispatch:

@@ -235,6 +235,18 @@ class TestParams:
         p.to_file(path)
         assert SdeParams.from_file(path) == p
 
+    @pytest.mark.parametrize("config, text", [
+        (SdeParams(), "gamma = 1.5\nsigma_min = 0.0001\nsigma_max = 0.1\nT = 1.0\nN = 30\n"
+                      "t_eps = 0.03\n"),
+        (MixSpec(), "clean_kind = sinusoid-sum\nnoise_kind = white\nsnr_db = 5.0\n"
+                    "duration_s = 0.25\nseed = 0\nsample_rate = 16000\n"),
+    ], ids=["SdeParams", "MixSpec"])
+    def test_config_file_bytes_are_fixed(self, config, text, tmp_path):
+        """``to_file`` writes the defaults as these exact bytes."""
+        path = tmp_path / "default.cfg"
+        config.to_file(path)
+        assert path.read_bytes() == text.encode()
+
     def test_config_file_accepts_comments_and_blanks(self, tmp_path):
         path = tmp_path / "sde.cfg"
         path.write_text("# comment\n\ngamma = 2.5\nN = 10  # trailing\n")

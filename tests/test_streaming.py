@@ -213,11 +213,16 @@ class TestBatchedRows:
                           GuidanceSchedule.from_guided_steps(12, P), SamplerConfig(), P,
                           make_rng(0))
 
-    def test_seed_count_must_match_rows(self):
-        provider = tiny_provider()
-        schedule = GuidanceSchedule.from_guided_steps(12, P)
-        with pytest.raises(DimensionError):
-            enhance_offline(np.zeros((3, 32)), provider, schedule, SamplerConfig(), P, [1, 2],
+    @pytest.mark.parametrize("shape, seed", [((3, 32), [1, 2]), ((3, 32), 1), ((32,), [1]),
+                                             ((32,), (1,))],
+                             ids=["rows-short-list", "rows-int", "signal-list", "signal-tuple"])
+    def test_seed_must_fit_the_signal_shape(self, shape, seed):
+        """Rows sharing one int seed would share one generator: row 0 would then
+        depend on its batch-mates."""
+        with pytest.raises(DimensionError, match="a 1-D signal takes one int seed and "
+                                                 r"\(B, L\) rows a list of B seeds"):
+            enhance_offline(np.ones(shape), tiny_provider(),
+                            GuidanceSchedule.from_guided_steps(12, P), SamplerConfig(), P, seed,
                             frame_size=FRAME)
 
 
