@@ -11,19 +11,20 @@ replay             Re-run a previous command from its manifest.
 Every run writes a `manifest.json` next to its outputs; re-running the argv
 stored there reproduces the deterministic outputs bit-exactly on one platform
 (timing fields in reports and the sweep `rtf` column are measured, not
-deterministic).  The manifest records that platform (Python, numpy, BLAS),
-and `replay` warns when it runs on another.  A sweep cell runs its utterances
-as one batch (see `gse.sampler` for the row contract); its `rtf` is the batch's
-wall time over the audio of all its utterances (for one utterance, its solo
-wall time over its audio).  Exit codes: 0 success, 2 bad configuration or
-input format, 3 numerical divergence.  The environment variable GSE_THREADS
-caps sweep parallelism.
+deterministic).  The manifest records that platform (Python, numpy, BLAS and
+the OpenBLAS kernel picked at run time), and `replay` warns when it runs on
+another.  A sweep cell runs its utterances as one batch (see `gse.sampler`
+for the row contract); its `rtf` is the batch's wall time over the audio of
+all its utterances (for one utterance, its solo wall time over its audio).
+Exit codes: 0 success, 2 bad configuration or input format, 3 numerical
+divergence.  The environment variable GSE_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import os
 import statistics
@@ -42,6 +43,7 @@ from .nets import (
     DenoiserNet,
     ScoreNet,
     TrainConfig,
+    Workspace,
     load_checkpoint,
     save_checkpoint,
     train_denoiser,
@@ -82,11 +84,24 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _blas_core() -> str | None:
+    """The kernel family (``SkylakeX``, ``Haswell``, ...) that the OpenBLAS bundled with
+    numpy picked at run time, or None without one; output bits depend on it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib_path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype, corename.argtypes = ctypes.c_char_p, []
+            return corename().decode()
+    return None
+
+
 def _platform() -> dict:
     """The Python, numpy and BLAS a run used: bit-exact replay holds on one platform."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "blas_name": blas.get("name"), "blas_version": blas.get("version")}
+            "blas_name": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_core": _blas_core()}
 
 
 def _write_manifest(out: Path, args, config_echo: dict, inputs, outputs) -> Path:
@@ -365,6 +380,14 @@ def cmd_enhance(args) -> int:
 # --------------------------------------------------------------------------
 
 SWEEP_CSV_HEADER = ["n_phi", "seed", "sdr_db", "lsd", "score_net_forwards", "mac_total", "rtf"]
+#: the nets' scratch of a sweep worker process, kept across its cells (``_init_sweep_worker``)
+_cell_workspace: Workspace | None = None
+
+
+def _init_sweep_worker() -> None:
+    """Pool initializer: give the worker process one workspace for all of its cells."""
+    global _cell_workspace
+    _cell_workspace = Workspace()
 
 
 def _sweep_worker(task: dict) -> dict:
@@ -389,6 +412,7 @@ def _sweep_worker(task: dict) -> dict:
             np.stack([noisy.samples for _, noisy in pairs]), provider, schedule, cfg, params,
             seed=[task["seed"] * 100_003 + i for i in utts],
             frame_size=score_net.frame_size, sample_rate=spec.sample_rate,
+            workspace=_cell_workspace,
         )
     except DivergenceError as exc:
         cell = f"cell (n_phi={task['n_phi']}, seed={task['seed']})"
@@ -448,7 +472,7 @@ def cmd_sweep_nphi(args) -> int:
     ]
     workers = min(sweep_threads(), len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(t) for t in tasks]

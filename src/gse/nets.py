@@ -14,14 +14,21 @@ Training and inference share one forward path.  Weight matrices are stored
 ``(in, out)`` and C-contiguous, so a projection is ``rows @ w``.  Frames run in
 blocks of ``FRAME_BLOCK``: per block the encoder, the input half of the gates
 and the decoder are one matmul each over the block's rows, and only the
-recurrent half of the gates runs frame by frame.  Every hoisted matmul has its
-row count padded with zeros to a multiple of ``ROW_ALIGN``; with that padding
-OpenBLAS rounds each output row the same whatever rows surround it (one row
-alone goes through gemv and rounds differently).  That row invariance is what
-makes a chunked forward with threaded state bit-identical to the whole-signal
-forward, whichever way chunks and blocks cut the frames.  It is a property of
-the BLAS, not of NumPy, so ``tests/test_nets.py::TestRowInvariance`` checks it
-and fails loudly on a BLAS that breaks it.
+recurrent half of the gates runs frame by frame.
+
+Padding.  Every hoisted matmul has its row count padded with zeros to a
+multiple of ``ROW_ALIGN`` (8); with that padding OpenBLAS rounds each output
+row the same whatever rows surround it (one row alone goes through gemv and
+rounds differently).  The per-frame recurrent product pads a frame's B rows
+to a multiple of ``STATE_ALIGN`` (4) from two rows on, because OpenBLAS's
+Haswell and Zen kernels round a block of 3, 5 or 7 rows unlike the same rows
+among more; one row stays a gemv.  That row invariance is what makes a
+chunked forward with threaded state bit-identical to the whole-signal
+forward, whichever way chunks and blocks cut the frames, and a batched row's
+bits independent of its batch-mates.  It is a property of the BLAS kernels,
+not of NumPy, so ``tests/test_nets.py::TestRowInvariance`` checks it and
+``tests/test_blas_kernels.py`` reruns that check and the batched-row check
+under each OpenBLAS kernel family the CPU can run.
 
 The cell, a GRU without a reset gate (s <- s + u (c - s)), runs fused: the
 gates are (H, 2H) matrices [0.5 W_u | W_c], so a frame is one product and one
@@ -32,13 +39,19 @@ breaks that only at widths that are not a multiple of 4).  The score net's
 makes y @ W_y and emb(t) @ W_t + enc_b once per bind, so a forward projects
 x_t alone; three padded partial sums moved outputs by about 4e-16.  Derived
 weights (``gate_weights``, ``condition``) live with the caller, a bind or a
-training step, never on the net: in-place weight edits show in the next call.
+training step, never on the net: in-place weight edits show in the next bind.
 
-The forward's buffers are frame-major, (frames, B, features): a frame's B
-rows form one contiguous gate block and one state block, so that each
-per-frame call walks one piece of memory, not B strided rows.  Row
-invariance keeps every bit; ``backward`` copies the cache back to
-batch-major, so that its reductions sum rows in batch order.
+Scratch memory.  A forward's buffers are frame-major, (frames, rows,
+features), so a frame's rows form one contiguous block.  They live in a
+``Workspace``: one per stream (``StreamEnhancer``) or request
+(``enhance_offline``; a bind makes one when none is given), which also holds
+the fused gate weights that each bind refills.  A forward without one, and
+every training forward (``need_cache``: its buffers span all frames), makes
+its own.  Nothing a forward returns is reused: its output, the score (raw
+output times the gain) and the new state are fresh arrays
+(``tests/test_score.py::TestEvaluationScratch``).  ``backward`` copies the
+frame-major cache back to batch-major, so that its reductions sum rows in
+batch order.
 
 All gradients are computed by hand (reverse-mode, backprop through time); the
 test-suite checks every layer against central finite differences.  One helper
@@ -62,6 +75,7 @@ from .sde import SdeParams, make_rng, require_finite, sample_perturbed, std
 
 __all__ = [
     "TimeEmbedding",
+    "Workspace",
     "ScoreNet",
     "DenoiserNet",
     "TrainConfig",
@@ -87,8 +101,13 @@ FRAME_BLOCK = 32
 ROW_ALIGN = 8
 #: Pairs in the fixed probe set that training reports its progress on.
 PROBE_SIZE = 8
-#: Byte alignment of the fused gate weights: OpenBLAS's gemv ran the B = 1
-#: recurrent product 10-20 % slower on a matrix that starts off a cache line.
+#: From two rows on, the rows of a frame's recurrent state block are padded to
+#: a multiple of this: OpenBLAS's Haswell and Zen kernels round a block of 3, 5
+#: or 7 rows unlike the same rows among more.  One row stays a gemv.
+STATE_ALIGN = 4
+#: Byte alignment of the fused gate weights and the workspace buffers: OpenBLAS's
+#: gemv ran the B = 1 recurrent product 10-20 % slower on a matrix that starts
+#: off a cache line.
 GATE_ALIGN = 64
 
 
@@ -100,13 +119,112 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     return raw[start : start + size].reshape(shape)
 
 
+def _aligned_zeros(shape: tuple) -> np.ndarray:
+    out = _aligned_empty(shape)
+    out.fill(0.0)
+    return out
+
+
+def _padded(m: int, align: int = ROW_ALIGN) -> int:
+    return m + (-m % align)
+
+
+def _state_rows(batch: int) -> int:
+    """Rows of a frame's state block: B = 1 alone, else B padded to STATE_ALIGN."""
+    return 1 if batch == 1 else _padded(batch, STATE_ALIGN)
+
+
 def _pad_rows(x: np.ndarray) -> np.ndarray:
     """(M, K) copy of the M rows of (..., K) ``x`` in C order, zero-padded to a multiple of
     ROW_ALIGN rows; a transposed view is copied in the order it reads."""
     m = math.prod(x.shape[:-1])
-    padded = np.zeros((m + (-m % ROW_ALIGN), x.shape[-1]))
+    padded = np.zeros((_padded(m), x.shape[-1]))
     padded[:m].reshape(x.shape)[...] = x
     return padded
+
+
+class _FrameBuffers:
+    """The scratch of one forward shape: B rows, blocks of up to ``span`` frames, encoder
+    input width d, for a net of hidden width H and frame size F.
+
+    A frame's B rows are padded to ``bp`` (``_state_rows``) and a block's
+    rows to a multiple of ROW_ALIGN.  ``cat`` holds all ``span`` frames as
+    [tanh(encoder) | new state] rows, ``G`` their gates (the input half, then
+    in place [update | candidate]); ``x``, ``pre`` and ``dec`` hold one block.
+    Pad rows of ``x`` stay zero; rows past a short last block keep the block
+    before's values, which no kept row reads.
+
+    ``steps`` holds each frame's views, sliced once: the gate block, its flat
+    runs without the last and without the first H lanes, the previous state,
+    the previous [h | s] block's run from lane H, and the new state.  The run
+    from lane H puts c - s where the run from lane 0 has u, so the cell's
+    c - s and u * (c - s) are two contiguous ops instead of strided ones
+    (their other lanes are bounded and unread).
+    ``first`` replaces ``steps[0]`` in later blocks of a forward without a
+    cache, whose previous state is ``cat``'s frame span - 1.
+    """
+
+    def __init__(self, H: int, F: int, batch: int, span: int, d: int):
+        self.bp = bp = _state_rows(batch)
+        block = min(span, FRAME_BLOCK)
+        self.x = _aligned_zeros((_padded(block * bp), d))
+        self.pre = _aligned_empty((_padded(block * bp), H))  # the encoder pre-activation
+        self.dec = _aligned_empty((_padded(block * bp), F))
+        self.cat = _aligned_zeros((_padded(span * bp), 2 * H))
+        self.G = _aligned_empty((_padded(span * bp), 2 * H))
+        self.s0 = _aligned_zeros((bp, 2 * H))  # [0 | initial state]: a frame -1 for the cell
+        self.rec = _aligned_empty((bp, 2 * H))  # a frame's recurrent product
+        self.x_frames = self.x[: block * bp].reshape(block, bp, d)
+        self.pre_frames = self.pre[: block * bp].reshape(block, bp, H)
+        self.dec_frames = self.dec[: block * bp].reshape(block, bp, F)
+        self.cat_frames = self.cat[: span * bp].reshape(span, bp, 2 * H)
+        self.G_frames = self.G[: span * bp].reshape(span, bp, 2 * H)
+        # u = (tanh + 1) / 2 as tanh * 0.5 + 0.5, the same bits; c = tanh * 1 + -0.0 = tanh
+        self.scale = np.tile(np.repeat([0.5, 1.0], H), (bp, 1))
+        self.shift = np.tile(np.repeat([0.5, -0.0], H), (bp, 1))
+        self.diff = _aligned_zeros((bp, 2 * H))  # flat lanes H.. : c - s
+        self.step = _aligned_zeros((bp, 2 * H))  # [u * (c - s) | unread]
+        run = (2 * bp - 1) * H
+
+        def views(j, prev):
+            g, prev_flat = self.G_frames[j], prev.reshape(-1)
+            return (g, g.reshape(-1)[:run], g.reshape(-1)[H:], prev[:, H:], prev_flat[H:],
+                    self.cat_frames[j][:, H:])
+
+        self.steps = [views(j, self.cat_frames[j - 1] if j else self.s0) for j in range(span)]
+        self.first = views(0, self.cat_frames[span - 1])
+        self.diff_hi = self.diff.reshape(-1)[H:]
+        self.step_lo, self.step_u = self.step.reshape(-1)[:run], self.step[:, :H]
+
+
+class Workspace:
+    """Scratch memory of the frame nets' forwards, kept from call to call.
+
+    Per net role (``kind``) it holds the fused gate weights, refilled by each
+    ``gates`` call (a bind), and the buffers of the last forward shape, which
+    a new shape replaces.  Nothing a forward returns lives here.  One bind at
+    a time per workspace.
+    """
+
+    def __init__(self):
+        self._parts: dict = {}  # (net kind, part) -> (shape, buffers)
+
+    def gates(self, net) -> tuple:
+        """``net.gate_weights()``, written into this workspace's buffers for its role."""
+        key, shape = (net.kind, "gates"), net.hidden
+        held = self._parts.get(key)
+        gates = net.gate_weights(held[1] if held is not None and held[0] == shape else None)
+        self._parts[key] = (shape, gates)
+        return gates
+
+    def frames(self, net, batch: int, frames: int, d: int) -> _FrameBuffers:
+        """``net``'s buffers for a forward of ``batch`` rows x ``frames`` frames of width d."""
+        key = (net.kind, "frames")
+        shape = (net.hidden, net.frame_size, batch, min(frames, FRAME_BLOCK), d)
+        held = self._parts.get(key)
+        if held is None or held[0] != shape:
+            held = self._parts[key] = (shape, _FrameBuffers(*shape))
+        return held[1]
 
 
 class TimeEmbedding:
@@ -202,83 +320,98 @@ class _FrameNet:
             raise DimensionError(f"length {n_samples} not a multiple of frame_size {f}")
         return (n_samples // f) * (h * d + 4 * h * h + f * 2 * h)
 
-    def gate_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias), GATE_ALIGN-ed."""
-        p = self.params
-        halves = ((0.5 * p[f"gate_u_{k}"], p[f"gate_c_{k}"]) for k in "wub")
-        return tuple(
-            np.concatenate(h, axis=-1, out=_aligned_empty(h[0].shape[:-1] + (2 * self.hidden,)))
-            for h in halves
-        )
+    def gate_weights(self, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias), GATE_ALIGN-ed;
+        written into ``out``, a previous result, when given."""
+        p, H = self.params, self.hidden
+        if out is None:
+            out = tuple(_aligned_empty(p[f"gate_c_{k}"].shape[:-1] + (2 * H,)) for k in "wub")
+        for k, fused in zip("wub", out):
+            np.multiply(p[f"gate_u_{k}"], 0.5, out=fused[..., :H])
+            fused[..., H:] = p[f"gate_c_{k}"]
+        return out
 
     def forward_frames(self, x: np.ndarray, enc: tuple, state, need_cache: bool,
-                       gates=None, inputs=None):
+                       gates=None, inputs=None, workspace: Workspace | None = None):
         """x: (B, R, d) frames, state: (B, H), (H,) or None for zeros
         -> (out (B, R*F), state (B, H), cache).
 
         The encoder pre-activation is x @ enc_w[:d] plus each ``enc`` term,
         (H,) or frame-major (R, B, H): what the caller made once for many calls.
-        ``gates`` defaults to ``gate_weights()``; ``inputs``, the encoder's
-        input blocks in ``enc_w`` row order, default to (x,) for ``backward``.
+        ``gates`` defaults to the workspace's ``gates`` (``gate_weights()``
+        without one); ``inputs``, the encoder's input blocks in ``enc_w`` row
+        order, default to (x,) for ``backward``.  The scratch comes from
+        ``workspace``; without one, or with ``need_cache``, it is made here.
+        ``out`` and the state are fresh arrays.
 
         One path for training and inference.  Per block of FRAME_BLOCK frames,
         the encoder, the gates' input half (bias folded in) and the decoder
         are one matmul each, on rows zero-padded to a multiple of ROW_ALIGN;
         per frame run one (B, H) @ (H, 2H) product with the fused recurrent
-        half and one tanh over [update | candidate] (the update half carries
-        sigmoid's exact 1/2).  A padded matmul rounds each row the same
-        whatever rows surround it (a BLAS property, guarded by
-        ``TestRowInvariance``), so a chunked forward with threaded state is
-        bit-identical to the whole-signal forward however chunks cut frames.
+        half, on B rows padded to STATE_ALIGN from two rows on, and one tanh
+        over [update | candidate] (the update half carries sigmoid's exact
+        1/2).  A padded matmul rounds each row the same whatever rows surround
+        it (a BLAS property, guarded by ``TestRowInvariance``), so a chunked
+        forward with threaded state is bit-identical to the whole-signal
+        forward however chunks cut frames.
 
-        ``cat`` and ``G`` are frame-major, (frames, B, 2H), and so is ``S``, a
-        block's new states: a frame's gates and states are contiguous (B, 2H)
-        and (B, H) blocks, and ``S`` fills ``cat``'s state half once per
-        block.  ``need_cache`` only decides whether every frame's
-        intermediates are kept for ``backward``; without it the buffers hold
-        one block and are reused.
+        The encoder writes tanh(h) into ``cat``'s left half, the cell writes
+        each new state into its right half, and the decoder reads ``cat`` as
+        it stands.  ``need_cache`` only decides whether every frame's ``cat``
+        and ``G`` are kept for ``backward``; without it they hold one block.
         """
         p = self.params
         B, R, d = x.shape
-        H, F = self.hidden, self.frame_size
-        w_x = p["enc_w"][:d]  # a row block of a C-contiguous array: a view
-        w_in, w_rec, b_g = self.gate_weights() if gates is None else gates
-        state = np.zeros((B, H)) if state is None else np.atleast_2d(state)
-        span = R if need_cache else min(R, FRAME_BLOCK)
-        cat = np.empty((span, B, 2 * H))  # per frame: [encoder output | new state]
-        G = np.empty((span, B, 2 * H))  # per frame: [update gate | candidate]
-        S = np.empty((min(R, FRAME_BLOCK), B, H))  # per frame of a block: new state
-        out = np.empty((B, R, F))
-        s = state
+        H = self.hidden
+        if need_cache or workspace is None:
+            buf = _FrameBuffers(H, self.frame_size, B, R if need_cache else min(R, FRAME_BLOCK), d)
+        else:
+            buf = workspace.frames(self, B, R, d)
+        if gates is None:
+            gates = self.gate_weights() if workspace is None else workspace.gates(self)
+        w_in, w_rec, b_g = gates
+        w_x, dec_w = p["enc_w"][:d], p["dec_w"]  # a row block of a C-contiguous array: a view
+        buf.s0[:B, H:] = 0.0 if state is None else state
+        out = np.empty((B, R, self.frame_size))
+        bp, cat, rec, s_new = buf.bp, buf.cat, buf.rec, buf.s0[:, H:]
+        scale, shift, diff_hi, step_lo, step_u = (buf.scale, buf.shift, buf.diff_hi,
+                                                  buf.step_lo, buf.step_u)
+        matmul, add, multiply, subtract, tanh = np.matmul, np.add, np.multiply, np.subtract, np.tanh
         for k0 in range(0, R, FRAME_BLOCK):
             n = min(FRAME_BLOCK, R - k0)
-            rows = B * n
             j0 = k0 if need_cache else 0
-            blk = cat[j0 : j0 + n]
-            h = _pad_rows(x[:, k0 : k0 + n].swapaxes(0, 1)) @ w_x
-            pre = h[:rows].reshape(n, B, H)
+            rows = slice(j0 * bp, j0 * bp + _padded(n * bp))
+            m = rows.stop - rows.start
+            buf.x_frames[:n, :B] = x[:, k0 : k0 + n].swapaxes(0, 1)
+            matmul(buf.x[:m], w_x, out=buf.pre[:m])
+            pre = buf.pre_frames[:n, :B]
             for term in enc:
                 pre += term if term.ndim == 1 else term[k0 : k0 + n]
-            np.tanh(h, out=h)
-            hg = (h @ w_in)[:rows]
+            h = cat[rows, :H]
+            tanh(buf.pre[:m], out=h)
+            hg = buf.G[rows]
+            matmul(h, w_in, out=hg)
             hg += b_g
-            blk[..., :H] = pre
-            for g, s_new, hg_k in zip(G[j0 : j0 + n], S, hg.reshape(n, B, 2 * H)):
-                np.matmul(s, w_rec, out=g)
-                g += hg_k
-                np.tanh(g, out=g)
-                u, c = g[:, :H], g[:, H:]
-                u += 1.0
-                u *= 0.5
-                np.subtract(c, s, out=s_new)  # s_new = s + u * (c - s)
-                s_new *= u
-                s_new += s
-                s = s_new
-            blk[..., H:] = S[:n]
-            dec = (_pad_rows(blk) @ p["dec_w"])[:rows].reshape(n, B, F)
-            np.add(dec.swapaxes(0, 1), p["dec_b"], out=out[:, k0 : k0 + n])
-        cache = (inputs or (x,), state, cat, G) if need_cache else None
-        return out.reshape(B, -1), s.copy(), cache
+            steps = buf.steps[j0 : j0 + n]
+            if j0 == 0 and k0 > 0:  # the state comes from the block before's last frame
+                steps[0] = buf.first
+            for g, g_lo, g_hi, s, prev_hi, s_new in steps:
+                matmul(s, w_rec, out=rec)
+                add(rec, g, out=g)
+                tanh(g, out=g)
+                multiply(g, scale, out=g)  # g = [u | c]
+                add(g, shift, out=g)
+                subtract(g_hi, prev_hi, out=diff_hi)  # c - s
+                multiply(g_lo, diff_hi, out=step_lo)  # u * (c - s)
+                add(s, step_u, out=s_new)  # s_new = s + u * (c - s)
+            dec = buf.dec[:m]
+            matmul(cat[rows], dec_w, out=dec)
+            add(dec, p["dec_b"], out=dec)
+            out[:, k0 : k0 + n] = buf.dec_frames[:n, :B].swapaxes(0, 1)
+        # with need_cache the buffers are this call's own, so the cache may hold views
+        cache = ((inputs or (x,), buf.s0[:B, H:], buf.cat_frames[:, :B], buf.G_frames[:, :B])
+                 if need_cache else None)
+        return out.reshape(B, -1), s_new[:B].copy(), cache
 
     def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given d_loss/d_out; state input treated constant."""
@@ -367,14 +500,17 @@ class ScoreNet(_FrameNet):
         """Time-embedding rows (len(ts), emb_dim) at the clamped times; weight-free."""
         return self.emb.embed([self.sde_params.clamp(t) for t in ts])
 
-    def condition(self, y, emb_rows: np.ndarray, gains=None) -> _Conditioning:
-        """y's and the times' encoder terms, one padded matmul each, and the fused gates."""
+    def condition(self, y, emb_rows: np.ndarray, gains=None,
+                  workspace: Workspace | None = None) -> _Conditioning:
+        """y's and the times' encoder terms, one padded matmul each, and the fused gates
+        (the workspace's, refilled, when one is given)."""
         F, w = self.frame_size, self.params["enc_w"]
         yf = _frames(np.atleast_2d(y), F)
         B, R, _ = yf.shape
         y_term = (_pad_rows(yf.swapaxes(0, 1)) @ w[F : 2 * F])[: B * R].reshape(R, B, -1)
         t_terms = (_pad_rows(emb_rows) @ w[2 * F :])[: len(emb_rows)] + self.params["enc_b"]
-        return _Conditioning(y_term, t_terms, gains, self.gate_weights())
+        gates = self.gate_weights() if workspace is None else workspace.gates(self)
+        return _Conditioning(y_term, t_terms, gains, gates)
 
     def raw_batch(self, x_t, y, ts, states=None, need_cache=False):
         """Pre-gain output on a (B, L) batch; returns (raw, states, cache)."""
@@ -393,22 +529,24 @@ class ScoreNet(_FrameNet):
                   np.broadcast_to(emb[:, None], xf.shape[:2] + emb.shape[1:]))
         return self.forward_frames(xf, enc, states, need_cache, cond.gates, inputs)
 
-    def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None, cond=None, point=0):
+    def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None, cond=None, point=0,
+                workspace: Workspace | None = None):
         """Score of a signal (L,), state (H,), or of rows (B, L), state (B, H).
 
         ``cond`` is a bind's ``condition`` of y and ``point`` the row of t in
-        it; without it they are made here for t, to the same bits.
+        it; without it they are made here for t, to the same bits.  The
+        scratch comes from ``workspace``; the score and state are fresh.
         """
         x_t = np.asarray(x_t, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x_t.shape != y.shape:
             raise DimensionError(f"x_t shape {x_t.shape} != y shape {y.shape}")
         if cond is None:
-            cond = self.condition(y, self.embed_times([t]), [self.gain(t)])
+            cond = self.condition(y, self.embed_times([t]), [self.gain(t)], workspace)
         enc = (cond.y_term, cond.t_terms[point])
-        raw, states, _ = self.forward_frames(_frames(np.atleast_2d(x_t), self.frame_size), enc,
-                                             state, False, cond.gates)
-        score = raw * cond.gains[point]
+        score, states, _ = self.forward_frames(_frames(np.atleast_2d(x_t), self.frame_size), enc,
+                                               state, False, cond.gates, workspace=workspace)
+        score *= cond.gains[point]  # the raw output is this call's own array
         return (score[0], states[0]) if x_t.ndim == 1 else (score, states)
 
     def hyperparams(self) -> dict:
@@ -428,15 +566,17 @@ class DenoiserNet(_FrameNet):
     def __init__(self, frame_size: int = 80, hidden: int = 96, seed: int = 0):
         super().__init__(frame_size, frame_size, hidden, seed)
 
-    def raw_batch(self, y, states=None, need_cache=False):
+    def raw_batch(self, y, states=None, need_cache=False, workspace: Workspace | None = None):
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         return self.forward_frames(_frames(y, self.frame_size), (self.params["enc_b"],), states,
-                                   need_cache)
+                                   need_cache, workspace=workspace)
 
-    def forward(self, y: np.ndarray, state=None):
-        """Estimate of a signal (L,) or of B rows (B, L); returns (x_d, new_state)."""
+    def forward(self, y: np.ndarray, state=None, workspace: Workspace | None = None):
+        """Estimate of a signal (L,) or of B rows (B, L); returns (x_d, new_state), both fresh.
+
+        The scratch, gate weights included, comes from ``workspace``."""
         y = np.asarray(y, dtype=np.float64)
-        out, new_states, _ = self.raw_batch(y, state)
+        out, new_states, _ = self.raw_batch(y, state, workspace=workspace)
         return (out[0], new_states[0]) if y.ndim == 1 else (out, new_states)
 
     def hyperparams(self) -> dict:

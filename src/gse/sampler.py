@@ -16,8 +16,9 @@ A pass runs one signal (L,), which is B = 1, or B rows (B, L) that share the
 plan, the time terms and the gates; row i has its own generator (it draws what
 a run of it alone draws), corrector norms and ``CostLedger``.  Row contract:
 B = 1 is the one-signal arithmetic (its recurrent product a gemv); from B = 2 on
-row i's bits do not depend on its batch-mates or position, and stay within
-rounding (~5e-16) of its solo run.
+row i's bits do not depend on its batch-mates or position, on each OpenBLAS
+kernel family (see ``gse.nets`` on padding), and stay within rounding
+(~5e-16) of its solo run.
 
 Every score-model forward, denoiser forward, branch decision and analytic MAC
 count lands in a ``CostLedger``; for a provider with both nets the totals obey
@@ -229,13 +230,16 @@ def reverse_process(
     bank=None,
     ledger=None,
     plan: StepPlan | None = None,
+    workspace=None,
 ):
     """Full reverse pass conditioned on y, (L,) or (B, L); returns (x_out, ledger).
 
     ``rng`` and ``ledger`` are one, or for rows a list of one per row (fresh
     ledgers by default).  ``plan`` is the pass's ``StepPlan``, built here when
-    not given.  The branch of every grid step is its ``guided`` column; the
-    predictor and its correctors read it.
+    not given; ``workspace``, the nets' scratch (``nets.Workspace``), goes to
+    ``provider.bind``, which makes one when none is given.  The branch of
+    every grid step is its ``guided`` column; the predictor and its
+    correctors read it.
 
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the
@@ -252,7 +256,7 @@ def reverse_process(
     elif plan.n_steps != params.N:
         raise ConfigError(f"step plan built for N={plan.n_steps}, sampler runs N={params.N}")
     den_state = None if bank is None else bank.denoiser_state
-    bound, den_state = provider.bind(y, ledger, plan, den_state)
+    bound, den_state = provider.bind(y, ledger, plan, den_state, workspace)
     if bank is not None:
         bank.denoiser_state = den_state
 

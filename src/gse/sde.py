@@ -90,6 +90,13 @@ class SdeParams:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if not (0.0 < self.t_eps < self.T):
             raise ConfigError(f"t_eps must lie in (0, T), got {self.t_eps}")
+        try:  # both grow with t, so T bounds them
+            top = variance(self.T, self) + diffusion_coeff(self.T, self) ** 2
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ConfigError(f"variance(T) or g(T)^2 overflows with sigma_min = {self.sigma_min}, "
+                              f"sigma_max = {self.sigma_max}, T = {self.T}")
 
     @cached_property
     def log_ratio(self) -> float:

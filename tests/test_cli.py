@@ -16,6 +16,7 @@ from gse.cli import (
     EXIT_OK,
     FORWARD_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    _blas_core,
     _sweep_worker,
     main,
     make_dataset,
@@ -192,6 +193,34 @@ class TestSimulateForward:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("gse:") and "must be finite" in err
+
+    @pytest.mark.parametrize("line", ["sigma_max = 1e300", "T = 200"])
+    def test_overflowing_process_config_is_config_error(self, tmp_path, line, capsys):
+        cfg = tmp_path / "sde.cfg"
+        cfg.write_text(line + "\n")
+        rc = run("simulate-forward", "--config", cfg, "--out", tmp_path / "o",
+                 "--paths", 100, "--steps", 100, "--grid-points", 1)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "overflows" in err
+
+    def test_replay_warns_on_another_blas_kernel(self, tmp_path, capsys):
+        """Output bits depend on OpenBLAS's run-time kernel, so the manifest records it."""
+        out = tmp_path / "fw"
+        assert run("simulate-forward", "--out", out, "--paths", 100, "--steps", 100,
+                   "--grid-points", 1) == EXIT_OK
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["platform"]["blas_core"] == _blas_core()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas["name"] == "scipy-openblas":  # numpy's bundled OpenBLAS names its kernel
+            assert doc["platform"]["blas_core"]
+        doc["platform"]["blas_core"] = "NotThisKernel"
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("replay", "--manifest", doctored) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith("gse: warning:") and "NotThisKernel" in err
 
     def test_non_utf8_config_is_config_error(self, tmp_path, non_utf8_config, capsys):
         rc = run("simulate-forward", "--config", non_utf8_config, "--out", tmp_path / "o")
@@ -596,6 +625,18 @@ def sweep_task(tmp_path, utterances, n_phi=12, seed=3):
 
 
 class TestSweepCellBatch:
+    def test_a_workspace_kept_across_cells_changes_no_row(self, tmp_path, monkeypatch):
+        """A pool worker keeps one workspace for all its cells (``_init_sweep_worker``);
+        each cell, whatever ran before it in that worker, gives its own-workspace row."""
+        tasks = [sweep_task(tmp_path, utterances, n_phi) for utterances, n_phi
+                 in [(3, 12), (1, 0), (3, 0), (3, 12)]]
+        own = [_sweep_worker(task) for task in tasks]
+        monkeypatch.setattr(gse.cli, "_cell_workspace", None)  # restored after the test
+        gse.cli._init_sweep_worker()
+        kept = [_sweep_worker(task) for task in tasks]
+        for a, b in zip(own, kept):
+            assert {**a, "rtf": None} == {**b, "rtf": None}
+
     def test_cost_columns_do_not_depend_on_the_batch(self, tmp_path):
         one = _sweep_worker(sweep_task(tmp_path, 1))
         three = _sweep_worker(sweep_task(tmp_path, 3))
@@ -624,7 +665,8 @@ class TestManifest:
         assert doc["version"].startswith("gse-")
         assert all(os.path.exists(p) for p in doc["outputs"])
         assert doc["platform"]["numpy"] == np.__version__
-        assert set(doc["platform"]) == {"python", "numpy", "blas_name", "blas_version"}
+        assert set(doc["platform"]) == {"python", "numpy", "blas_name", "blas_version",
+                                        "blas_core"}
         capsys.readouterr()
 
     def test_replay_warns_on_another_platform_and_still_runs(self, tmp_path, capsys):

@@ -11,10 +11,12 @@ from gse.nets import (
     FRAME_BLOCK,
     GATE_ALIGN,
     ROW_ALIGN,
+    STATE_ALIGN,
     DenoiserNet,
     ScoreNet,
     TimeEmbedding,
     TrainConfig,
+    Workspace,
     _pad_rows,
     denoiser_loss_and_grads,
     draw_matching_samples,
@@ -65,6 +67,17 @@ def check_layer_gradients(net, loss_and_grads, probes_per_layer, rng, rel_tol=1e
             assert err < rel_tol, f"{layer}/{key}[{index}]: analytic {an} vs fd {fd}"
             worst = max(worst, err)
     return worst
+
+
+def state_product(s, w):
+    """s @ w with s's rows padded as the forward pads a frame's state block: one row
+    stays a gemv, B >= 2 rows are zero-padded to a multiple of STATE_ALIGN."""
+    b = len(s)
+    if b == 1:
+        return s @ w
+    padded = np.zeros((b + (-b % STATE_ALIGN), s.shape[1]))
+    padded[:b] = s
+    return (padded @ w)[:b]
 
 
 def frozen_score_loss(net, params, seed=0, batch=3, length=12):
@@ -184,6 +197,20 @@ class TestForward:
         np.testing.assert_array_equal(whole, np.concatenate([a, b]))
         np.testing.assert_array_equal(state_whole, state_chunked)
 
+    def test_a_reused_workspace_starts_each_forward_afresh(self):
+        """Nothing kept in a workspace leaks into the next forward: a None state after a
+        stateful call, other row counts and frame counts across blocks all give the bits
+        of a forward with fresh buffers."""
+        net = ScoreNet(P, frame_size=8, hidden=12, seed=5)
+        rng = make_rng(56)
+        x, y = rng.normal(size=(2, 3, 8 * (FRAME_BLOCK + 9)))
+        state = rng.normal(size=(3, 12))
+        ws = Workspace()
+        for args in [(x, y, 0.4, state), (x, y, 0.4, None), (x[:2, :64], y[:2, :64], 0.7, None),
+                     (x[0], y[0], 0.2, state[0]), (x, y, 0.9, None)]:
+            for got, want in zip(net.forward(*args, workspace=ws), net.forward(*args)):
+                np.testing.assert_array_equal(got, want)
+
     def test_mac_count_is_analytic(self):
         net = ScoreNet(P, frame_size=80, hidden=96, seed=0)
         d_in = 2 * 80 + 32
@@ -229,18 +256,20 @@ class TestRowInvariance:
 
     @pytest.mark.parametrize("k, n", [(160, 320), (96, 192)])
     def test_recurrent_rows_round_alike_from_two_rows_on(self, k, n):
-        """The per-frame (B, H) @ (H, 2H) product is not padded: for every row count
-        M = 2..8 each row rounds as it does among 16 rows, wherever it sits.
+        """The per-frame (B, H) @ (H, 2H) product pads B >= 2 rows to a multiple of
+        STATE_ALIGN: for every row count M = 2..8 each row then rounds as it does
+        among 16 rows, wherever it sits.
 
         This is what makes a batched row's bits independent of its batch-mates;
-        M = 1 goes through gemv and may round differently (a solo run).
+        M = 1 goes through gemv and may round differently (a solo run).  Unpadded,
+        OpenBLAS's Haswell and Zen kernels round 3, 5 or 7 rows differently.
         """
         rng = make_rng(46)
         X, W = rng.normal(size=(16, k)), rng.normal(size=(k, n))
         whole = X @ W
         for rows in range(2, 9):
             for offset in (0, 1, 3, 16 - rows):
-                part = X[offset : offset + rows] @ W
+                part = state_product(X[offset : offset + rows], W)
                 assert np.array_equal(part, whole[offset : offset + rows]), (k, n, rows, offset)
 
     def test_padding_is_zero_rows_to_the_alignment(self):
@@ -260,8 +289,8 @@ def _sigmoid(a):
 def _textbook_cell(net, x, state):
     """The frame net with two weight matrices per gate, written out gate by gate.
 
-    It hoists and pads the projections as the net does, so that only the
-    fused cell itself differs from ``_FrameNet.forward``.
+    It hoists and pads the projections and pads the state rows as the net
+    does, so that only the fused cell itself differs from ``_FrameNet.forward``.
     """
     p, H, F = net.params, net.hidden, net.frame_size
     B, R, d = x.shape
@@ -274,8 +303,8 @@ def _textbook_cell(net, x, state):
         a_c = (h @ p["gate_c_w"])[:rows].reshape(B, n, H) + p["gate_c_b"]
         states = []
         for k in range(n):
-            u = _sigmoid(s @ p["gate_u_u"] + a_u[:, k])
-            c = np.tanh(s @ p["gate_c_u"] + a_c[:, k])
+            u = _sigmoid(state_product(s, p["gate_u_u"]) + a_u[:, k])
+            c = np.tanh(state_product(s, p["gate_c_u"]) + a_c[:, k])
             s = s + u * (c - s)
             states.append(s)
         cat = np.concatenate([h[:rows].reshape(B, n, H), np.stack(states, axis=1)], axis=-1)
@@ -342,7 +371,8 @@ class TestFusedCell:
 def _batch_major_forward(core, x, enc, state, need_cache, gates, inputs):
     """``_FrameNet.forward_frames`` with its per-frame buffers batch-major, (B, R, 2H).
 
-    The same ops on the same values, with rows in batch order: the reference
+    The same ops on the same values, with rows in batch order and the
+    recurrent product's rows padded as the forward pads them: the reference
     that the frame-major layout must match bit for bit.  Its cache is
     batch-major too; ``enc`` terms are (H,) or (B, R, H).
     """
@@ -369,7 +399,7 @@ def _batch_major_forward(core, x, enc, state, need_cache, gates, inputs):
         blk[..., :H] = pre
         for k in range(n):
             g, s_new = G[:, j0 + k], blk[:, k, H:]
-            np.matmul(s, w_rec, out=g)
+            g[...] = state_product(s, w_rec)
             g += hg[:, k]
             np.tanh(g, out=g)
             u, c = g[:, :H], g[:, H:]

@@ -47,7 +47,7 @@ class _OracleDenoiser:
     def __init__(self, x0: np.ndarray):
         self.x0 = np.asarray(x0, dtype=np.float64)
 
-    def forward(self, y, state=None):
+    def forward(self, y, state=None, workspace=None):
         return self.x0.copy(), state
 
     def macs_per_forward(self, n_samples: int) -> int:
@@ -196,8 +196,8 @@ class TestReverseProcess:
 
     def test_divergence_reports_step_index(self):
         class ExplodingProvider(AnalyticGaussianScore):
-            def bind(self, y, ledger, plan, denoiser_state=None):
-                bound, st = super().bind(y, ledger, plan, denoiser_state)
+            def bind(self, y, ledger, plan, denoiser_state=None, workspace=None):
+                bound, st = super().bind(y, ledger, plan, denoiser_state, workspace)
                 bound.evaluate = lambda x, t, s, g: (np.full_like(x, np.inf), s)
                 return bound, st
 
@@ -209,8 +209,8 @@ class TestReverseProcess:
 
     def test_divergence_names_the_step_phase_and_rows(self):
         class RowOneExploding(AnalyticGaussianScore):
-            def bind(self, y, ledger, plan, denoiser_state=None):
-                bound, st = super().bind(y, ledger, plan, denoiser_state)
+            def bind(self, y, ledger, plan, denoiser_state=None, workspace=None):
+                bound, st = super().bind(y, ledger, plan, denoiser_state, workspace)
 
                 def evaluate(x, t, s, g):
                     score = np.zeros_like(x)

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -140,7 +141,7 @@ class _ConstScoreNet:
     def __init__(self, value: float):
         self.value = value
 
-    def forward(self, x_t, y, t, state=None, cond=None, point=0):
+    def forward(self, x_t, y, t, state=None, cond=None, point=0, workspace=None):
         return np.full_like(x_t, self.value), state
 
     def macs_per_forward(self, n_samples: int) -> int:
@@ -153,7 +154,7 @@ class _FixedDenoiser:
     def __init__(self, x_d):
         self.x_d = np.asarray(x_d, dtype=np.float64)
 
-    def forward(self, y, state=None):
+    def forward(self, y, state=None, workspace=None):
         return self.x_d.copy(), state
 
     def macs_per_forward(self, n_samples: int) -> int:
@@ -357,3 +358,47 @@ class TestProviders:
         bound.evaluate(np.zeros(4), 0.5, None, guided=False)
         assert ledger.score_net_forwards == 0
         assert ledger.mac_total == 0
+
+
+class TestEvaluationScratch:
+    """A bound evaluation takes its scratch from the bind's workspace, and what it
+    returns is its own: at the sweep's shape, B = 4 rows of 100 frames."""
+
+    @pytest.fixture
+    def bound(self):
+        provider = HybridScore(ScoreNet(P, frame_size=40, hidden=160, seed=0),
+                               DenoiserNet(frame_size=40, hidden=96, seed=1), P)
+        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(0, P), P)
+        y = make_rng(80).normal(size=(4, 4000))
+        bound, _ = provider.bind(y, [CostLedger() for _ in range(4)], plan)
+        return bound, plan
+
+    def test_an_evaluation_allocates_no_more_than_it_returns(self, bound):
+        bound, plan = bound
+        rng = make_rng(81)
+        x, state = rng.normal(size=(4, 4000)), rng.normal(size=(4, 160))
+        bound.evaluate(x, plan.t[-1], state, False)  # sizes the workspace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            score, new_state = bound.evaluate(x, plan.t[-1], state, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy's broadcasting ufuncs take a transient buffer of up to 64 KiB
+        transient = peak - before - score.nbytes - new_state.nbytes
+        assert transient <= score.nbytes, transient
+
+    def test_consecutive_evaluations_do_not_alias(self, bound):
+        bound, plan = bound
+        rng = make_rng(82)
+        x1, x2 = rng.normal(size=(2, 4, 4000))
+        state = rng.normal(size=(4, 160))
+        state_in = state.copy()
+        first = bound.evaluate(x1, plan.t[-1], state, False)
+        kept = [a.copy() for a in first]
+        second = bound.evaluate(x2, plan.t[-2], state, False)
+        for a, b, want in zip(first, second, kept):
+            np.testing.assert_array_equal(a, want)
+            assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(state, state_in)

@@ -229,6 +229,14 @@ class TestParams:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             SdeParams(**{field: value})
 
+    @pytest.mark.parametrize("kwargs", [{"sigma_max": 1e300}, {"T": 200.0},
+                                        {"sigma_max": 1e100, "T": 3.0}])
+    def test_overflowing_variance_rejected(self, kwargs):
+        """Finite constants whose variance(T) or g(T)^2 overflows a float."""
+        with pytest.raises(ConfigError, match="overflows"):
+            SdeParams(**kwargs)
+        assert math.isfinite(variance(1.0, SdeParams(sigma_max=1e150)))
+
     def test_config_file_round_trip(self, tmp_path):
         p = SdeParams(gamma=2.0, sigma_min=0.02, sigma_max=0.3, T=2.0, N=16, t_eps=0.05)
         path = tmp_path / "sde.cfg"
