@@ -43,7 +43,6 @@ from .nets import (
     DenoiserNet,
     ScoreNet,
     TrainConfig,
-    Workspace,
     load_checkpoint,
     save_checkpoint,
     train_denoiser,
@@ -380,14 +379,6 @@ def cmd_enhance(args) -> int:
 # --------------------------------------------------------------------------
 
 SWEEP_CSV_HEADER = ["n_phi", "seed", "sdr_db", "lsd", "score_net_forwards", "mac_total", "rtf"]
-#: the nets' scratch of a sweep worker process, kept across its cells (``_init_sweep_worker``)
-_cell_workspace: Workspace | None = None
-
-
-def _init_sweep_worker() -> None:
-    """Pool initializer: give the worker process one workspace for all of its cells."""
-    global _cell_workspace
-    _cell_workspace = Workspace()
 
 
 def _sweep_worker(task: dict) -> dict:
@@ -412,7 +403,6 @@ def _sweep_worker(task: dict) -> dict:
             np.stack([noisy.samples for _, noisy in pairs]), provider, schedule, cfg, params,
             seed=[task["seed"] * 100_003 + i for i in utts],
             frame_size=score_net.frame_size, sample_rate=spec.sample_rate,
-            workspace=_cell_workspace,
         )
     except DivergenceError as exc:
         cell = f"cell (n_phi={task['n_phi']}, seed={task['seed']})"
@@ -472,7 +462,7 @@ def cmd_sweep_nphi(args) -> int:
     ]
     workers = min(sweep_threads(), len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_sweep_worker) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(t) for t in tasks]
@@ -547,7 +537,8 @@ def replay_manifest(path: str | Path) -> int:
     if argv[0] == "replay":  # replay writes no manifest; this one would recurse
         raise ConfigError(f"{path}: manifest records a replay command")
     recorded, here = doc.get("platform"), _platform()
-    if recorded != here:
+    # a field the manifest lacks (written before it was recorded) is unknown, not different
+    if not isinstance(recorded, dict) or any(here.get(k) != v for k, v in recorded.items()):
         print(f"gse: warning: {path} was written on {recorded}, this is {here}; "
               "outputs may differ in the last bits", file=sys.stderr)
     return main([str(a) for a in argv])

@@ -43,15 +43,15 @@ training step, never on the net: in-place weight edits show in the next bind.
 
 Scratch memory.  A forward's buffers are frame-major, (frames, rows,
 features), so a frame's rows form one contiguous block.  They live in a
-``Workspace``: one per stream (``StreamEnhancer``) or request
-(``enhance_offline``; a bind makes one when none is given), which also holds
-the fused gate weights that each bind refills.  A forward without one, and
-every training forward (``need_cache``: its buffers span all frames), makes
-its own.  Nothing a forward returns is reused: its output, the score (raw
-output times the gain) and the new state are fresh arrays
-(``tests/test_score.py::TestEvaluationScratch``).  ``backward`` copies the
-frame-major cache back to batch-major, so that its reductions sum rows in
-batch order.
+``Workspace``, which also holds the fused gate weights: each bind
+(``ScoreProvider.bind``) makes one and fills its gates, so the forwards of
+a stream chunk's or an offline request's reverse pass share one set of
+buffers.  A forward without one, and every training forward (``need_cache``:
+its buffers span all frames), makes its own.  Nothing a forward returns is
+reused: its output, the score (raw output times the gain) and the new state
+are fresh arrays (``tests/test_score.py::TestEvaluationScratch``).
+``backward`` copies the frame-major cache back to batch-major, so that its
+reductions sum rows in batch order.
 
 All gradients are computed by hand (reverse-mode, backprop through time); the
 test-suite checks every layer against central finite differences.  One helper
@@ -115,7 +115,7 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     """Uninitialised float64 array of ``shape`` whose data starts on GATE_ALIGN bytes."""
     size = math.prod(shape)
     raw = np.empty(size + GATE_ALIGN // 8)
-    start = (-raw.ctypes.data % GATE_ALIGN) // 8
+    start = (-raw.__array_interface__["data"][0] % GATE_ALIGN) // 8
     return raw[start : start + size].reshape(shape)
 
 
@@ -180,19 +180,19 @@ class _FrameBuffers:
         self.cat_frames = self.cat[: span * bp].reshape(span, bp, 2 * H)
         self.G_frames = self.G[: span * bp].reshape(span, bp, 2 * H)
         # u = (tanh + 1) / 2 as tanh * 0.5 + 0.5, the same bits; c = tanh * 1 + -0.0 = tanh
-        self.scale = np.tile(np.repeat([0.5, 1.0], H), (bp, 1))
-        self.shift = np.tile(np.repeat([0.5, -0.0], H), (bp, 1))
+        self.scale, self.shift = np.full((2, bp, 2 * H), 0.5)
+        self.scale[:, H:], self.shift[:, H:] = 1.0, -0.0
         self.diff = _aligned_zeros((bp, 2 * H))  # flat lanes H.. : c - s
         self.step = _aligned_zeros((bp, 2 * H))  # [u * (c - s) | unread]
         run = (2 * bp - 1) * H
-
-        def views(j, prev):
-            g, prev_flat = self.G_frames[j], prev.reshape(-1)
-            return (g, g.reshape(-1)[:run], g.reshape(-1)[H:], prev[:, H:], prev_flat[H:],
-                    self.cat_frames[j][:, H:])
-
-        self.steps = [views(j, self.cat_frames[j - 1] if j else self.s0) for j in range(span)]
-        self.first = views(0, self.cat_frames[span - 1])
+        # per frame as one flat run; iterating an array's first axis slices it cheaply
+        G_runs = self.G[: span * bp].reshape(span, -1)
+        cat_runs = self.cat[: span * bp].reshape(span, -1)
+        s_new = self.cat_frames[..., H:]
+        self.steps = list(zip(self.G_frames, G_runs[:, :run], G_runs[:, H:],
+                              [self.s0[:, H:], *s_new[:-1]],
+                              [self.s0.reshape(-1)[H:], *cat_runs[:-1, H:]], s_new))
+        self.first = (*self.steps[0][:3], s_new[-1], cat_runs[-1, H:], s_new[0])
         self.diff_hi = self.diff.reshape(-1)[H:]
         self.step_lo, self.step_u = self.step.reshape(-1)[:run], self.step[:, :H]
 
@@ -201,9 +201,9 @@ class Workspace:
     """Scratch memory of the frame nets' forwards, kept from call to call.
 
     Per net role (``kind``) it holds the fused gate weights, refilled by each
-    ``gates`` call (a bind), and the buffers of the last forward shape, which
-    a new shape replaces.  Nothing a forward returns lives here.  One bind at
-    a time per workspace.
+    ``gates`` call, and the buffers of the last forward shape, which a new
+    shape replaces.  Nothing a forward returns lives here.  Each bind
+    (``ScoreProvider.bind``) makes its own.
     """
 
     def __init__(self):

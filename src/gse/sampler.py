@@ -230,16 +230,13 @@ def reverse_process(
     bank=None,
     ledger=None,
     plan: StepPlan | None = None,
-    workspace=None,
 ):
     """Full reverse pass conditioned on y, (L,) or (B, L); returns (x_out, ledger).
 
     ``rng`` and ``ledger`` are one, or for rows a list of one per row (fresh
     ledgers by default).  ``plan`` is the pass's ``StepPlan``, built here when
-    not given; ``workspace``, the nets' scratch (``nets.Workspace``), goes to
-    ``provider.bind``, which makes one when none is given.  The branch of
-    every grid step is its ``guided`` column; the predictor and its
-    correctors read it.
+    not given.  The branch of every grid step is its ``guided`` column; the
+    predictor and its correctors read it.
 
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the
@@ -256,7 +253,7 @@ def reverse_process(
     elif plan.n_steps != params.N:
         raise ConfigError(f"step plan built for N={plan.n_steps}, sampler runs N={params.N}")
     den_state = None if bank is None else bank.denoiser_state
-    bound, den_state = provider.bind(y, ledger, plan, den_state, workspace)
+    bound, den_state = provider.bind(y, ledger, plan, den_state)
     if bank is not None:
         bank.denoiser_state = den_state
 

@@ -186,8 +186,7 @@ class ScoreProvider:
             )
         return guided
 
-    def bind(self, y: np.ndarray, ledger, plan, denoiser_state=None,
-             workspace: Workspace | None = None):
+    def bind(self, y: np.ndarray, ledger, plan, denoiser_state=None):
         """Prepare a per-utterance/chunk evaluator on ``plan``, a ``StepPlan``;
         returns (bound, denoiser_state).
 
@@ -196,13 +195,12 @@ class ScoreProvider:
         denoiser runs it here, once; guided evaluations then cost no forward
         pass.  If the plan has embedding rows, the score net's y and time
         terms are made here too (``condition``).  Every net forward of the
-        bind and its evaluations takes its scratch from ``workspace`` (a new
-        one when none is given), which refills its gate weights here.
+        bind and its evaluations takes its scratch from the bind's own
+        ``Workspace``, whose gate weights are filled here.
         """
         y = np.asarray(y, dtype=np.float64)
         ledgers = per_row(ledger, len(np.atleast_2d(y)))
-        if workspace is None:
-            workspace = Workspace()
+        workspace = Workspace()
         x_d = None
         if self.denoiser is not None:
             x_d, denoiser_state = self.denoiser.forward(y, denoiser_state, workspace)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .nets import Workspace
 from .sampler import CostLedger, SamplerConfig, StepPlan, reverse_process
 from .sde import SdeParams, make_rng, require_finite
 
@@ -100,11 +99,8 @@ def process_chunk(
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
     plan: StepPlan | None = None,
-    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, HistoryBank]:
-    """Run the reverse pass for one chunk (L,) or rows (B, L), threading the bank; (x_c, bank).
-
-    ``plan`` and ``workspace`` pass through to ``reverse_process``."""
+    """Run the reverse pass for one chunk (L,) or rows (B, L), threading the bank; (x_c, bank)."""
     y_chunk = np.asarray(y_chunk, dtype=np.float64)
     if y_chunk.ndim not in (1, 2) or y_chunk.size < 1:
         raise DimensionError("chunk must be a non-empty 1-D array or (B, L) rows")
@@ -112,7 +108,7 @@ def process_chunk(
         raise ConfigError(f"history bank built for N={bank.n_steps}, sampler runs N={params.N}")
     bank.require_rows(y_chunk.shape[:-1])
     x, _ = reverse_process(y_chunk, provider, schedule, config, params, rng, bank=bank,
-                           ledger=ledger, plan=plan, workspace=workspace)
+                           ledger=ledger, plan=plan)
     return x, bank
 
 
@@ -164,7 +160,6 @@ def enhance_offline(
     seed: int | list[int],
     frame_size: int = 1,
     sample_rate: int = 16000,
-    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, CostLedger, LatencyReport]:
     """Whole-utterance enhancement: one chunk, fresh zero history, peak-normalized.
 
@@ -172,8 +167,7 @@ def enhance_offline(
     seeds, one generator per row, and run as one batch under the sampler's
     row contract, each row normalized and charged as if alone; x is (B, L)
     and the ledger a list.  Any other seed raises DimensionError.  The
-    report's chunk is all rows' audio.  The nets' scratch is ``workspace``,
-    or, without one, the call's own.
+    report's chunk is all rows' audio.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.size < 1:
@@ -190,8 +184,7 @@ def enhance_offline(
     ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in rows]
     report = LatencyReport(chunk_ms=1000.0 * padded.size / sample_rate, chunk_size=padded.size)
     t0 = time.perf_counter()
-    x, _ = process_chunk(padded, bank, provider, schedule, config, params, rng, ledger,
-                         workspace=workspace)
+    x, _ = process_chunk(padded, bank, provider, schedule, config, params, rng, ledger)
     report.wall_times_s.append(time.perf_counter() - t0)
     return x[..., : y.shape[-1]] / scale, ledger, report
 
@@ -244,7 +237,6 @@ class StreamEnhancer:
         self.rng = make_rng(seed)
         self.bank = HistoryBank.for_provider(provider, config, params)
         self.plan: StepPlan | None = None  # built on the first push, once per stream
-        self.workspace: Workspace | None = None  # the nets' scratch, made with the plan
         self.ledger = CostLedger()  # running total over chunks
         self.chunk_ledgers: list[CostLedger] = []
         self.report = LatencyReport(stream_config.chunk_ms, stream_config.chunk_size)
@@ -264,12 +256,11 @@ class StreamEnhancer:
         scale = _normalizer(self._peak)
         if self.plan is None:
             self.plan = StepPlan.build(self.provider, self.schedule, self.params)
-            self.workspace = Workspace()
         chunk_ledger = CostLedger()
         t0 = time.perf_counter()
         x, _ = process_chunk(
             chunk * scale, self.bank, self.provider, self.schedule, self.config,
-            self.params, self.rng, chunk_ledger, self.plan, self.workspace,
+            self.params, self.rng, chunk_ledger, self.plan,
         )
         self.report.wall_times_s.append(time.perf_counter() - t0)
         self.chunk_ledgers.append(chunk_ledger)

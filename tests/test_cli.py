@@ -222,6 +222,20 @@ class TestSimulateForward:
         err = capsys.readouterr().err
         assert err.startswith("gse: warning:") and "NotThisKernel" in err
 
+    def test_replay_of_a_manifest_without_blas_core_is_silent(self, tmp_path, capsys):
+        """Manifests written before the kernel was recorded lack ``blas_core``: unknown,
+        not different."""
+        out = tmp_path / "fw"
+        assert run("simulate-forward", "--out", out, "--paths", 100, "--steps", 100,
+                   "--grid-points", 1) == EXIT_OK
+        doc = json.loads((out / "manifest.json").read_text())
+        del doc["platform"]["blas_core"]
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("replay", "--manifest", older) == EXIT_OK
+        assert "warning" not in capsys.readouterr().err
+
     def test_non_utf8_config_is_config_error(self, tmp_path, non_utf8_config, capsys):
         rc = run("simulate-forward", "--config", non_utf8_config, "--out", tmp_path / "o")
         assert rc == EXIT_CONFIG
@@ -625,18 +639,6 @@ def sweep_task(tmp_path, utterances, n_phi=12, seed=3):
 
 
 class TestSweepCellBatch:
-    def test_a_workspace_kept_across_cells_changes_no_row(self, tmp_path, monkeypatch):
-        """A pool worker keeps one workspace for all its cells (``_init_sweep_worker``);
-        each cell, whatever ran before it in that worker, gives its own-workspace row."""
-        tasks = [sweep_task(tmp_path, utterances, n_phi) for utterances, n_phi
-                 in [(3, 12), (1, 0), (3, 0), (3, 12)]]
-        own = [_sweep_worker(task) for task in tasks]
-        monkeypatch.setattr(gse.cli, "_cell_workspace", None)  # restored after the test
-        gse.cli._init_sweep_worker()
-        kept = [_sweep_worker(task) for task in tasks]
-        for a, b in zip(own, kept):
-            assert {**a, "rtf": None} == {**b, "rtf": None}
-
     def test_cost_columns_do_not_depend_on_the_batch(self, tmp_path):
         one = _sweep_worker(sweep_task(tmp_path, 1))
         three = _sweep_worker(sweep_task(tmp_path, 3))

@@ -196,8 +196,8 @@ class TestReverseProcess:
 
     def test_divergence_reports_step_index(self):
         class ExplodingProvider(AnalyticGaussianScore):
-            def bind(self, y, ledger, plan, denoiser_state=None, workspace=None):
-                bound, st = super().bind(y, ledger, plan, denoiser_state, workspace)
+            def bind(self, y, ledger, plan, denoiser_state=None):
+                bound, st = super().bind(y, ledger, plan, denoiser_state)
                 bound.evaluate = lambda x, t, s, g: (np.full_like(x, np.inf), s)
                 return bound, st
 
@@ -209,8 +209,8 @@ class TestReverseProcess:
 
     def test_divergence_names_the_step_phase_and_rows(self):
         class RowOneExploding(AnalyticGaussianScore):
-            def bind(self, y, ledger, plan, denoiser_state=None, workspace=None):
-                bound, st = super().bind(y, ledger, plan, denoiser_state, workspace)
+            def bind(self, y, ledger, plan, denoiser_state=None):
+                bound, st = super().bind(y, ledger, plan, denoiser_state)
 
                 def evaluate(x, t, s, g):
                     score = np.zeros_like(x)
