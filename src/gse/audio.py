@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, WavFormatError
-from .sde import make_rng, read_key_values, require_finite, write_key_values
+from .sde import make_rng, read_key_values, require_finite, sample_count, write_key_values
 
 __all__ = [
     "Signal",
@@ -71,10 +71,11 @@ class MixSpec:
             raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
         if math.isnan(self.snr_db):
             raise ConfigError("snr_db must be a number or +inf")
+        self.n_samples  # ConfigError on a count no array can hold
 
     @property
     def n_samples(self) -> int:
-        return max(round(self.duration_s * self.sample_rate), 1)
+        return max(sample_count(self, "duration_s", self.duration_s * self.sample_rate), 1)
 
     def to_file(self, path: str | Path) -> None:
         write_key_values(path, self)

@@ -234,8 +234,11 @@ def cmd_simulate_forward(args) -> int:
         inputs=[args.config] if args.config else [],
         outputs=[csv_path],
     )
-    worst = max(abs(r["empirical_var"] - r["model_var"]) / r["model_var"] for r in rows)
-    print(f"wrote {csv_path} ({len(rows)} rows, worst relative variance error {worst:.3%})")
+    # relative, or absolute where the model variance is 0 (sigma_min == sigma_max: no noise)
+    worst = max(abs(r["empirical_var"] - r["model_var"]) / (r["model_var"] or 1.0) for r in rows)
+    summary = (f"relative variance error {worst:.3%}" if all(r["model_var"] for r in rows)
+               else f"variance error {worst:.3g}, absolute where the model variance is 0")
+    print(f"wrote {csv_path} ({len(rows)} rows, worst {summary})")
     return EXIT_OK
 
 
@@ -474,20 +477,9 @@ def cmd_sweep_nphi(args) -> int:
         for key in sorted(by_key):
             writer.writerow(_format_sweep_row(by_key[key]))
         for n_phi in sorted(set(n_phis)):
-            rows = [by_key[(n_phi, s)] for s in seeds]
-            writer.writerow(
-                _format_sweep_row(
-                    {
-                        "n_phi": n_phi,
-                        "seed": "median",
-                        "sdr_db": statistics.median(r["sdr_db"] for r in rows),
-                        "lsd": statistics.median(r["lsd"] for r in rows),
-                        "score_net_forwards": rows[0]["score_net_forwards"],
-                        "mac_total": rows[0]["mac_total"],
-                        "rtf": statistics.median(r["rtf"] for r in rows),
-                    }
-                )
-            )
+            rows = [by_key[(n_phi, s)] for s in seeds]  # the seeds agree on the cost columns
+            medians = {k: statistics.median(r[k] for r in rows) for k in ("sdr_db", "lsd", "rtf")}
+            writer.writerow(_format_sweep_row({**rows[0], "seed": "median", **medians}))
     _write_manifest(
         out,
         args,

@@ -42,11 +42,11 @@ weights (``gate_weights``, ``condition``) live with the caller, a bind or a
 training step, never on the net: in-place weight edits show in the next bind.
 
 Scratch memory.  A forward's buffers are frame-major, (frames, rows,
-features), so a frame's rows form one contiguous block.  They live in a
-``Workspace``, which also holds the fused gate weights: each bind
-(``ScoreProvider.bind``) makes one and fills its gates, so the forwards of
-a stream chunk's or an offline request's reverse pass share one set of
-buffers.  A forward without one, and every training forward (``need_cache``:
+features), so a frame's rows form one contiguous block.  The score net's
+conditioning, made once per bind (``ScoreProvider.bind``), holds the fused
+gate weights and one set of buffers for y's shape, so the score forwards of
+a stream chunk's or an offline request's reverse pass share them.  The
+denoiser's one forward per bind, and every training forward (``need_cache``:
 its buffers span all frames), makes its own.  Nothing a forward returns is
 reused: its output, the score (raw output times the gain) and the new state
 are fresh arrays (``tests/test_score.py::TestEvaluationScratch``).
@@ -75,7 +75,6 @@ from .sde import SdeParams, make_rng, require_finite, sample_perturbed, std
 
 __all__ = [
     "TimeEmbedding",
-    "Workspace",
     "ScoreNet",
     "DenoiserNet",
     "TrainConfig",
@@ -105,7 +104,7 @@ PROBE_SIZE = 8
 #: a multiple of this: OpenBLAS's Haswell and Zen kernels round a block of 3, 5
 #: or 7 rows unlike the same rows among more.  One row stays a gemv.
 STATE_ALIGN = 4
-#: Byte alignment of the fused gate weights and the workspace buffers: OpenBLAS's
+#: Byte alignment of the fused gate weights and the forward buffers: OpenBLAS's
 #: gemv ran the B = 1 recurrent product 10-20 % slower on a matrix that starts
 #: off a cache line.
 GATE_ALIGN = 64
@@ -195,36 +194,6 @@ class _FrameBuffers:
         self.first = (*self.steps[0][:3], s_new[-1], cat_runs[-1, H:], s_new[0])
         self.diff_hi = self.diff.reshape(-1)[H:]
         self.step_lo, self.step_u = self.step.reshape(-1)[:run], self.step[:, :H]
-
-
-class Workspace:
-    """Scratch memory of the frame nets' forwards, kept from call to call.
-
-    Per net role (``kind``) it holds the fused gate weights, refilled by each
-    ``gates`` call, and the buffers of the last forward shape, which a new
-    shape replaces.  Nothing a forward returns lives here.  Each bind
-    (``ScoreProvider.bind``) makes its own.
-    """
-
-    def __init__(self):
-        self._parts: dict = {}  # (net kind, part) -> (shape, buffers)
-
-    def gates(self, net) -> tuple:
-        """``net.gate_weights()``, written into this workspace's buffers for its role."""
-        key, shape = (net.kind, "gates"), net.hidden
-        held = self._parts.get(key)
-        gates = net.gate_weights(held[1] if held is not None and held[0] == shape else None)
-        self._parts[key] = (shape, gates)
-        return gates
-
-    def frames(self, net, batch: int, frames: int, d: int) -> _FrameBuffers:
-        """``net``'s buffers for a forward of ``batch`` rows x ``frames`` frames of width d."""
-        key = (net.kind, "frames")
-        shape = (net.hidden, net.frame_size, batch, min(frames, FRAME_BLOCK), d)
-        held = self._parts.get(key)
-        if held is None or held[0] != shape:
-            held = self._parts[key] = (shape, _FrameBuffers(*shape))
-        return held[1]
 
 
 class TimeEmbedding:
@@ -320,28 +289,26 @@ class _FrameNet:
             raise DimensionError(f"length {n_samples} not a multiple of frame_size {f}")
         return (n_samples // f) * (h * d + 4 * h * h + f * 2 * h)
 
-    def gate_weights(self, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias), GATE_ALIGN-ed;
-        written into ``out``, a previous result, when given."""
+    def gate_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias), GATE_ALIGN-ed."""
         p, H = self.params, self.hidden
-        if out is None:
-            out = tuple(_aligned_empty(p[f"gate_c_{k}"].shape[:-1] + (2 * H,)) for k in "wub")
+        out = tuple(_aligned_empty(p[f"gate_c_{k}"].shape[:-1] + (2 * H,)) for k in "wub")
         for k, fused in zip("wub", out):
             np.multiply(p[f"gate_u_{k}"], 0.5, out=fused[..., :H])
             fused[..., H:] = p[f"gate_c_{k}"]
         return out
 
     def forward_frames(self, x: np.ndarray, enc: tuple, state, need_cache: bool,
-                       gates=None, inputs=None, workspace: Workspace | None = None):
+                       gates=None, inputs=None, buf: _FrameBuffers | None = None):
         """x: (B, R, d) frames, state: (B, H), (H,) or None for zeros
         -> (out (B, R*F), state (B, H), cache).
 
         The encoder pre-activation is x @ enc_w[:d] plus each ``enc`` term,
         (H,) or frame-major (R, B, H): what the caller made once for many calls.
-        ``gates`` defaults to the workspace's ``gates`` (``gate_weights()``
-        without one); ``inputs``, the encoder's input blocks in ``enc_w`` row
-        order, default to (x,) for ``backward``.  The scratch comes from
-        ``workspace``; without one, or with ``need_cache``, it is made here.
+        ``gates`` defaults to ``gate_weights()``; ``inputs``, the encoder's
+        input blocks in ``enc_w`` row order, default to (x,) for ``backward``.
+        The scratch is ``buf``, buffers of x's shape that a conditioning holds
+        for its forwards; without it, or with ``need_cache``, it is made here.
         ``out`` and the state are fresh arrays.
 
         One path for training and inference.  Per block of FRAME_BLOCK frames,
@@ -363,13 +330,9 @@ class _FrameNet:
         p = self.params
         B, R, d = x.shape
         H = self.hidden
-        if need_cache or workspace is None:
+        if need_cache or buf is None:
             buf = _FrameBuffers(H, self.frame_size, B, R if need_cache else min(R, FRAME_BLOCK), d)
-        else:
-            buf = workspace.frames(self, B, R, d)
-        if gates is None:
-            gates = self.gate_weights() if workspace is None else workspace.gates(self)
-        w_in, w_rec, b_g = gates
+        w_in, w_rec, b_g = self.gate_weights() if gates is None else gates
         w_x, dec_w = p["enc_w"][:d], p["dec_w"]  # a row block of a C-contiguous array: a view
         buf.s0[:B, H:] = 0.0 if state is None else state
         out = np.empty((B, R, self.frame_size))
@@ -469,6 +432,7 @@ class _Conditioning(NamedTuple):
     t_terms: np.ndarray  # (K, H): emb(t) @ W_t + enc_b, one row per time
     gains: list | None  # 1/std(t), one per time
     gates: tuple  # _FrameNet.gate_weights()
+    buf: _FrameBuffers | None  # the forwards' scratch for y's shape; None without gains
 
 
 class ScoreNet(_FrameNet):
@@ -494,23 +458,26 @@ class ScoreNet(_FrameNet):
         super().__init__(2 * frame_size + emb_dim, frame_size, hidden, seed)
 
     def gain(self, t: float) -> float:
-        return 1.0 / std(self.sde_params.clamp(t), self.sde_params)
+        s = std(self.sde_params.clamp(t), self.sde_params)
+        if s == 0.0:
+            raise DomainError(f"std({t}) = 0; the score net's gain 1/std(t) is undefined")
+        return 1.0 / s
 
     def embed_times(self, ts) -> np.ndarray:
         """Time-embedding rows (len(ts), emb_dim) at the clamped times; weight-free."""
         return self.emb.embed([self.sde_params.clamp(t) for t in ts])
 
-    def condition(self, y, emb_rows: np.ndarray, gains=None,
-                  workspace: Workspace | None = None) -> _Conditioning:
-        """y's and the times' encoder terms, one padded matmul each, and the fused gates
-        (the workspace's, refilled, when one is given)."""
+    def condition(self, y, emb_rows: np.ndarray, gains=None) -> _Conditioning:
+        """y's and the times' encoder terms, one padded matmul each, the fused gates and,
+        with ``gains``, the forward buffers for y's shape: what a bind makes once for all
+        of its score forwards.  A training forward (no gains) makes its own buffers."""
         F, w = self.frame_size, self.params["enc_w"]
         yf = _frames(np.atleast_2d(y), F)
         B, R, _ = yf.shape
         y_term = (_pad_rows(yf.swapaxes(0, 1)) @ w[F : 2 * F])[: B * R].reshape(R, B, -1)
         t_terms = (_pad_rows(emb_rows) @ w[2 * F :])[: len(emb_rows)] + self.params["enc_b"]
-        gates = self.gate_weights() if workspace is None else workspace.gates(self)
-        return _Conditioning(y_term, t_terms, gains, gates)
+        buf = None if gains is None else _FrameBuffers(self.hidden, F, B, min(R, FRAME_BLOCK), F)
+        return _Conditioning(y_term, t_terms, gains, self.gate_weights(), buf)
 
     def raw_batch(self, x_t, y, ts, states=None, need_cache=False):
         """Pre-gain output on a (B, L) batch; returns (raw, states, cache)."""
@@ -529,23 +496,22 @@ class ScoreNet(_FrameNet):
                   np.broadcast_to(emb[:, None], xf.shape[:2] + emb.shape[1:]))
         return self.forward_frames(xf, enc, states, need_cache, cond.gates, inputs)
 
-    def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None, cond=None, point=0,
-                workspace: Workspace | None = None):
+    def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None, cond=None, point=0):
         """Score of a signal (L,), state (H,), or of rows (B, L), state (B, H).
 
         ``cond`` is a bind's ``condition`` of y and ``point`` the row of t in
         it; without it they are made here for t, to the same bits.  The
-        scratch comes from ``workspace``; the score and state are fresh.
+        scratch and the gates are ``cond``'s; the score and state are fresh.
         """
         x_t = np.asarray(x_t, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if x_t.shape != y.shape:
             raise DimensionError(f"x_t shape {x_t.shape} != y shape {y.shape}")
         if cond is None:
-            cond = self.condition(y, self.embed_times([t]), [self.gain(t)], workspace)
+            cond = self.condition(y, self.embed_times([t]), [self.gain(t)])
         enc = (cond.y_term, cond.t_terms[point])
         score, states, _ = self.forward_frames(_frames(np.atleast_2d(x_t), self.frame_size), enc,
-                                               state, False, cond.gates, workspace=workspace)
+                                               state, False, cond.gates, buf=cond.buf)
         score *= cond.gains[point]  # the raw output is this call's own array
         return (score[0], states[0]) if x_t.ndim == 1 else (score, states)
 
@@ -566,17 +532,17 @@ class DenoiserNet(_FrameNet):
     def __init__(self, frame_size: int = 80, hidden: int = 96, seed: int = 0):
         super().__init__(frame_size, frame_size, hidden, seed)
 
-    def raw_batch(self, y, states=None, need_cache=False, workspace: Workspace | None = None):
+    def raw_batch(self, y, states=None, need_cache=False):
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         return self.forward_frames(_frames(y, self.frame_size), (self.params["enc_b"],), states,
-                                   need_cache, workspace=workspace)
+                                   need_cache)
 
-    def forward(self, y: np.ndarray, state=None, workspace: Workspace | None = None):
+    def forward(self, y: np.ndarray, state=None):
         """Estimate of a signal (L,) or of B rows (B, L); returns (x_d, new_state), both fresh.
 
-        The scratch, gate weights included, comes from ``workspace``."""
+        It makes its own scratch and gate weights: a bind runs it once."""
         y = np.asarray(y, dtype=np.float64)
-        out, new_states, _ = self.raw_batch(y, state, workspace=workspace)
+        out, new_states, _ = self.raw_batch(y, state)
         return (out[0], new_states[0]) if y.ndim == 1 else (out, new_states)
 
     def hyperparams(self) -> dict:

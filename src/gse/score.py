@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .nets import Workspace
 from .sde import SdeParams, kernel_coefficients, mean, per_row, variance
 
 __all__ = [
@@ -193,29 +192,28 @@ class ScoreProvider:
         ``y`` is (L,) or rows (B, L); each row is charged what it costs alone,
         to its own ledger if ``ledger`` is a list.  A provider holding a
         denoiser runs it here, once; guided evaluations then cost no forward
-        pass.  If the plan has embedding rows, the score net's y and time
-        terms are made here too (``condition``).  Every net forward of the
-        bind and its evaluations takes its scratch from the bind's own
-        ``Workspace``, whose gate weights are filled here.
+        pass.  If the plan has embedding rows, the score net's conditioning
+        is made here too (``condition``): y's and the time terms, the fused
+        gates from the current weights and the scratch that every score
+        forward of the bind's evaluations shares.
         """
         y = np.asarray(y, dtype=np.float64)
         ledgers = per_row(ledger, len(np.atleast_2d(y)))
-        workspace = Workspace()
         x_d = None
         if self.denoiser is not None:
-            x_d, denoiser_state = self.denoiser.forward(y, denoiser_state, workspace)
+            x_d, denoiser_state = self.denoiser.forward(y, denoiser_state)
             for led in ledgers:
                 led.denoiser_forwards += 1
                 led.mac_total += self.denoiser.macs_per_forward(y.shape[-1])
-        cond = None if plan.emb is None else self.net.condition(y, plan.emb, plan.gain, workspace)
-        return _BoundScore(self, y, x_d, ledgers, plan, cond, workspace), denoiser_state
+        cond = None if plan.emb is None else self.net.condition(y, plan.emb, plan.gain)
+        return _BoundScore(self, y, x_d, ledgers, plan, cond), denoiser_state
 
-    def learned_score(self, x_t, y, t, state, ledgers, cond, point, workspace=None):
+    def learned_score(self, x_t, y, t, state, ledgers, cond, point):
         """Learned branch: one score-net forward; (score, new_state).
 
         ``cond`` is the bind's score-net conditioning and ``point`` the row of t in it.
         """
-        score, new_state = self.net.forward(x_t, y, t, state, cond, point, workspace)
+        score, new_state = self.net.forward(x_t, y, t, state, cond, point)
         macs = self.net.macs_per_forward(x_t.shape[-1])
         for led in ledgers:
             led.score_net_forwards += 1
@@ -232,15 +230,13 @@ class _BoundScore:
     waiting for a cyclic GC pass.
     """
 
-    def __init__(self, provider: ScoreProvider, y: np.ndarray, x_d, ledgers, plan, cond,
-                 workspace: Workspace):
+    def __init__(self, provider: ScoreProvider, y: np.ndarray, x_d, ledgers, plan, cond):
         self.provider = provider
         self.y = y
         self.x_d = x_d
         self.ledgers = ledgers
         self.plan = plan
         self.cond = cond
-        self.workspace = workspace
 
     def evaluate(self, x_t, t, state, guided: bool):
         """Return (score, new_state); new_state is state unless a net ran."""
@@ -248,7 +244,7 @@ class _BoundScore:
         if guided:
             return discriminative_score(x_t, self.y, p.params.clamp(t), self.x_d, p.params,
                                         self.plan.kernel[i]), state
-        return p.learned_score(x_t, self.y, t, state, self.ledgers, self.cond, i, self.workspace)
+        return p.learned_score(x_t, self.y, t, state, self.ledgers, self.cond, i)
 
 
 # Named constructors of the three net combinations; none changes behaviour.
@@ -276,5 +272,5 @@ class AnalyticGaussianScore(ScoreProvider):
         super().__init__(None, None, params)
         self.prior = prior
 
-    def learned_score(self, x_t, y, t, state, ledgers, cond, point, workspace=None):
+    def learned_score(self, x_t, y, t, state, ledgers, cond, point):
         return analytic_gaussian_score(x_t, y, t, self.prior, self.params), state

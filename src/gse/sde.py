@@ -65,6 +65,15 @@ def require_finite(config, *names: str) -> None:
             raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
 
 
+def sample_count(config, name: str, samples: float) -> int:
+    """round(samples), the sample count that field ``name`` of ``config`` gives; ConfigError
+    unless it is finite and no larger than an array index can be."""
+    if not samples <= np.iinfo(np.intp).max:
+        raise ConfigError(f"{name} = {getattr(config, name)} gives {samples:g} samples, "
+                          "more than an array can hold")
+    return round(samples)
+
+
 @dataclass(frozen=True)
 class SdeParams:
     """Process constants. ``sigma_max == sigma_min`` degenerates to a noise-free ODE."""

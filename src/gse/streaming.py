@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 from .sampler import CostLedger, SamplerConfig, StepPlan, reverse_process
-from .sde import SdeParams, make_rng, require_finite
+from .sde import SdeParams, make_rng, require_finite, sample_count
 
 __all__ = [
     "StreamConfig",
@@ -50,7 +50,7 @@ class StreamConfig:
     @property
     def chunk_size(self) -> int:
         """Samples per chunk, K = round(chunk_ms * sample_rate / 1000)."""
-        return round(self.chunk_ms * self.sample_rate / 1000.0)
+        return sample_count(self, "chunk_ms", self.chunk_ms * self.sample_rate / 1000.0)
 
 
 @dataclass

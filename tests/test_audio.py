@@ -45,6 +45,11 @@ class TestMixSpec:
         with pytest.raises(ConfigError, match="duration_s must be finite"):
             MixSpec(duration_s=value)
 
+    @pytest.mark.parametrize("duration_s", [1e305, 1e300, 6e14])
+    def test_duration_no_array_can_hold_rejected(self, duration_s):
+        with pytest.raises(ConfigError, match="duration_s = .* more than an array can hold"):
+            MixSpec(duration_s=duration_s)
+
     def test_defaults_and_sample_count(self):
         spec = MixSpec()
         assert spec.n_samples == 4000

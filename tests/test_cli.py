@@ -52,6 +52,14 @@ def tiny_score_ckpt(path, params: SdeParams):
 
 
 @pytest.fixture
+def noise_free_config(tmp_path):
+    """sigma_min == sigma_max: the process degenerates to a noise-free ODE, variance 0."""
+    path = tmp_path / "noise-free.cfg"
+    path.write_text("sigma_min = 0.01\nsigma_max = 0.01\n")
+    return path
+
+
+@pytest.fixture
 def noisy_wav(tmp_path):
     """A 0.05 s noisy utterance (800 samples, 20 model frames at size 40)."""
     _, noisy = synthesize_pair(MixSpec(duration_s=0.05, seed=500))
@@ -134,6 +142,16 @@ class TestSimulateForward:
         rc = run("simulate-forward", "--out", tmp_path / "o", "--paths", 1)
         assert rc == EXIT_CONFIG
         capsys.readouterr()
+
+    def test_noise_free_process_reports_absolute_error(self, tmp_path, noise_free_config,
+                                                        capsys):
+        out = tmp_path / "fw"
+        rc = run("simulate-forward", "--config", noise_free_config, "--out", out,
+                 "--paths", 100, "--steps", 100, "--grid-points", 2)
+        assert rc == EXIT_OK
+        _, rows = read_csv(out / "forward_stats.csv")
+        assert [float(r[3]) for r in rows] == [0.0, 0.0]
+        assert "absolute where the model variance is 0" in capsys.readouterr().out
 
     def test_custom_process_config(self, tmp_path, capsys):
         cfg = tmp_path / "sde.cfg"
@@ -330,6 +348,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("gse:") and "duration_s must be finite" in err
 
+    @pytest.mark.parametrize("duration", ["1e305", "1e300"])
+    @pytest.mark.parametrize("command", ["train", "sweep-nphi"])
+    def test_duration_no_array_can_hold_is_config_error(self, tmp_path, command, duration,
+                                                       monkeypatch, capsys):
+        monkeypatch.setenv("GSE_THREADS", "1")
+        data = tmp_path / "mix.cfg"
+        data.write_text(f"duration_s = {duration}\n")
+        den = tmp_path / "denoiser.npz"
+        save_checkpoint(den, DenoiserNet(frame_size=40, hidden=6, seed=1))
+        argv = (["train", "--role", "denoiser"] if command == "train" else
+                ["sweep-nphi", "--score-ckpt", tiny_score_ckpt(tmp_path / "score.npz", SdeParams()),
+                 "--denoiser-ckpt", den, "--n-phi-list", "0", "--seeds", "0", "--utterances", 1])
+        rc = run(*argv, "--out", tmp_path / "o", "--data-config", data)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "duration_s" in err and "more than an array" in err
+
     def test_denoiser_blown_up_by_its_learning_rate_is_a_divergence(self, tmp_path, capsys):
         """Exit 3 without a numpy warning, even with warnings as errors."""
         data_cfg = tmp_path / "mix.cfg"
@@ -415,6 +450,20 @@ class TestEnhance:
                  "--score-ckpt", ckpt, "--n-phi", 0)
         assert rc == EXIT_CONFIG
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_phi", [0, 12])
+    def test_noise_free_process_is_a_domain_error(self, tmp_path, noisy_wav, noise_free_config,
+                                                  n_phi, capsys):
+        """The score net's gain 1/std(t) is undefined when std(t) = 0."""
+        score = tiny_score_ckpt(tmp_path / "score.npz", SdeParams(sigma_min=0.01, sigma_max=0.01))
+        den = tmp_path / "denoiser.npz"
+        save_checkpoint(den, DenoiserNet(frame_size=40, hidden=6, seed=1))
+        guided = ["--denoiser-ckpt", den] if n_phi else []
+        rc = run("enhance", "--input", noisy_wav, "--out", tmp_path / "o", "--config",
+                 noise_free_config, "--score-ckpt", score, *guided, "--n-phi", n_phi)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "1/std(t) is undefined" in err
 
     def test_checkpoint_grid_size_may_differ(self, tmp_path, noisy_wav, capsys):
         ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams(N=15))
@@ -616,15 +665,21 @@ class TestNegativeSeeds:
 
 
 class TestStreamingChunkLongerThanInput:
-    @pytest.mark.parametrize("chunk_ms", ["1e300", "60000"])
-    def test_rejected_before_any_allocation(self, tmp_path, noisy_wav, chunk_ms, capsys):
+    @pytest.mark.parametrize("chunk_ms, messages", [
+        # more samples than an array can hold: StreamConfig rejects it first
+        ("1e300", ("chunk_ms = 1e+300", "more than an array can hold")),
+        ("60000", ("800", "--streaming off")),
+        ("1e308", ("chunk_ms = 1e+308 gives inf samples",)),
+    ], ids=["1e300", "60000", "1e308"])
+    def test_rejected_before_any_allocation(self, tmp_path, noisy_wav, chunk_ms, messages,
+                                            capsys):
         score_ckpt = tiny_score_ckpt(tmp_path / "score.npz", SdeParams())
         rc = run("enhance", "--input", noisy_wav, "--out", tmp_path / "o",
                  "--score-ckpt", score_ckpt, "--n-phi", 0, "--streaming", "on",
                  "--chunk-ms", chunk_ms)
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("gse:") and "800" in err and "--streaming off" in err
+        assert err.startswith("gse:") and all(m in err for m in messages)
 
 
 def sweep_task(tmp_path, utterances, n_phi=12, seed=3):

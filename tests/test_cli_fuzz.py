@@ -14,7 +14,7 @@ from gse.sde import SdeParams
 
 # Values a mutation may put in place of any flag's value.  Every count flag's
 # base value is small, so no replacement makes a run allocate or loop much.
-VALUES = ["-1", "0", "1", "2", "nan", "inf", "-inf", "1e300", ""]
+VALUES = ["-1", "0", "1", "2", "nan", "inf", "-inf", "1e300", "1e308", ""]
 OPS = ("drop", "duplicate", "swap", "replace")
 
 

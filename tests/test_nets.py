@@ -16,7 +16,6 @@ from gse.nets import (
     ScoreNet,
     TimeEmbedding,
     TrainConfig,
-    Workspace,
     _pad_rows,
     denoiser_loss_and_grads,
     draw_matching_samples,
@@ -197,19 +196,20 @@ class TestForward:
         np.testing.assert_array_equal(whole, np.concatenate([a, b]))
         np.testing.assert_array_equal(state_whole, state_chunked)
 
-    def test_a_reused_workspace_starts_each_forward_afresh(self):
-        """Nothing kept in a workspace leaks into the next forward: a None state after a
-        stateful call, other row counts and frame counts across blocks all give the bits
-        of a forward with fresh buffers."""
+    def test_a_reused_conditioning_starts_each_forward_afresh(self):
+        """Nothing one forward leaves in a conditioning's buffers leaks into the next: at
+        each of its times, with a None state after a stateful call and with frames past
+        one block, every forward gives the bits of a plain forward."""
         net = ScoreNet(P, frame_size=8, hidden=12, seed=5)
         rng = make_rng(56)
         x, y = rng.normal(size=(2, 3, 8 * (FRAME_BLOCK + 9)))
         state = rng.normal(size=(3, 12))
-        ws = Workspace()
-        for args in [(x, y, 0.4, state), (x, y, 0.4, None), (x[:2, :64], y[:2, :64], 0.7, None),
-                     (x[0], y[0], 0.2, state[0]), (x, y, 0.9, None)]:
-            for got, want in zip(net.forward(*args, workspace=ws), net.forward(*args)):
-                np.testing.assert_array_equal(got, want)
+        ts = [0.4, 0.7, 0.2, 0.9]
+        cond = net.condition(y, net.embed_times(ts), [net.gain(t) for t in ts])
+        for point, s in [(0, state), (0, None), (1, None), (2, state), (3, None)]:
+            got = net.forward(x, y, ts[point], s, cond, point)
+            for a, b in zip(got, net.forward(x, y, ts[point], s)):
+                np.testing.assert_array_equal(a, b)
 
     def test_mac_count_is_analytic(self):
         net = ScoreNet(P, frame_size=80, hidden=96, seed=0)

@@ -47,7 +47,7 @@ class _OracleDenoiser:
     def __init__(self, x0: np.ndarray):
         self.x0 = np.asarray(x0, dtype=np.float64)
 
-    def forward(self, y, state=None, workspace=None):
+    def forward(self, y, state=None):
         return self.x0.copy(), state
 
     def macs_per_forward(self, n_samples: int) -> int:

@@ -141,7 +141,7 @@ class _ConstScoreNet:
     def __init__(self, value: float):
         self.value = value
 
-    def forward(self, x_t, y, t, state=None, cond=None, point=0, workspace=None):
+    def forward(self, x_t, y, t, state=None, cond=None, point=0):
         return np.full_like(x_t, self.value), state
 
     def macs_per_forward(self, n_samples: int) -> int:
@@ -154,7 +154,7 @@ class _FixedDenoiser:
     def __init__(self, x_d):
         self.x_d = np.asarray(x_d, dtype=np.float64)
 
-    def forward(self, y, state=None, workspace=None):
+    def forward(self, y, state=None):
         return self.x_d.copy(), state
 
     def macs_per_forward(self, n_samples: int) -> int:
@@ -361,8 +361,8 @@ class TestProviders:
 
 
 class TestEvaluationScratch:
-    """A bound evaluation takes its scratch from the bind's workspace, and what it
-    returns is its own: at the sweep's shape, B = 4 rows of 100 frames."""
+    """A bound evaluation takes its scratch from the bind's score-net conditioning, and
+    what it returns is its own: at the sweep's shape, B = 4 rows of 100 frames."""
 
     @pytest.fixture
     def bound(self):
@@ -377,7 +377,7 @@ class TestEvaluationScratch:
         bound, plan = bound
         rng = make_rng(81)
         x, state = rng.normal(size=(4, 4000)), rng.normal(size=(4, 160))
-        bound.evaluate(x, plan.t[-1], state, False)  # sizes the workspace
+        bound.evaluate(x, plan.t[-1], state, False)  # one-time first-call allocations fall outside
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -52,6 +52,11 @@ class TestStreamConfig:
             with pytest.raises(ConfigError, match="chunk_ms must be finite"):
                 StreamConfig(chunk_ms=value)
 
+    @pytest.mark.parametrize("chunk_ms, sample_rate", [(1e308, 16000), (1e300, 16000), (1e16, 10**6)])
+    def test_chunk_no_array_can_hold_rejected(self, chunk_ms, sample_rate):
+        with pytest.raises(ConfigError, match="chunk_ms = .* more than an array can hold"):
+            StreamConfig(chunk_ms=chunk_ms, sample_rate=sample_rate)
+
 
 class TestHistoryBank:
     def test_fresh_bank_has_one_zero_state_per_grid_step(self):
