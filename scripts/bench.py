@@ -11,6 +11,13 @@ per-layer ones.  The file records each run's metrics, its failed/attempted
 counts, the exact per-round counts of the traced run, the platform the
 benchmark printed and the line count of ``src/gse``.  The script only calls
 ``gsebench/run.py`` as a program; it imports nothing from it.
+
+Host speed.  Before and after each workload the script times a fixed kernel
+shaped like the recipe's per-frame recurrent step: 1,200 products
+(1, 160) @ (160, 320) on 64-byte-aligned arrays, each with its tanh.  Each
+workload records ``host_ms`` {"before", "after"}, the best of five timings in
+ms, so that two files written at different times can be compared per unit of
+host speed (divide a time by the host time).
 """
 
 from __future__ import annotations
@@ -19,7 +26,10 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("stream-50ms", "offline-1s", "sweep")
@@ -51,6 +61,28 @@ def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return out
 
 
+def _aligned(shape: tuple) -> np.ndarray:
+    raw = np.empty(int(np.prod(shape)) + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + raw.size - 8].reshape(shape)
+
+
+def host_ms(products: int = 1200, repeats: int = 5) -> float:
+    """Best of ``repeats`` timings, in ms, of ``products`` (1, 160) @ (160, 320) products, each
+    with its tanh."""
+    s, w, out = _aligned((1, 160)), _aligned((160, 320)), _aligned((1, 320))
+    rng = np.random.default_rng(0)
+    s[...], w[...] = rng.standard_normal(s.shape), rng.standard_normal(w.shape) / 16
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(products):
+            np.matmul(s, w, out=out)
+            np.tanh(out, out=out)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
 def src_lines() -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "gse").glob("*.py")))
 
@@ -65,13 +97,17 @@ def main(argv=None) -> int:
     doc = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
            "src_gse_lines": src_lines(), "workloads": {}}
     for workload in WORKLOADS:
+        before = host_ms()
         end_to_end = run_once(workload, args.seed, args.seconds, trace=0)
         per_layer = run_once(workload, args.seed, args.seconds, trace=1)
+        host = {"before": before, "after": host_ms()}
         doc.setdefault("platform", end_to_end.pop("platform", None))
         per_layer.pop("platform", None)
-        doc["workloads"][workload] = {"end_to_end": end_to_end, "per_layer": per_layer}
+        doc["workloads"][workload] = {"end_to_end": end_to_end, "per_layer": per_layer,
+                                      "host_ms": host}
         print(f"{workload}: failed {end_to_end['failed']}/{end_to_end['attempted']} untraced, "
-              f"{per_layer['failed']}/{per_layer['attempted']} traced", flush=True)
+              f"{per_layer['failed']}/{per_layer['attempted']} traced, host "
+              f"{host['before']:.2f} -> {host['after']:.2f} ms", flush=True)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")

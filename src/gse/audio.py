@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, WavFormatError
-from .sde import make_rng, read_key_values, require_finite, sample_count, write_key_values
+from .sde import (make_rng, read_key_values, require_finite, require_sample_rate,
+                  sample_count, write_key_values)
 
 __all__ = [
     "Signal",
@@ -39,8 +40,7 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size < 1:
             raise DimensionError("samples must be a non-empty 1-D array")
-        if self.sample_rate < 1:
-            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        require_sample_rate(self)
         if not np.all(np.isfinite(self.samples)):
             raise DomainError("samples must be finite")
 
@@ -67,8 +67,7 @@ class MixSpec:
         require_finite(self, "duration_s")
         if self.duration_s <= 0.0:
             raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
-        if self.sample_rate < 1:
-            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        require_sample_rate(self)
         if math.isnan(self.snr_db):
             raise ConfigError("snr_db must be a number or +inf")
         self.n_samples  # ConfigError on a count no array can hold

@@ -42,14 +42,16 @@ weights (``gate_weights``, ``condition``) live with the caller, a bind or a
 training step, never on the net: in-place weight edits show in the next bind.
 
 Scratch memory.  A forward's buffers are frame-major, (frames, rows,
-features), so a frame's rows form one contiguous block.  The score net's
-conditioning, made once per bind (``ScoreProvider.bind``), holds the fused
-gate weights and one set of buffers for y's shape, so the score forwards of
-a stream chunk's or an offline request's reverse pass share them.  The
-denoiser's one forward per bind, and every training forward (``need_cache``:
-its buffers span all frames), makes its own.  Nothing a forward returns is
-reused: its output, the score (raw output times the gain) and the new state
-are fresh arrays (``tests/test_score.py::TestEvaluationScratch``).
+features), so a frame's rows form one contiguous block.  A buffer set is
+carved from one arena (one allocation), and so is a set of fused gates,
+each array on GATE_ALIGN bytes.  The score net's conditioning, made once per
+bind (``ScoreProvider.bind``), holds the fused gates and one buffer set for
+y's shape, so the score forwards of a stream chunk's or an offline request's
+reverse pass share them.  The denoiser's one forward per bind, and every
+training forward (``need_cache``: its buffers span all frames), makes its
+own.  Nothing a forward returns is reused: its output, the score (raw output
+times the gain) and the new state are fresh arrays
+(``tests/test_score.py::TestEvaluationScratch``).
 ``backward`` copies the frame-major cache back to batch-major, so that its
 reductions sum rows in batch order.
 
@@ -110,17 +112,17 @@ STATE_ALIGN = 4
 GATE_ALIGN = 64
 
 
-def _aligned_empty(shape: tuple) -> np.ndarray:
-    """Uninitialised float64 array of ``shape`` whose data starts on GATE_ALIGN bytes."""
-    size = math.prod(shape)
-    raw = np.empty(size + GATE_ALIGN // 8)
+def _aligned_empty(*shapes: tuple) -> list[np.ndarray]:
+    """Uninitialised float64 arrays of ``shapes``, carved in order from one block (an
+    arena), each starting on GATE_ALIGN bytes."""
+    lane = GATE_ALIGN // 8
+    sizes = [math.prod(shape) for shape in shapes]
+    raw = np.empty(sum(sizes) + lane * len(shapes))  # room to pad each start to a lane
     start = (-raw.__array_interface__["data"][0] % GATE_ALIGN) // 8
-    return raw[start : start + size].reshape(shape)
-
-
-def _aligned_zeros(shape: tuple) -> np.ndarray:
-    out = _aligned_empty(shape)
-    out.fill(0.0)
+    out = []
+    for shape, n in zip(shapes, sizes):
+        out.append(raw[start : start + n].reshape(shape))
+        start += n + (-n % lane)
     return out
 
 
@@ -166,28 +168,27 @@ class _FrameBuffers:
     def __init__(self, H: int, F: int, batch: int, span: int, d: int):
         self.bp = bp = _state_rows(batch)
         block = min(span, FRAME_BLOCK)
-        self.x = _aligned_zeros((_padded(block * bp), d))
-        self.pre = _aligned_empty((_padded(block * bp), H))  # the encoder pre-activation
-        self.dec = _aligned_empty((_padded(block * bp), F))
-        self.cat = _aligned_zeros((_padded(span * bp), 2 * H))
-        self.G = _aligned_empty((_padded(span * bp), 2 * H))
-        self.s0 = _aligned_zeros((bp, 2 * H))  # [0 | initial state]: a frame -1 for the cell
-        self.rec = _aligned_empty((bp, 2 * H))  # a frame's recurrent product
+        rows, span_rows = _padded(block * bp), _padded(span * bp)
+        made = (self.x, self.cat, self.s0, self.diff, self.step, self.scale, self.shift,
+                self.pre, self.dec, self.G, self.rec) = _aligned_empty(
+            (rows, d), (span_rows, 2 * H), *[(bp, 2 * H)] * 5, (rows, H), (rows, F),
+            (span_rows, 2 * H), (bp, 2 * H))
+        for a, value in zip(made, (0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5)):
+            a.fill(value)
+        # s0 = [0 | initial state], a frame -1 for the cell; diff's flat lanes H.. hold
+        # c - s; step = [u * (c - s) | unread]; rec holds a frame's recurrent product
         self.x_frames = self.x[: block * bp].reshape(block, bp, d)
         self.pre_frames = self.pre[: block * bp].reshape(block, bp, H)
         self.dec_frames = self.dec[: block * bp].reshape(block, bp, F)
         self.cat_frames = self.cat[: span * bp].reshape(span, bp, 2 * H)
         self.G_frames = self.G[: span * bp].reshape(span, bp, 2 * H)
         # u = (tanh + 1) / 2 as tanh * 0.5 + 0.5, the same bits; c = tanh * 1 + -0.0 = tanh
-        self.scale, self.shift = np.full((2, bp, 2 * H), 0.5)
         self.scale[:, H:], self.shift[:, H:] = 1.0, -0.0
-        self.diff = _aligned_zeros((bp, 2 * H))  # flat lanes H.. : c - s
-        self.step = _aligned_zeros((bp, 2 * H))  # [u * (c - s) | unread]
         run = (2 * bp - 1) * H
         # per frame as one flat run; iterating an array's first axis slices it cheaply
         G_runs = self.G[: span * bp].reshape(span, -1)
         cat_runs = self.cat[: span * bp].reshape(span, -1)
-        s_new = self.cat_frames[..., H:]
+        s_new = list(self.cat_frames[..., H:])
         self.steps = list(zip(self.G_frames, G_runs[:, :run], G_runs[:, H:],
                               [self.s0[:, H:], *s_new[:-1]],
                               [self.s0.reshape(-1)[H:], *cat_runs[:-1, H:]], s_new))
@@ -292,7 +293,7 @@ class _FrameNet:
     def gate_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias), GATE_ALIGN-ed."""
         p, H = self.params, self.hidden
-        out = tuple(_aligned_empty(p[f"gate_c_{k}"].shape[:-1] + (2 * H,)) for k in "wub")
+        out = tuple(_aligned_empty(*(p[f"gate_c_{k}"].shape[:-1] + (2 * H,) for k in "wub")))
         for k, fused in zip("wub", out):
             np.multiply(p[f"gate_u_{k}"], 0.5, out=fused[..., :H])
             fused[..., H:] = p[f"gate_c_{k}"]

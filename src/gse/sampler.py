@@ -20,6 +20,14 @@ row i's bits do not depend on its batch-mates or position, on each OpenBLAS
 kernel family (see ``gse.nets`` on padding), and stay within rounding
 (~5e-16) of its solo run.
 
+Arithmetic.  A grid step runs, left to right: the score s at (x, t_n); the
+predictor ((g^2 s) - gamma (y - x)) dt + x + (g sqrt(dt)) z; a finite check;
+per corrector, the score at the new state, per row eps = 2 (r ||z|| / ||s||)^2
+(norms as sqrt(v . v)) and (eps s + x) + sqrt(2 eps) z, and a finite check.
+Each runs in place, rounding as its one-line form (s - d is exactly -(d) + s),
+on arrays made in that call: a step writes into no state, score, y or x_d it
+is given, and returns fresh arrays.
+
 Every score-model forward, denoiser forward, branch decision and analytic MAC
 count lands in a ``CostLedger``; for a provider with both nets the totals obey
 
@@ -139,15 +147,20 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a[None] if a.ndim == 1 else a
 
 
-def _normal(rng, shape: tuple) -> np.ndarray:
-    """A standard-normal draw of ``shape``; from a list of generators, row i draws from rng[i]."""
+def _normal(rng, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with standard-normal draws; from a list of generators, row i draws
+    from rng[i]."""
     if not isinstance(rng, (list, tuple)):
-        return rng.standard_normal(shape)
-    return np.array([r.standard_normal(shape[-1]) for r in per_row(rng, math.prod(shape[:-1]))])
+        return rng.standard_normal(out=out)
+    rows = _rows(out)
+    for r, row in zip(per_row(rng, len(rows)), rows):
+        r.standard_normal(out=row)
+    return out
 
 
 def _check_finite(x: np.ndarray, n: int, phase: str) -> None:
-    if not np.isfinite(x).all():
+    # a finite squared norm has finite terms; only an overflow needs the entrywise test
+    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
         rows = np.flatnonzero(~np.isfinite(_rows(x)).all(axis=-1)).tolist()
         raise DivergenceError(f"non-finite state after the {phase} at step n={n} in rows {rows}")
 
@@ -177,11 +190,15 @@ def predictor_step(
         raise DimensionError("state, condition and score must share one shape")
     if g is None:
         g = diffusion_coeff(t, params)
-    x_new = (
-        x
-        + (-(params.gamma * (y - x)) + g * g * score) * dt
-        + g * math.sqrt(dt) * _normal(rng, x.shape)
-    )
+    x_new = np.subtract(y, x)
+    x_new *= params.gamma  # the drift f(x, y)
+    work = np.multiply(score, g * g, dtype=np.float64)  # then holds the draw
+    np.subtract(work, x_new, out=x_new)
+    x_new *= dt
+    x_new += x
+    z = _normal(rng, work)
+    z *= g * math.sqrt(dt)
+    x_new += z
     return DiffusionState(x_new, max(t - dt, 0.0))
 
 
@@ -200,23 +217,26 @@ def corrector_step(
     ``ledger`` are one or a list of one per row.  A row with a zero score skips
     the step (its input row, no draw), recorded in its ledger.
     """
-    s, x = _rows(np.asarray(score, dtype=np.float64)), _rows(state.x)
+    s, x_new = _rows(np.asarray(score, dtype=np.float64)), np.empty_like(state.x)
     rngs, ledgers = per_row(rng, len(s)), per_row(ledger, len(s))
-    x_new = x.copy()  # a skipped row keeps its input
-    for x_i, s_i, rng_i, led, out in zip(x, s, rngs, ledgers, x_new):
-        s_norm = float(np.linalg.norm(s_i))
+    for x_i, s_i, rng_i, led, out in zip(_rows(state.x), s, rngs, ledgers, _rows(x_new)):
+        s_norm = math.sqrt(s_i.dot(s_i))  # np.linalg.norm of a float64 vector
         if led is not None:
             led.corrector_evals += 1
             led.corrector_skips += s_norm == 0.0
         if s_norm == 0.0:
+            out[...] = x_i  # a skipped row keeps its input
             continue
         z = rng_i.standard_normal(s_i.shape)
         try:
-            eps = 2.0 * (r * float(np.linalg.norm(z)) / s_norm) ** 2
+            eps = 2.0 * (r * math.sqrt(z.dot(z)) / s_norm) ** 2
         except OverflowError:  # so large a step diverges; the caller's check names the row
             eps = math.inf
-        np.add(x_i + eps * s_i, math.sqrt(2.0 * eps) * z, out=out)
-    return DiffusionState(x_new[0] if state.x.ndim == 1 else x_new, state.t)
+        np.multiply(s_i, eps, out=out)
+        out += x_i
+        z *= math.sqrt(2.0 * eps)
+        out += z
+    return DiffusionState(x_new, state.t)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises DivergenceError
@@ -257,27 +277,23 @@ def reverse_process(
     if bank is not None:
         bank.denoiser_state = den_state
 
-    x = y + plan.prior_std * _normal(rng, y.shape)
-    state = DiffusionState(x, params.T)
-
-    for n in range(params.N, 0, -1):
-        t_n, t_eval, guided = plan.t[n - 1], plan.t_eval[n - 1], plan.guided[n - 1]
+    state = DiffusionState(y + plan.prior_std * _normal(rng, np.empty(y.shape)), params.T)
+    states = None if bank is None else bank.score_states
+    columns = (plan.t, plan.t_eval, plan.g, plan.guided)
+    for n, t_n, t_eval, g, guided in zip(range(params.N, 0, -1), *map(reversed, columns)):
         for led in ledgers:
             led.record_branch(guided)
-        step_state_in = bank.score_states[n] if bank is not None else None
+        step_state_in = None if states is None else states[n]
         score, new_net_state = bound.evaluate(state.x, t_n, step_state_in, guided)
-        if bank is not None and new_net_state is not None:
-            bank.score_states[n] = new_net_state
-        state = predictor_step(
-            DiffusionState(state.x, t_n), y, score, params, plan.dt, rng, plan.g[n - 1]
-        )
+        if states is not None and new_net_state is not None:
+            states[n] = new_net_state
+        state = predictor_step(DiffusionState(state.x, t_n), y, score, params, plan.dt, rng, g)
         _check_finite(state.x, n, "predictor")
         for _ in range(config.corrector_steps):
             # the corrector re-reads the predictor's input net state; its end state is discarded
             score, _ = bound.evaluate(state.x, t_eval, step_state_in, guided)
-            state = corrector_step(
-                DiffusionState(state.x, t_eval), score, config.corrector_snr, rng, ledger
-            )
+            state = corrector_step(DiffusionState(state.x, t_eval), score, config.corrector_snr,
+                                   rng, ledger)
             _check_finite(state.x, n, "corrector")
 
     return state.x, ledger

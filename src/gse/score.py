@@ -107,7 +107,11 @@ def discriminative_score(
     v, a, rise = kernel_coefficients(t, params) if kernel is None else kernel
     if v <= 0.0:
         raise DomainError(f"variance({t}) = {v}; guided score undefined")
-    return (a * x_d + rise * y - x_t) / v
+    score = np.multiply(x_d, a)
+    score += np.multiply(y, rise)
+    score -= x_t
+    score /= v
+    return score
 
 
 @dataclass(frozen=True)

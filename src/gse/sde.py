@@ -19,6 +19,7 @@ var(0) = 0.  State vectors are float64 arrays, 1-D or stacked rows (B, L).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -63,6 +64,14 @@ def require_finite(config, *names: str) -> None:
     for name in names:
         if not math.isfinite(getattr(config, name)):
             raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
+
+
+def require_sample_rate(config) -> None:
+    """ConfigError unless ``config.sample_rate`` lies in [1, the largest float]."""
+    if not 1 <= config.sample_rate <= sys.float_info.max:  # past it, no float can hold it
+        got = str(config.sample_rate)
+        raise ConfigError(f"sample_rate must be in [1, {sys.float_info.max:g}], got "
+                          f"{got if len(got) <= 24 else f'a {len(got)}-digit number'}")
 
 
 def sample_count(config, name: str, samples: float) -> int:

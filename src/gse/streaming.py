@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 from .sampler import CostLedger, SamplerConfig, StepPlan, reverse_process
-from .sde import SdeParams, make_rng, require_finite, sample_count
+from .sde import SdeParams, make_rng, require_finite, require_sample_rate, sample_count
 
 __all__ = [
     "StreamConfig",
@@ -42,8 +42,7 @@ class StreamConfig:
         require_finite(self, "chunk_ms")
         if self.chunk_ms <= 0.0:
             raise ConfigError(f"chunk_ms must be positive, got {self.chunk_ms}")
-        if self.sample_rate < 1:
-            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        require_sample_rate(self)
         if self.chunk_size < 1:
             raise ConfigError("chunk shorter than one sample")
 

@@ -50,6 +50,12 @@ class TestMixSpec:
         with pytest.raises(ConfigError, match="duration_s = .* more than an array can hold"):
             MixSpec(duration_s=duration_s)
 
+    @pytest.mark.parametrize("rate, got", [(10**400, "a 401-digit number"), (0, "0")],
+                             ids=["401-digits", "zero"])
+    def test_sample_rate_outside_one_to_the_largest_float_rejected(self, rate, got):
+        with pytest.raises(ConfigError, match=f"sample_rate must be in .*, got {got}$"):
+            MixSpec(sample_rate=rate)
+
     def test_defaults_and_sample_count(self):
         spec = MixSpec()
         assert spec.n_samples == 4000

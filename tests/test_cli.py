@@ -365,6 +365,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("gse:") and "duration_s" in err and "more than an array" in err
 
+    @pytest.mark.parametrize("command", ["train", "sweep-nphi"])
+    def test_sample_rate_past_a_float_is_config_error(self, tmp_path, command, monkeypatch,
+                                                      capsys):
+        """A rate no float holds cannot multiply the duration: exit 2, not OverflowError."""
+        monkeypatch.setenv("GSE_THREADS", "1")
+        data = tmp_path / "mix.cfg"
+        data.write_text(f"sample_rate = 1{'0' * 400}\n")
+        den = tmp_path / "denoiser.npz"
+        save_checkpoint(den, DenoiserNet(frame_size=40, hidden=6, seed=1))
+        argv = (["train", "--role", "denoiser"] if command == "train" else
+                ["sweep-nphi", "--score-ckpt", tiny_score_ckpt(tmp_path / "score.npz", SdeParams()),
+                 "--denoiser-ckpt", den, "--n-phi-list", "0", "--seeds", "0", "--utterances", 1])
+        rc = run(*argv, "--out", tmp_path / "o", "--data-config", data)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("gse:") and "sample_rate" in err and "401-digit" in err
+
     def test_denoiser_blown_up_by_its_learning_rate_is_a_divergence(self, tmp_path, capsys):
         """Exit 3 without a numpy warning, even with warnings as errors."""
         data_cfg = tmp_path / "mix.cfg"

@@ -1,5 +1,6 @@
 """Network forwards, manual backprop vs. finite differences, losses, training."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from gse.nets import (
     ScoreNet,
     TimeEmbedding,
     TrainConfig,
+    _FrameBuffers,
     _pad_rows,
     denoiser_loss_and_grads,
     draw_matching_samples,
@@ -335,6 +337,22 @@ class TestFusedCell:
         np.testing.assert_array_equal(w_rec, np.hstack([0.5 * p["gate_u_u"], p["gate_c_u"]]))
         np.testing.assert_array_equal(b, np.concatenate([0.5 * p["gate_u_b"], p["gate_c_b"]]))
         assert all(a.ctypes.data % GATE_ALIGN == 0 for a in (w_in, w_rec, b))
+
+    @pytest.mark.parametrize("hidden", [6, 96])
+    @pytest.mark.parametrize("frames", [20, 71])
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_arena_arrays_are_aligned_and_disjoint(self, batch, frames, hidden):
+        """Each buffer set and each gate set is carved from one arena: every array starts on
+        GATE_ALIGN bytes and none overlaps another, at a forward's and a training span."""
+        gates = DenoiserNet(frame_size=40, hidden=hidden, seed=1).gate_weights()
+        sets = [gates] + [
+            [getattr(_FrameBuffers(hidden, 40, batch, span, 40), name) for name in
+             ("x", "pre", "dec", "cat", "G", "s0", "rec", "diff", "step", "scale", "shift")]
+            for span in (min(frames, FRAME_BLOCK), frames)]
+        for arrays in sets:
+            assert all(a.ctypes.data % GATE_ALIGN == 0 for a in arrays)
+            for a, b in itertools.combinations(arrays, 2):
+                assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("key, index", [
         ("gate_u_u", 7),  # the fused recurrent matrix

@@ -54,6 +54,88 @@ class _OracleDenoiser:
         return 0
 
 
+def _reference_normal(rng, shape):
+    if not isinstance(rng, list):
+        return rng.standard_normal(shape)
+    return np.array([r.standard_normal(shape[-1]) for r in rng])
+
+
+def _reference_predictor(x, y, score, params, dt, rng, g):
+    """The predictor as one expression; the in-place step must give its bits."""
+    return (x + (-(params.gamma * (y - x)) + g * g * score) * dt
+            + g * math.sqrt(dt) * _reference_normal(rng, x.shape))
+
+
+def _reference_corrector(x, score, r, rngs):
+    """The corrector's row loop with np.linalg.norm and one expression per row."""
+    x_new = np.atleast_2d(x).copy()
+    for x_i, s_i, rng_i, out in zip(np.atleast_2d(x), np.atleast_2d(score), rngs, x_new):
+        s_norm = float(np.linalg.norm(s_i))
+        if s_norm == 0.0:
+            continue
+        z = rng_i.standard_normal(s_i.shape)
+        try:
+            eps = 2.0 * (r * float(np.linalg.norm(z)) / s_norm) ** 2
+        except OverflowError:
+            eps = math.inf
+        np.add(x_i + eps * s_i, math.sqrt(2.0 * eps) * z, out=out)
+    return x_new.reshape(x.shape)
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["B=1", "rows=3"])
+class TestStepBits:
+    """The in-place steps reproduce their one-expression forms bit for bit, at B = 1 and
+    on rows, and write into no array they were given."""
+
+    @staticmethod
+    def rngs(rows, seed):
+        return make_rng(seed) if rows is None else [make_rng(seed + i) for i in range(rows)]
+
+    @staticmethod
+    def arrays(rows, seed, n=3):
+        return make_rng(seed).normal(size=(n, 800) if rows is None else (n, rows, 800))
+
+    def test_predictor(self, rows):
+        x, y, score = self.arrays(rows, 60)
+        given = [a.copy() for a in (x, y, score)]
+        g, dt = diffusion_coeff(0.5, P), P.T / P.N
+        got = predictor_step(DiffusionState(x, 0.5), y, score, P, dt, self.rngs(rows, 61), g)
+        want = _reference_predictor(x, y, score, P, dt, self.rngs(rows, 61), g)
+        assert got.x.tobytes() == want.tobytes()
+        for a, b in zip((x, y, score), given):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["plain", "zero", "overflow"])
+    def test_corrector(self, rows, kind):
+        """A zero-score row keeps its input, draws nothing and counts a skip; a score so
+        small that eps overflows leaves its row non-finite (the sampler then diverges)."""
+        x, score = self.arrays(rows, 62, 2)
+        odd = score if rows is None else score[1]  # the row of the given kind
+        odd *= {"plain": 1.0, "zero": 0.0, "overflow": 1e-160}[kind]
+        given = [a.copy() for a in (x, score)]
+        n = 1 if rows is None else rows
+        ledgers, rngs = [CostLedger() for _ in range(n)], [make_rng(63 + i) for i in range(n)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = corrector_step(DiffusionState(x, 0.4), score, 0.5,
+                                 rngs[0] if rows is None else rngs,
+                                 ledgers[0] if rows is None else ledgers)
+            want = _reference_corrector(x, score, 0.5, [make_rng(63 + i) for i in range(n)])
+        assert got.x.tobytes() == want.tobytes() and got.t == 0.4
+        for a, b in zip((x, score), given):
+            assert a.tobytes() == b.tobytes()
+        i = 0 if rows is None else 1
+        x_i, out_i = np.atleast_2d(x)[i], np.atleast_2d(got.x)[i]
+        assert [led.corrector_evals for led in ledgers] == [1] * n
+        assert [led.corrector_skips for led in ledgers] == [int(k == i and kind == "zero")
+                                                            for k in range(n)]
+        if kind == "zero":
+            assert out_i.tobytes() == x_i.tobytes() and not np.shares_memory(got.x, x)
+            np.testing.assert_array_equal(rngs[i].standard_normal(3),
+                                          make_rng(63 + i).standard_normal(3))
+        assert np.isfinite(out_i).all() == (kind != "overflow")
+        assert np.isfinite(np.delete(np.atleast_2d(got.x), i, axis=0)).all()
+
+
 class TestPredictorStep:
     def test_zero_score_zero_noise_is_pure_drift_reversal(self):
         rng = make_rng(0)
@@ -226,6 +308,31 @@ class TestReverseProcess:
             DivergenceError, match=r"after the predictor at step n=30 in rows \[1\]$"
         ):
             reverse_process(np.zeros((3, 4)), provider, None, SamplerConfig(), P, rngs)
+
+    @staticmethod
+    def fixed_score(value):
+        """An oracle provider whose every evaluation returns rows [1, value, 1] * ones."""
+        class Fixed(AnalyticGaussianScore):
+            def bind(self, y, ledger, plan, denoiser_state=None):
+                bound, st = super().bind(y, ledger, plan, denoiser_state)
+                bound.evaluate = lambda x, t, s, g: (np.ones_like(x) * [[1.0], [value], [1.0]], s)
+                return bound, st
+
+        return Fixed(GaussianPrior(1.0, 0.04), P)
+
+    def test_corrector_step_overflow_is_a_divergence(self):
+        """A score so small that the corrector's eps overflows leaves a non-finite row."""
+        rngs = [make_rng(i) for i in range(3)]
+        with pytest.raises(DivergenceError, match=r"after the corrector at step n=30 in rows \[1\]$"):
+            reverse_process(np.zeros((3, 8)), self.fixed_score(1e-160), None, SamplerConfig(), P,
+                            rngs)
+
+    def test_a_huge_finite_state_is_no_divergence(self):
+        """Squares past the float range overflow the finite check's fast path, not the run."""
+        y = np.full((3, 8), 1e200)
+        x, _ = reverse_process(y, self.fixed_score(0.0), None, SamplerConfig(), P,
+                               [make_rng(i) for i in range(3)])
+        assert np.isfinite(x).all() and np.abs(x).min() > 1e199
 
     def test_rows_draw_from_their_own_generators(self):
         """Row i of a batch draws what a run of it alone draws, whatever the other rows."""

@@ -25,7 +25,7 @@ from gse.score import (
     guided_step_count,
     switch_time_for_count,
 )
-from gse.sde import SdeParams, make_rng, perturb, std, variance
+from gse.sde import SdeParams, kernel_coefficients, make_rng, perturb, std, variance
 
 P = SdeParams()
 
@@ -45,6 +45,20 @@ class TestOracleIdentity:
             s = discriminative_score(x_t, y, t, x0, p)
             worst = max(worst, float(np.max(np.abs(s + z / std(t, p)))))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(800,), (3, 800)], ids=["B=1", "rows=3"])
+    @pytest.mark.parametrize("t", [P.t_eps, 0.5, P.T])
+    def test_bits_of_the_one_expression_form(self, shape, t):
+        """The in-place score gives the bits of (a x_d + rise y - x_t) / v and writes into
+        none of its inputs, with the kernel given or computed."""
+        x_t, y, x_d = make_rng(44).normal(size=(3, *shape))
+        given = [a.copy() for a in (x_t, y, x_d)]
+        v, a, rise = kernel = kernel_coefficients(t, P)
+        want = ((a * x_d + rise * y - x_t) / v).tobytes()
+        assert discriminative_score(x_t, y, t, x_d, P, kernel).tobytes() == want
+        assert discriminative_score(x_t, y, t, x_d, P).tobytes() == want
+        for arr, kept in zip((x_t, y, x_d), given):
+            assert arr.tobytes() == kept.tobytes()
 
     def test_rejects_times_outside_window(self):
         x = np.zeros(4)

@@ -57,6 +57,10 @@ class TestStreamConfig:
         with pytest.raises(ConfigError, match="chunk_ms = .* more than an array can hold"):
             StreamConfig(chunk_ms=chunk_ms, sample_rate=sample_rate)
 
+    def test_sample_rate_past_the_largest_float_rejected(self):
+        with pytest.raises(ConfigError, match="sample_rate .* got a 401-digit number"):
+            StreamConfig(sample_rate=10**400)
+
 
 class TestHistoryBank:
     def test_fresh_bank_has_one_zero_state_per_grid_step(self):
