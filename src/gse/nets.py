@@ -173,8 +173,8 @@ class _FrameBuffers:
                 self.pre, self.dec, self.G, self.rec) = _aligned_empty(
             (rows, d), (span_rows, 2 * H), *[(bp, 2 * H)] * 5, (rows, H), (rows, F),
             (span_rows, 2 * H), (bp, 2 * H))
-        for a, value in zip(made, (0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5)):
-            a.fill(value)
+        for a in made[:5]:  # x, cat, s0, diff and step start zeroed
+            a.fill(0.0)
         # s0 = [0 | initial state], a frame -1 for the cell; diff's flat lanes H.. hold
         # c - s; step = [u * (c - s) | unread]; rec holds a frame's recurrent product
         self.x_frames = self.x[: block * bp].reshape(block, bp, d)
@@ -183,6 +183,7 @@ class _FrameBuffers:
         self.cat_frames = self.cat[: span * bp].reshape(span, bp, 2 * H)
         self.G_frames = self.G[: span * bp].reshape(span, bp, 2 * H)
         # u = (tanh + 1) / 2 as tanh * 0.5 + 0.5, the same bits; c = tanh * 1 + -0.0 = tanh
+        self.scale[:, :H], self.shift[:, :H] = 0.5, 0.5
         self.scale[:, H:], self.shift[:, H:] = 1.0, -0.0
         run = (2 * bp - 1) * H
         # per frame as one flat run; iterating an array's first axis slices it cheaply

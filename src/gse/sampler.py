@@ -192,7 +192,7 @@ def predictor_step(
         g = diffusion_coeff(t, params)
     x_new = np.subtract(y, x)
     x_new *= params.gamma  # the drift f(x, y)
-    work = np.multiply(score, g * g, dtype=np.float64)  # then holds the draw
+    work = np.multiply(score, g * g, dtype=np.float64)  # float64: it then holds the draw
     np.subtract(work, x_new, out=x_new)
     x_new *= dt
     x_new += x
