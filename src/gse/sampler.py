@@ -142,9 +142,9 @@ class StepPlan:
                    gain, emb)
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """(L,) or (B, L) as a (B, L) view."""
-    return a[None] if a.ndim == 1 else a
+def _rows(a: np.ndarray):
+    """The rows of (L,) or (B, L) ``a``: (a,) or a."""
+    return (a,) if a.ndim == 1 else a
 
 
 def _normal(rng, out: np.ndarray) -> np.ndarray:
@@ -185,8 +185,8 @@ def predictor_step(
     t = state.t
     if dt <= 0.0 or t - dt < -1e-12:
         raise DomainError(f"cannot step by dt={dt} from t={t}")
-    x = state.x
-    if x.shape != np.shape(y) or x.shape != np.shape(score):
+    x, y, score = state.x, np.asarray(y), np.asarray(score)
+    if x.shape != y.shape or x.shape != score.shape:
         raise DimensionError("state, condition and score must share one shape")
     if g is None:
         g = diffusion_coeff(t, params)
