@@ -151,7 +151,10 @@ def synthesize_pair(spec: MixSpec) -> tuple[Signal, Signal]:
     if p_noise == 0.0:
         raise DomainError("degenerate zero noise draw")
     # closed-form scaling: ||x0||^2 / ||alpha * noise||^2 == 10^(snr/10)
-    alpha = math.sqrt(p_clean / (p_noise * 10.0 ** (spec.snr_db / 10.0)))
+    try:  # past about +-3000 dB, 10^(snr/10) overflows or underflows to 0
+        alpha = math.sqrt(p_clean / (p_noise * 10.0 ** (spec.snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"snr_db = {spec.snr_db} puts the noise scale past a float") from exc
     return Signal(x0, spec.sample_rate), Signal(x0 + alpha * noise, spec.sample_rate)
 
 

@@ -113,8 +113,7 @@ GATE_ALIGN = 64
 
 
 def _aligned_empty(*shapes: tuple) -> list[np.ndarray]:
-    """Uninitialised float64 arrays of ``shapes``, carved in order from one block (an
-    arena), each starting on GATE_ALIGN bytes."""
+    """Uninitialised float64 arrays of ``shapes`` from one block, each on GATE_ALIGN bytes."""
     lane = GATE_ALIGN // 8
     sizes = [math.prod(shape) for shape in shapes]
     raw = np.empty(sum(sizes) + lane * len(shapes))  # room to pad each start to a lane

@@ -20,13 +20,12 @@ row i's bits do not depend on its batch-mates or position, on each OpenBLAS
 kernel family (see ``gse.nets`` on padding), and stay within rounding
 (~5e-16) of its solo run.
 
-Arithmetic.  A grid step runs, left to right: the score s at (x, t_n); the
-predictor ((g^2 s) - gamma (y - x)) dt + x + (g sqrt(dt)) z; a finite check;
-per corrector, the score at the new state, per row eps = 2 (r ||z|| / ||s||)^2
-(norms as sqrt(v . v)) and (eps s + x) + sqrt(2 eps) z, and a finite check.
-Each runs in place, rounding as its one-line form (s - d is exactly -(d) + s),
-on arrays made in that call: a step writes into no state, score, y or x_d it
-is given, and returns fresh arrays.
+Arithmetic.  A grid step runs, left to right: the score s at (x, t_n), the
+predictor ((g^2 s) - gamma (y - x)) dt + x + (g sqrt(dt)) z, a finite check,
+and per corrector the score at the new state, per row eps = 2 (r ||z|| / ||s||)^2
+(norms sqrt(v . v)) and (eps s + x) + sqrt(2 eps) z, and a finite check.  Each
+runs in place on arrays made in that call, rounding as its one-line form:
+no step writes into a state, score, y or x_d it is given.
 
 Every score-model forward, denoiser forward, branch decision and analytic MAC
 count lands in a ``CostLedger``; for a provider with both nets the totals obey

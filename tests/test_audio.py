@@ -56,6 +56,12 @@ class TestMixSpec:
         with pytest.raises(ConfigError, match=f"sample_rate must be in .*, got {got}$"):
             MixSpec(sample_rate=rate)
 
+    @pytest.mark.parametrize("snr_db", [1e300, -1e300])
+    def test_snr_past_the_float_range_is_a_config_error(self, snr_db):
+        """10^(snr/10) overflows, or underflows to a zero divisor: not a traceback."""
+        with pytest.raises(ConfigError, match="snr_db = .* past a float"):
+            synthesize_pair(MixSpec(snr_db=snr_db))
+
     def test_defaults_and_sample_count(self):
         spec = MixSpec()
         assert spec.n_samples == 4000

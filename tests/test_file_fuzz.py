@@ -201,7 +201,8 @@ field_ops = st.lists(st.tuples(st.sampled_from(["value", "drop", "duplicate", "l
 @given(data=st.data())
 def test_mutated_file_exits_only_0_2_or_3(files, kind, data):
     d, readers, originals = files
-    original = data.draw(st.sampled_from(originals[kind]), label="original")
+    original = originals[kind][data.draw(st.integers(0, len(originals[kind]) - 1),
+                                         label="original")]
     if data.draw(st.booleans(), label="field mutation"):
         mutated = FIELD_MUTATORS[kind](original, data.draw(field_ops, label="field ops"))
     else:
