@@ -62,6 +62,8 @@ def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def _aligned(shape: tuple) -> np.ndarray:
+    """A 64-byte-aligned float64 array; the kernel uses nothing of ``gse``, so that it stays
+    the same across revisions."""
     raw = np.empty(int(np.prod(shape)) + 8)
     start = (-raw.ctypes.data % 64) // 8
     return raw[start : start + raw.size - 8].reshape(shape)

@@ -42,16 +42,15 @@ weights (``gate_weights``, ``condition``) live with the caller, a bind or a
 training step, never on the net: in-place weight edits show in the next bind.
 
 Scratch memory.  A forward's buffers are frame-major, (frames, rows,
-features), so a frame's rows form one contiguous block.  A buffer set is
-carved from one arena (one allocation), and so is a set of fused gates,
-each array on GATE_ALIGN bytes.  The score net's conditioning, made once per
-bind (``ScoreProvider.bind``), holds the fused gates and one buffer set for
-y's shape, so the score forwards of a stream chunk's or an offline request's
-reverse pass share them.  The denoiser's one forward per bind, and every
-training forward (``need_cache``: its buffers span all frames), makes its
-own.  Nothing a forward returns is reused: its output, the score (raw output
-times the gain) and the new state are fresh arrays
-(``tests/test_score.py::TestEvaluationScratch``).
+features), so a frame's rows form one contiguous block.  A forward's buffers
+and fused gates are carved from one arena, each on GATE_ALIGN bytes: one
+allocation per bind.  The score net's conditioning, made once per bind
+(``ScoreProvider.bind``), holds one such set for y's shape, which the score
+forwards of a chunk's or a request's reverse pass share.  The denoiser's one
+forward per bind, and every training forward (``need_cache``: its buffers
+span all frames), makes its own.  Nothing a forward returns is reused: its
+output, the score (raw output times the gain) and the new state are fresh
+arrays (``tests/test_score.py::TestEvaluationScratch``).
 ``backward`` copies the frame-major cache back to batch-major, so that its
 reductions sum rows in batch order.
 
@@ -117,8 +116,7 @@ def _aligned_empty(*shapes: tuple) -> list[np.ndarray]:
     lane = GATE_ALIGN // 8
     sizes = [math.prod(shape) for shape in shapes]
     raw = np.empty(sum(sizes) + lane * len(shapes))  # room to pad each start to a lane
-    start = (-raw.__array_interface__["data"][0] % GATE_ALIGN) // 8
-    out = []
+    out, start = [], (-raw.__array_interface__["data"][0] % GATE_ALIGN) // 8
     for shape, n in zip(shapes, sizes):
         out.append(raw[start : start + n].reshape(shape))
         start += n + (-n % lane)
@@ -143,6 +141,14 @@ def _pad_rows(x: np.ndarray) -> np.ndarray:
     return padded
 
 
+def _fuse_gates(p: dict, H: int, out) -> tuple:
+    """Write [0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias) into ``out``."""
+    for k, fused in zip("wub", out):
+        np.multiply(p[f"gate_u_{k}"], 0.5, out=fused[..., :H])
+        fused[..., H:] = p[f"gate_c_{k}"]
+    return tuple(out)
+
+
 class _FrameBuffers:
     """The scratch of one forward shape: B rows, blocks of up to ``span`` frames, encoder
     input width d, for a net of hidden width H and frame size F.
@@ -152,7 +158,8 @@ class _FrameBuffers:
     [tanh(encoder) | new state] rows, ``G`` their gates (the input half, then
     in place [update | candidate]); ``x``, ``pre`` and ``dec`` hold one block.
     Pad rows of ``x`` stay zero; rows past a short last block keep the block
-    before's values, which no kept row reads.
+    before's values, which no kept row reads.  ``gates`` is room for the fused
+    gates (``_fuse_gates``), so that one arena holds a forward's scratch.
 
     ``steps`` holds each frame's views, sliced once: the gate block, its flat
     runs without the last and without the first H lanes, the previous state,
@@ -169,13 +176,12 @@ class _FrameBuffers:
         block = min(span, FRAME_BLOCK)
         rows, span_rows = _padded(block * bp), _padded(span * bp)
         made = (self.x, self.cat, self.s0, self.diff, self.step, self.scale, self.shift,
-                self.pre, self.dec, self.G, self.rec) = _aligned_empty(
+                self.pre, self.dec, self.G, self.rec, *self.gates) = _aligned_empty(
             (rows, d), (span_rows, 2 * H), *[(bp, 2 * H)] * 5, (rows, H), (rows, F),
-            (span_rows, 2 * H), (bp, 2 * H))
+            (span_rows, 2 * H), (bp, 2 * H), (H, 2 * H), (H, 2 * H), (2 * H,))
         for a in made[:5]:  # x, cat, s0, diff and step start zeroed
             a.fill(0.0)
-        # s0 = [0 | initial state], a frame -1 for the cell; diff's flat lanes H.. hold
-        # c - s; step = [u * (c - s) | unread]; rec holds a frame's recurrent product
+        # s0 = [0 | initial state], a frame -1; diff's lanes H.. hold c - s; step = [u (c - s) | -]
         self.x_frames = self.x[: block * bp].reshape(block, bp, d)
         self.pre_frames = self.pre[: block * bp].reshape(block, bp, H)
         self.dec_frames = self.dec[: block * bp].reshape(block, bp, F)
@@ -292,12 +298,8 @@ class _FrameNet:
 
     def gate_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias), GATE_ALIGN-ed."""
-        p, H = self.params, self.hidden
-        out = tuple(_aligned_empty(*(p[f"gate_c_{k}"].shape[:-1] + (2 * H,) for k in "wub")))
-        for k, fused in zip("wub", out):
-            np.multiply(p[f"gate_u_{k}"], 0.5, out=fused[..., :H])
-            fused[..., H:] = p[f"gate_c_{k}"]
-        return out
+        H = self.hidden
+        return _fuse_gates(self.params, H, _aligned_empty((H, 2 * H), (H, 2 * H), (2 * H,)))
 
     def forward_frames(self, x: np.ndarray, enc: tuple, state, need_cache: bool,
                        gates=None, inputs=None, buf: _FrameBuffers | None = None):
@@ -306,8 +308,8 @@ class _FrameNet:
 
         The encoder pre-activation is x @ enc_w[:d] plus each ``enc`` term,
         (H,) or frame-major (R, B, H): what the caller made once for many calls.
-        ``gates`` defaults to ``gate_weights()``; ``inputs``, the encoder's
-        input blocks in ``enc_w`` row order, default to (x,) for ``backward``.
+        ``gates`` defaults to the fused gates, written into the buffers' arena;
+        ``inputs``, the encoder's input blocks in ``enc_w`` row order, to (x,).
         The scratch is ``buf``, buffers of x's shape that a conditioning holds
         for its forwards; without it, or with ``need_cache``, it is made here.
         ``out`` and the state are fresh arrays.
@@ -333,7 +335,7 @@ class _FrameNet:
         H = self.hidden
         if need_cache or buf is None:
             buf = _FrameBuffers(H, self.frame_size, B, R if need_cache else min(R, FRAME_BLOCK), d)
-        w_in, w_rec, b_g = self.gate_weights() if gates is None else gates
+        w_in, w_rec, b_g = _fuse_gates(p, H, buf.gates) if gates is None else gates
         w_x, dec_w = p["enc_w"][:d], p["dec_w"]  # a row block of a C-contiguous array: a view
         buf.s0[:B, H:] = 0.0 if state is None else state
         out = np.empty((B, R, self.frame_size))
@@ -432,7 +434,7 @@ class _Conditioning(NamedTuple):
     y_term: np.ndarray  # (R, B, H): y @ W_y, frame-major as the forward reads it
     t_terms: np.ndarray  # (K, H): emb(t) @ W_t + enc_b, one row per time
     gains: list | None  # 1/std(t), one per time
-    gates: tuple  # _FrameNet.gate_weights()
+    gates: tuple | None  # the fused gates, in buf's arena; None without gains
     buf: _FrameBuffers | None  # the forwards' scratch for y's shape; None without gains
 
 
@@ -469,16 +471,17 @@ class ScoreNet(_FrameNet):
         return self.emb.embed([self.sde_params.clamp(t) for t in ts])
 
     def condition(self, y, emb_rows: np.ndarray, gains=None) -> _Conditioning:
-        """y's and the times' encoder terms, one padded matmul each, the fused gates and,
-        with ``gains``, the forward buffers for y's shape: what a bind makes once for all
-        of its score forwards.  A training forward (no gains) makes its own buffers."""
+        """y's and the times' encoder terms, one padded matmul each, and with ``gains`` the
+        forward buffers for y's shape and the fused gates in their arena: what a bind makes
+        once for all of its score forwards.  A training forward (no gains) makes its own."""
         F, w = self.frame_size, self.params["enc_w"]
         yf = _frames(np.atleast_2d(y), F)
         B, R, _ = yf.shape
         y_term = (_pad_rows(yf.swapaxes(0, 1)) @ w[F : 2 * F])[: B * R].reshape(R, B, -1)
         t_terms = (_pad_rows(emb_rows) @ w[2 * F :])[: len(emb_rows)] + self.params["enc_b"]
         buf = None if gains is None else _FrameBuffers(self.hidden, F, B, min(R, FRAME_BLOCK), F)
-        return _Conditioning(y_term, t_terms, gains, self.gate_weights(), buf)
+        gates = None if buf is None else _fuse_gates(self.params, self.hidden, buf.gates)
+        return _Conditioning(y_term, t_terms, gains, gates, buf)
 
     def raw_batch(self, x_t, y, ts, states=None, need_cache=False):
         """Pre-gain output on a (B, L) batch; returns (raw, states, cache)."""

@@ -20,12 +20,11 @@ row i's bits do not depend on its batch-mates or position, on each OpenBLAS
 kernel family (see ``gse.nets`` on padding), and stay within rounding
 (~5e-16) of its solo run.
 
-Arithmetic.  A grid step runs, left to right: the score s at (x, t_n), the
-predictor ((g^2 s) - gamma (y - x)) dt + x + (g sqrt(dt)) z, a finite check,
-and per corrector the score at the new state, per row eps = 2 (r ||z|| / ||s||)^2
-(norms sqrt(v . v)) and (eps s + x) + sqrt(2 eps) z, and a finite check.  Each
-runs in place on arrays made in that call, rounding as its one-line form:
-no step writes into a state, score, y or x_d it is given.
+Arithmetic.  A grid step runs the score s, the predictor ((g^2 s) - gamma (y - x)) dt
++ x + (g sqrt(dt)) z, a finite check, and per corrector a score, eps = 2 (r |z| / |s|)^2
+per row (|v| = sqrt(v . v)), (eps s + x) + sqrt(2 eps) z and a finite check; each in place,
+left to right, on arrays made in that call, so it rounds as the one-line form and writes
+into no state, score, y or x_d it is given.
 
 Every score-model forward, denoiser forward, branch decision and analytic MAC
 count lands in a ``CostLedger``; for a provider with both nets the totals obey
@@ -147,8 +146,7 @@ def _rows(a: np.ndarray):
 
 
 def _normal(rng, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with standard-normal draws; from a list of generators, row i draws
-    from rng[i]."""
+    """Fill ``out`` with standard-normal draws; from a list of generators, row i from rng[i]."""
     if not isinstance(rng, (list, tuple)):
         return rng.standard_normal(out=out)
     rows = _rows(out)
@@ -277,15 +275,14 @@ def reverse_process(
         bank.denoiser_state = den_state
 
     state = DiffusionState(y + plan.prior_std * _normal(rng, np.empty(y.shape)), params.T)
-    states = None if bank is None else bank.score_states
     columns = (plan.t, plan.t_eval, plan.g, plan.guided)
     for n, t_n, t_eval, g, guided in zip(range(params.N, 0, -1), *map(reversed, columns)):
         for led in ledgers:
             led.record_branch(guided)
-        step_state_in = None if states is None else states[n]
+        step_state_in = bank.score_states[n] if bank is not None else None
         score, new_net_state = bound.evaluate(state.x, t_n, step_state_in, guided)
-        if states is not None and new_net_state is not None:
-            states[n] = new_net_state
+        if bank is not None and new_net_state is not None:
+            bank.score_states[n] = new_net_state
         state = predictor_step(DiffusionState(state.x, t_n), y, score, params, plan.dt, rng, g)
         _check_finite(state.x, n, "predictor")
         for _ in range(config.corrector_steps):

@@ -19,7 +19,6 @@ var(0) = 0.  State vectors are float64 arrays, 1-D or stacked rows (B, L).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -68,9 +67,10 @@ def require_finite(config, *names: str) -> None:
 
 def require_sample_rate(config) -> None:
     """ConfigError unless ``config.sample_rate`` lies in [1, the largest float]."""
-    if not 1 <= config.sample_rate <= sys.float_info.max:  # past it, no float can hold it
+    top = float(np.finfo(float).max)  # a Python float: an int past it compares, not converts
+    if not 1 <= config.sample_rate <= top:
         got = str(config.sample_rate)
-        raise ConfigError(f"sample_rate must be in [1, {sys.float_info.max:g}], got "
+        raise ConfigError(f"sample_rate must be in [1, {top:g}], got "
                           f"{got if len(got) <= 24 else f'a {len(got)}-digit number'}")
 
 

@@ -342,13 +342,15 @@ class TestFusedCell:
     @pytest.mark.parametrize("frames", [20, 71])
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_arena_arrays_are_aligned_and_disjoint(self, batch, frames, hidden):
-        """Each buffer set and each gate set is carved from one arena: every array starts on
-        GATE_ALIGN bytes and none overlaps another, at a forward's and a training span."""
+        """A forward's buffers and the room for its fused gates are carved from one arena, and
+        ``gate_weights`` from another: every array starts on GATE_ALIGN bytes and none overlaps
+        another, at a forward's and at a training span."""
         gates = DenoiserNet(frame_size=40, hidden=hidden, seed=1).gate_weights()
+        names = ("x", "pre", "dec", "cat", "G", "s0", "rec", "diff", "step", "scale", "shift")
         sets = [gates] + [
-            [getattr(_FrameBuffers(hidden, 40, batch, span, 40), name) for name in
-             ("x", "pre", "dec", "cat", "G", "s0", "rec", "diff", "step", "scale", "shift")]
-            for span in (min(frames, FRAME_BLOCK), frames)]
+            [getattr(buf, name) for name in names] + list(buf.gates)
+            for buf in (_FrameBuffers(hidden, 40, batch, span, 40)
+                        for span in (min(frames, FRAME_BLOCK), frames))]
         for arrays in sets:
             assert all(a.ctypes.data % GATE_ALIGN == 0 for a in arrays)
             for a, b in itertools.combinations(arrays, 2):
