@@ -17,7 +17,9 @@ seeds:
   field of ``LearnedScore``, ``HybridScore``, ``DiscriminativeScore`` and
   ``AnalyticGaussianScore`` at each n_phi in {0, 12, 30} the provider can run,
   whole-signal (``offline``), through ``StreamEnhancer`` in 50 ms chunks with
-  each chunk's ledger (``stream``), and as one 3-row batch (``rows3``);
+  each chunk's ledger (``stream``), and as one 3-row batch (``rows3``), and of
+  ``skip``, a ``LearnedScore`` whose score net has a zero decoder, so that its
+  score is zero and every corrector step skips and draws nothing;
 * ``train/<role>``: a short ``train_score`` or ``train_denoiser`` curve,
   the trained weights, and the name and bytes of every array that
   ``save_checkpoint`` writes for the trained net (the zip container also
@@ -64,11 +66,15 @@ def _nets():
 
 def _providers(score, denoiser) -> dict:
     """name -> (provider, the n_phi values it can run)."""
+    silent, _ = _nets()
+    for key in ("dec_w", "dec_b"):
+        silent.params[key][...] = 0.0
     return {
         "learned": (gse.LearnedScore(score, PARAMS), (0,)),
         "hybrid": (gse.HybridScore(score, denoiser, PARAMS), N_PHI),
         "discriminative": (gse.DiscriminativeScore(denoiser, PARAMS), (PARAMS.N,)),
         "analytic": (gse.AnalyticGaussianScore(gse.GaussianPrior(0.0, 0.04), PARAMS), (0,)),
+        "skip": (gse.LearnedScore(silent, PARAMS), (0,)),
     }
 
 

@@ -42,15 +42,19 @@ weights (``gate_weights``, ``condition``) live with the caller, a bind or a
 training step, never on the net: in-place weight edits show in the next bind.
 
 Scratch memory.  A forward's buffers are frame-major, (frames, rows,
-features), so a frame's rows form one contiguous block.  A forward's buffers
-and fused gates are carved from one arena, each on GATE_ALIGN bytes: one
-allocation per bind.  The score net's conditioning, made once per bind
-(``ScoreProvider.bind``), holds one such set for y's shape, which the score
-forwards of a chunk's or a request's reverse pass share.  The denoiser's one
-forward per bind, and every training forward (``need_cache``: its buffers
-span all frames), makes its own.  Nothing a forward returns is reused: its
-output, the score (raw output times the gain) and the new state are fresh
-arrays (``tests/test_score.py::TestEvaluationScratch``).
+features), so a frame's rows form one contiguous block.  A forward's buffers,
+fused gates and bias tiles (a block's rows of the gate bias and of dec_b: a
+same-shape add is twice as fast as a row's broadcast) come from one arena,
+each on GATE_ALIGN bytes: one allocation per bind.  The score net's
+conditioning, made once per bind (``ScoreProvider.bind``), holds one such set
+for y's shape, which the score forwards of a chunk's or a request's reverse
+pass share.  The denoiser's one forward per bind, and every training forward
+(``need_cache``: its buffers span all frames), makes its own.  Nothing a
+forward returns is reused: its output, the score (raw output times the gain)
+and the new state are fresh arrays (``tests/test_score.py::TestEvaluationScratch``).
+A one-row state product runs through ``np.dot``, the same gemv without matmul's
+ufunc set-up (2.7 against 3.0 us at H = 160, equal bits); block products and
+padded state rows stay on ``np.matmul``, where ``np.dot`` ran 1-7 % slower.
 ``backward`` copies the frame-major cache back to batch-major, so that its
 reductions sum rows in batch order.
 
@@ -142,24 +146,27 @@ def _pad_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _fuse_gates(p: dict, H: int, out) -> tuple:
-    """Write [0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias) into ``out``."""
+    """Write [0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias; into each row
+    of a tile) into ``out``, and dec_b into each row of its fourth array if there is one."""
     for k, fused in zip("wub", out):
         np.multiply(p[f"gate_u_{k}"], 0.5, out=fused[..., :H])
         fused[..., H:] = p[f"gate_c_{k}"]
+    for tile in out[3:]:
+        tile[...] = p["dec_b"]
     return tuple(out)
 
 
 class _FrameBuffers:
-    """The scratch of one forward shape: B rows, blocks of up to ``span`` frames, encoder
-    input width d, for a net of hidden width H and frame size F.
+    """The scratch of one forward shape of ``net`` (hidden width H, frame size F): B rows,
+    blocks of up to ``span`` frames, encoder input width d.
 
     A frame's B rows are padded to ``bp`` (``_state_rows``) and a block's
     rows to a multiple of ROW_ALIGN.  ``cat`` holds all ``span`` frames as
     [tanh(encoder) | new state] rows, ``G`` their gates (the input half, then
     in place [update | candidate]); ``x``, ``pre`` and ``dec`` hold one block.
     Pad rows of ``x`` stay zero; rows past a short last block keep the block
-    before's values, which no kept row reads.  ``gates`` is room for the fused
-    gates (``_fuse_gates``), so that one arena holds a forward's scratch.
+    before's values, which no kept row reads.  ``gates`` holds the fused gates,
+    the bias as a block's rows, and dec_b's tile, written from net's weights.
 
     ``steps`` holds each frame's views, sliced once: the gate block, its flat
     runs without the last and without the first H lanes, the previous state,
@@ -171,14 +178,15 @@ class _FrameBuffers:
     cache, whose previous state is ``cat``'s frame span - 1.
     """
 
-    def __init__(self, H: int, F: int, batch: int, span: int, d: int):
+    def __init__(self, net, batch: int, span: int, d: int):
+        H, F = net.hidden, net.frame_size
         self.bp = bp = _state_rows(batch)
         block = min(span, FRAME_BLOCK)
         rows, span_rows = _padded(block * bp), _padded(span * bp)
         made = (self.x, self.cat, self.s0, self.diff, self.step, self.scale, self.shift,
                 self.pre, self.dec, self.G, self.rec, *self.gates) = _aligned_empty(
             (rows, d), (span_rows, 2 * H), *[(bp, 2 * H)] * 5, (rows, H), (rows, F),
-            (span_rows, 2 * H), (bp, 2 * H), (H, 2 * H), (H, 2 * H), (2 * H,))
+            (span_rows, 2 * H), (bp, 2 * H), (H, 2 * H), (H, 2 * H), (rows, 2 * H), (rows, F))
         for a in made[:5]:  # x, cat, s0, diff and step start zeroed
             a.fill(0.0)
         # s0 = [0 | initial state], a frame -1; diff's lanes H.. hold c - s; step = [u (c - s) | -]
@@ -201,6 +209,7 @@ class _FrameBuffers:
         self.first = (*self.steps[0][:3], s_new[-1], cat_runs[-1, H:], s_new[0])
         self.diff_hi = self.diff.reshape(-1)[H:]
         self.step_lo, self.step_u = self.step.reshape(-1)[:run], self.step[:, :H]
+        _fuse_gates(net.params, H, self.gates)
 
 
 class TimeEmbedding:
@@ -301,29 +310,29 @@ class _FrameNet:
         H = self.hidden
         return _fuse_gates(self.params, H, _aligned_empty((H, 2 * H), (H, 2 * H), (2 * H,)))
 
-    def forward_frames(self, x: np.ndarray, enc: tuple, state, need_cache: bool,
-                       gates=None, inputs=None, buf: _FrameBuffers | None = None):
+    def forward_frames(self, x: np.ndarray, enc: tuple, state, need_cache: bool, inputs=None,
+                       buf: _FrameBuffers | None = None):
         """x: (B, R, d) frames, state: (B, H), (H,) or None for zeros
         -> (out (B, R*F), state (B, H), cache).
 
         The encoder pre-activation is x @ enc_w[:d] plus each ``enc`` term,
         (H,) or frame-major (R, B, H): what the caller made once for many calls.
-        ``gates`` defaults to the fused gates, written into the buffers' arena;
-        ``inputs``, the encoder's input blocks in ``enc_w`` row order, to (x,).
-        The scratch is ``buf``, buffers of x's shape that a conditioning holds
-        for its forwards; without it, or with ``need_cache``, it is made here.
-        ``out`` and the state are fresh arrays.
+        ``inputs``, the encoder's input blocks in ``enc_w`` row order, default
+        to (x,).  The scratch is ``buf``, buffers of x's shape holding the
+        fused gates and bias tiles that a conditioning wrote for its forwards;
+        without it, or with ``need_cache``, it is made and written here from
+        the current weights.  ``out`` and the state are fresh arrays.
 
         One path for training and inference.  Per block of FRAME_BLOCK frames,
-        the encoder, the gates' input half (bias folded in) and the decoder
-        are one matmul each, on rows zero-padded to a multiple of ROW_ALIGN;
-        per frame run one (B, H) @ (H, 2H) product with the fused recurrent
-        half, on B rows padded to STATE_ALIGN from two rows on, and one tanh
-        over [update | candidate] (the update half carries sigmoid's exact
-        1/2).  A padded matmul rounds each row the same whatever rows surround
-        it (a BLAS property, guarded by ``TestRowInvariance``), so a chunked
-        forward with threaded state is bit-identical to the whole-signal
-        forward however chunks cut frames.
+        the encoder, the gates' input half and the decoder are one ``np.matmul``
+        each, on rows zero-padded to a multiple of ROW_ALIGN, plus a bias tile;
+        per frame run one (B, H) @ (H, 2H) product with the fused recurrent half
+        (``np.dot`` for one row, else ``np.matmul`` on B rows padded to
+        STATE_ALIGN) and one tanh over [update | candidate] (the update half
+        carries sigmoid's exact 1/2).  A padded matmul rounds each row the same
+        whatever rows surround it (a BLAS property, guarded by
+        ``TestRowInvariance``), so a chunked forward with threaded state is
+        bit-identical to the whole-signal forward however chunks cut frames.
 
         The encoder writes tanh(h) into ``cat``'s left half, the cell writes
         each new state into its right half, and the decoder reads ``cat`` as
@@ -334,8 +343,8 @@ class _FrameNet:
         B, R, d = x.shape
         H = self.hidden
         if need_cache or buf is None:
-            buf = _FrameBuffers(H, self.frame_size, B, R if need_cache else min(R, FRAME_BLOCK), d)
-        w_in, w_rec, b_g = _fuse_gates(p, H, buf.gates) if gates is None else gates
+            buf = _FrameBuffers(self, B, R if need_cache else min(R, FRAME_BLOCK), d)
+        w_in, w_rec, b_g, b_dec = buf.gates
         w_x, dec_w = p["enc_w"][:d], p["dec_w"]  # a row block of a C-contiguous array: a view
         buf.s0[:B, H:] = 0.0 if state is None else state
         out = np.empty((B, R, self.frame_size))
@@ -343,36 +352,37 @@ class _FrameNet:
         scale, shift, diff_hi, step_lo, step_u = (buf.scale, buf.shift, buf.diff_hi,
                                                   buf.step_lo, buf.step_u)
         matmul, add, multiply, subtract, tanh = np.matmul, np.add, np.multiply, np.subtract, np.tanh
+        product = np.dot if bp == 1 else matmul  # the frame's (bp, H) @ (H, 2H)
         for k0 in range(0, R, FRAME_BLOCK):
             n = min(FRAME_BLOCK, R - k0)
             j0 = k0 if need_cache else 0
             rows = slice(j0 * bp, j0 * bp + _padded(n * bp))
             m = rows.stop - rows.start
             buf.x_frames[:n, :B] = x[:, k0 : k0 + n].swapaxes(0, 1)
-            matmul(buf.x[:m], w_x, out=buf.pre[:m])
+            matmul(buf.x[:m], w_x, buf.pre[:m])
             pre = buf.pre_frames[:n, :B]
             for term in enc:
                 pre += term if term.ndim == 1 else term[k0 : k0 + n]
             h = cat[rows, :H]
-            tanh(buf.pre[:m], out=h)
+            tanh(buf.pre[:m], h)
             hg = buf.G[rows]
-            matmul(h, w_in, out=hg)
-            hg += b_g
+            matmul(h, w_in, hg)
+            add(hg, b_g[:m], hg)
             steps = buf.steps[j0 : j0 + n]
             if j0 == 0 and k0 > 0:  # the state comes from the block before's last frame
                 steps[0] = buf.first
             for g, g_lo, g_hi, s, prev_hi, s_new in steps:
-                matmul(s, w_rec, out=rec)
-                add(rec, g, out=g)
-                tanh(g, out=g)
-                multiply(g, scale, out=g)  # g = [u | c]
-                add(g, shift, out=g)
-                subtract(g_hi, prev_hi, out=diff_hi)  # c - s
-                multiply(g_lo, diff_hi, out=step_lo)  # u * (c - s)
-                add(s, step_u, out=s_new)  # s_new = s + u * (c - s)
+                product(s, w_rec, rec)
+                add(rec, g, g)
+                tanh(g, g)
+                multiply(g, scale, g)  # g = [u | c]
+                add(g, shift, g)
+                subtract(g_hi, prev_hi, diff_hi)  # c - s
+                multiply(g_lo, diff_hi, step_lo)  # u * (c - s)
+                add(s, step_u, s_new)  # s_new = s + u * (c - s)
             dec = buf.dec[:m]
-            matmul(cat[rows], dec_w, out=dec)
-            add(dec, p["dec_b"], out=dec)
+            matmul(cat[rows], dec_w, dec)
+            add(dec, b_dec[:m], dec)
             out[:, k0 : k0 + n] = buf.dec_frames[:n, :B].swapaxes(0, 1)
         # with need_cache the buffers are this call's own, so the cache may hold views
         cache = ((inputs or (x,), buf.s0[:B, H:], buf.cat_frames[:, :B], buf.G_frames[:, :B])
@@ -434,7 +444,6 @@ class _Conditioning(NamedTuple):
     y_term: np.ndarray  # (R, B, H): y @ W_y, frame-major as the forward reads it
     t_terms: np.ndarray  # (K, H): emb(t) @ W_t + enc_b, one row per time
     gains: list | None  # 1/std(t), one per time
-    gates: tuple | None  # the fused gates, in buf's arena; None without gains
     buf: _FrameBuffers | None  # the forwards' scratch for y's shape; None without gains
 
 
@@ -472,16 +481,16 @@ class ScoreNet(_FrameNet):
 
     def condition(self, y, emb_rows: np.ndarray, gains=None) -> _Conditioning:
         """y's and the times' encoder terms, one padded matmul each, and with ``gains`` the
-        forward buffers for y's shape and the fused gates in their arena: what a bind makes
-        once for all of its score forwards.  A training forward (no gains) makes its own."""
+        forward buffers for y's shape with the fused gates and bias tiles in their arena: what
+        a bind makes once for all of its score forwards.  A training forward (no gains) makes
+        its own."""
         F, w = self.frame_size, self.params["enc_w"]
         yf = _frames(np.atleast_2d(y), F)
         B, R, _ = yf.shape
         y_term = (_pad_rows(yf.swapaxes(0, 1)) @ w[F : 2 * F])[: B * R].reshape(R, B, -1)
         t_terms = (_pad_rows(emb_rows) @ w[2 * F :])[: len(emb_rows)] + self.params["enc_b"]
-        buf = None if gains is None else _FrameBuffers(self.hidden, F, B, min(R, FRAME_BLOCK), F)
-        gates = None if buf is None else _fuse_gates(self.params, self.hidden, buf.gates)
-        return _Conditioning(y_term, t_terms, gains, gates, buf)
+        buf = None if gains is None else _FrameBuffers(self, B, min(R, FRAME_BLOCK), F)
+        return _Conditioning(y_term, t_terms, gains, buf)
 
     def raw_batch(self, x_t, y, ts, states=None, need_cache=False):
         """Pre-gain output on a (B, L) batch; returns (raw, states, cache)."""
@@ -498,7 +507,7 @@ class ScoreNet(_FrameNet):
         enc = (cond.y_term, np.broadcast_to(cond.t_terms, cond.y_term.shape))
         inputs = (xf, _frames(y, self.frame_size),
                   np.broadcast_to(emb[:, None], xf.shape[:2] + emb.shape[1:]))
-        return self.forward_frames(xf, enc, states, need_cache, cond.gates, inputs)
+        return self.forward_frames(xf, enc, states, need_cache, inputs)
 
     def forward(self, x_t: np.ndarray, y: np.ndarray, t: float, state=None, cond=None, point=0):
         """Score of a signal (L,), state (H,), or of rows (B, L), state (B, H).
@@ -514,8 +523,9 @@ class ScoreNet(_FrameNet):
         if cond is None:
             cond = self.condition(y, self.embed_times([t]), [self.gain(t)])
         enc = (cond.y_term, cond.t_terms[point])
-        score, states, _ = self.forward_frames(_frames(np.atleast_2d(x_t), self.frame_size), enc,
-                                               state, False, cond.gates, buf=cond.buf)
+        rows = x_t[None] if x_t.ndim == 1 else x_t
+        score, states, _ = self.forward_frames(_frames(rows, self.frame_size), enc, state, False,
+                                               buf=cond.buf)
         score *= cond.gains[point]  # the raw output is this call's own array
         return (score[0], states[0]) if x_t.ndim == 1 else (score, states)
 

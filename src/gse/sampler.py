@@ -199,6 +199,26 @@ def predictor_step(
     return DiffusionState(x_new, max(t - dt, 0.0))
 
 
+def _langevin(x, s, r: float, rng, ledger, out):
+    """``corrector_step`` on one row x with score s, into ``out`` (None: a fresh array)."""
+    s_norm = math.sqrt(s.dot(s))  # np.linalg.norm of a float64 vector
+    if ledger is not None:
+        ledger.corrector_evals += 1
+        ledger.corrector_skips += s_norm == 0.0
+    if s_norm == 0.0:  # a skipped row keeps its input, copied (+x is x), and draws nothing
+        return np.positive(x, out)
+    z = rng.standard_normal(s.shape)
+    try:
+        eps = 2.0 * (r * math.sqrt(z.dot(z)) / s_norm) ** 2
+    except OverflowError:  # so large a step diverges; the caller's check names the row
+        eps = math.inf
+    out = np.multiply(s, eps, out)
+    out += x
+    z *= math.sqrt(2.0 * eps)
+    out += z
+    return out
+
+
 def corrector_step(
     state: DiffusionState,
     score: np.ndarray,
@@ -211,28 +231,16 @@ def corrector_step(
         eps_i = 2 * (r * ||z_i|| / ||s_i||)^2,   x_i <- x_i + eps_i * s_i + sqrt(2 eps_i) * z_i
 
     per row i.  The caller evaluates s, as for ``predictor_step``; ``rng`` and
-    ``ledger`` are one or a list of one per row.  A row with a zero score skips
-    the step (its input row, no draw), recorded in its ledger.
+    ``ledger`` are one for a signal (L,), for rows (B, L) a list of one per row.
+    A row with a zero score skips the step (its input row, no draw), recorded in
+    its ledger.
     """
-    s, x_new = _rows(np.asarray(score, dtype=np.float64)), np.empty_like(state.x)
-    rngs, ledgers = per_row(rng, len(s)), per_row(ledger, len(s))
-    for x_i, s_i, rng_i, led, out in zip(_rows(state.x), s, rngs, ledgers, _rows(x_new)):
-        s_norm = math.sqrt(s_i.dot(s_i))  # np.linalg.norm of a float64 vector
-        if led is not None:
-            led.corrector_evals += 1
-            led.corrector_skips += s_norm == 0.0
-        if s_norm == 0.0:
-            out[...] = x_i  # a skipped row keeps its input
-            continue
-        z = rng_i.standard_normal(s_i.shape)
-        try:
-            eps = 2.0 * (r * math.sqrt(z.dot(z)) / s_norm) ** 2
-        except OverflowError:  # so large a step diverges; the caller's check names the row
-            eps = math.inf
-        np.multiply(s_i, eps, out=out)
-        out += x_i
-        z *= math.sqrt(2.0 * eps)
-        out += z
+    x, s = state.x, np.asarray(score, dtype=np.float64)
+    if x.ndim == 1:
+        return DiffusionState(_langevin(x, s, r, rng, ledger, None), state.t)
+    x_new, rows = np.empty_like(x), len(x)
+    for x_i, s_i, rng_i, led, out in zip(x, s, per_row(rng, rows), per_row(ledger, rows), x_new):
+        _langevin(x_i, s_i, r, rng_i, led, out)
     return DiffusionState(x_new, state.t)
 
 
@@ -276,20 +284,20 @@ def reverse_process(
 
     state = DiffusionState(y + plan.prior_std * _normal(rng, np.empty(y.shape)), params.T)
     columns = (plan.t, plan.t_eval, plan.g, plan.guided)
+    evaluate, dt, snr = bound.evaluate, plan.dt, config.corrector_snr
     for n, t_n, t_eval, g, guided in zip(range(params.N, 0, -1), *map(reversed, columns)):
         for led in ledgers:
             led.record_branch(guided)
         step_state_in = bank.score_states[n] if bank is not None else None
-        score, new_net_state = bound.evaluate(state.x, t_n, step_state_in, guided)
+        score, new_net_state = evaluate(state.x, t_n, step_state_in, guided)
         if bank is not None and new_net_state is not None:
             bank.score_states[n] = new_net_state
-        state = predictor_step(DiffusionState(state.x, t_n), y, score, params, plan.dt, rng, g)
+        state = predictor_step(DiffusionState(state.x, t_n), y, score, params, dt, rng, g)
         _check_finite(state.x, n, "predictor")
         for _ in range(config.corrector_steps):
             # the corrector re-reads the predictor's input net state; its end state is discarded
-            score, _ = bound.evaluate(state.x, t_eval, step_state_in, guided)
-            state = corrector_step(DiffusionState(state.x, t_eval), score, config.corrector_snr,
-                                   rng, ledger)
+            score, _ = evaluate(state.x, t_eval, step_state_in, guided)
+            state = corrector_step(DiffusionState(state.x, t_eval), score, snr, rng, ledger)
             _check_finite(state.x, n, "corrector")
 
     return state.x, ledger

@@ -93,17 +93,19 @@ def discriminative_score(
 ) -> np.ndarray:
     """score = (mean(x_d, y, t) - x_t) / variance(t)
 
-    ``kernel`` is ``kernel_coefficients(t, params)``, computed here when not
-    given (a step plan holds it).  Plugging the perturbation of x_d itself back
-    in recovers -z/std(t) exactly.
+    ``kernel`` is ``kernel_coefficients(t, params)`` from a step plan; with it t
+    (clamped by the plan) and the arrays (float64, one shape) are not checked,
+    without it they are and the kernel is computed here.  Plugging the
+    perturbation of x_d itself back in recovers -z/std(t) exactly.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x_d = np.asarray(x_d, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if not x_t.shape == y.shape == x_d.shape:
-        raise DimensionError(f"x_t, y, x_d shapes {x_t.shape}, {y.shape}, {x_d.shape} differ")
-    if not (params.t_eps <= t <= params.T):
-        raise DomainError(f"t={t} outside [{params.t_eps}, {params.T}]")
+    if kernel is None:
+        x_t = np.asarray(x_t, dtype=np.float64)
+        x_d = np.asarray(x_d, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if not x_t.shape == y.shape == x_d.shape:
+            raise DimensionError(f"x_t, y, x_d shapes {x_t.shape}, {y.shape}, {x_d.shape} differ")
+        if not (params.t_eps <= t <= params.T):
+            raise DomainError(f"t={t} outside [{params.t_eps}, {params.T}]")
     v, a, rise = kernel_coefficients(t, params) if kernel is None else kernel
     if v <= 0.0:
         raise DomainError(f"variance({t}) = {v}; guided score undefined")
@@ -245,9 +247,9 @@ class _BoundScore:
     def evaluate(self, x_t, t, state, guided: bool):
         """Return (score, new_state); new_state is state unless a net ran."""
         p, i = self.provider, self.plan.point_of[t]
-        if guided:
-            return discriminative_score(x_t, self.y, p.params.clamp(t), self.x_d, p.params,
-                                        self.plan.kernel[i]), state
+        if guided:  # the plan clamped t and holds its kernel
+            return (discriminative_score(x_t, self.y, t, self.x_d, p.params, self.plan.kernel[i]),
+                    state)
         return p.learned_score(x_t, self.y, t, state, self.ledgers, self.cond, i)
 
 

@@ -3,7 +3,8 @@
 Output bits depend on the kernels OpenBLAS picks at run time, and the row
 contract (a padded matmul rounds each row alike whatever rows surround it)
 is a property of those kernels.  This reruns the recurrent-row and
-batched-row checks in a subprocess with each family forced through
+batched-row checks, and the check that the frame loop's ``np.dot`` rounds as
+``np.matmul`` does, in a subprocess with each family forced through
 ``OPENBLAS_CORETYPE``, so that the contract is checked beyond the host's own
 kernels.  It skips when numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, whose
 kernels cannot be forced, skips a family whose instructions the CPU lacks, and
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKS = ("tests/test_nets.py::TestRowInvariance", "tests/test_streaming.py::TestBatchedRows")
+CHECKS = ("tests/test_nets.py::TestRowInvariance", "tests/test_nets.py::TestFrameProduct",
+          "tests/test_streaming.py::TestBatchedRows")
 #: OPENBLAS_CORETYPE -> the CPU features its kernels need
 CORE_TYPES = {
     "SkylakeX": ("AVX512F",),

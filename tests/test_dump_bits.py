@@ -28,3 +28,15 @@ def test_compare_names_each_differing_or_one_sided_case():
     compare = load().compare
     assert compare(base, change) == ["b 2 9", "c 3 -", "d - 4"]
     assert compare(base, dict(base)) == []
+
+
+def test_the_skip_case_skips_every_corrector_step():
+    """The ``skip`` provider's score is zero, so each corrector step keeps its input and
+    draws nothing: its digests pin the skip path of the corrector."""
+    module = load()
+    provider, groups = module._providers(*module._nets())["skip"]
+    schedule = module.gse.GuidanceSchedule.from_guided_steps(groups[0], module.PARAMS)
+    _, ledger, _ = module.gse.enhance_offline(module._noisy(7), provider, schedule,
+                                              module.SAMPLER, module.PARAMS, seed=11,
+                                              frame_size=module.FRAME)
+    assert ledger.corrector_skips == ledger.corrector_evals == module.PARAMS.N

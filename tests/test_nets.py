@@ -71,14 +71,15 @@ def check_layer_gradients(net, loss_and_grads, probes_per_layer, rng, rel_tol=1e
 
 
 def state_product(s, w):
-    """s @ w with s's rows padded as the forward pads a frame's state block: one row
-    stays a gemv, B >= 2 rows are zero-padded to a multiple of STATE_ALIGN."""
+    """s @ w through the call and the row padding of the forward's frame loop: one row
+    is a gemv through ``np.dot``, B >= 2 rows are zero-padded to a multiple of
+    STATE_ALIGN and go through ``np.matmul``."""
     b = len(s)
     if b == 1:
-        return s @ w
+        return np.dot(s, w)
     padded = np.zeros((b + (-b % STATE_ALIGN), s.shape[1]))
     padded[:b] = s
-    return (padded @ w)[:b]
+    return np.matmul(padded, w)[:b]
 
 
 def frozen_score_loss(net, params, seed=0, batch=3, length=12):
@@ -283,6 +284,32 @@ class TestRowInvariance:
         assert _pad_rows(x[:8]).shape == (8, 3)
 
 
+class TestFrameProduct:
+    """The frame loop's state product goes through ``np.dot`` for one row and ``np.matmul``
+    for padded rows.  Both must round the forward's operands alike, so that a forward's
+    bits do not hang on which of the two calls it makes.  ``tests/test_blas_kernels.py``
+    reruns this under each OpenBLAS kernel family."""
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("hidden", [160, 96])  # the recipe's score net and denoiser
+    def test_dot_and_matmul_round_the_frame_product_alike(self, batch, hidden):
+        """At the forward's own operands: each frame's state rows, a strided (rows, H) view of
+        the frame buffers, times the fused (H, 2H) recurrent gates, into the product buffer."""
+        net = DenoiserNet(frame_size=40, hidden=hidden, seed=3)
+        buf = _FrameBuffers(net, batch, 20, 40)
+        rng = make_rng(48)
+        buf.s0[...] = rng.normal(size=buf.s0.shape)
+        buf.cat[...] = rng.normal(size=buf.cat.shape)
+        w_rec = buf.gates[1]
+        for step in buf.steps:
+            s = step[3]
+            assert s.shape == (batch, hidden) and s.strides[0] == 2 * hidden * 8
+            np.dot(s, w_rec, buf.rec)
+            want = buf.rec.copy()
+            np.matmul(s, w_rec, buf.rec)
+            assert buf.rec.tobytes() == want.tobytes()
+
+
 def _sigmoid(a):
     """The overflow-safe logistic: (tanh(a / 2) + 1) / 2."""
     return (np.tanh(0.5 * a) + 1.0) * 0.5
@@ -342,19 +369,27 @@ class TestFusedCell:
     @pytest.mark.parametrize("frames", [20, 71])
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_arena_arrays_are_aligned_and_disjoint(self, batch, frames, hidden):
-        """A forward's buffers and the room for its fused gates are carved from one arena, and
-        ``gate_weights`` from another: every array starts on GATE_ALIGN bytes and none overlaps
-        another, at a forward's and at a training span."""
-        gates = DenoiserNet(frame_size=40, hidden=hidden, seed=1).gate_weights()
+        """A forward's buffers, its fused gates and its two bias tiles are carved from one
+        arena, and ``gate_weights`` from another: every array starts on GATE_ALIGN bytes and
+        none overlaps another, at a forward's and at a training span.  Each tile row holds
+        the fused gate bias or dec_b."""
+        net = DenoiserNet(frame_size=40, hidden=hidden, seed=1)
+        rng = make_rng(57)
+        for key in ("gate_u_b", "gate_c_b", "dec_b"):
+            net.params[key][...] = rng.normal(size=net.params[key].shape)
+        gates = net.gate_weights()
         names = ("x", "pre", "dec", "cat", "G", "s0", "rec", "diff", "step", "scale", "shift")
-        sets = [gates] + [
-            [getattr(buf, name) for name in names] + list(buf.gates)
-            for buf in (_FrameBuffers(hidden, 40, batch, span, 40)
-                        for span in (min(frames, FRAME_BLOCK), frames))]
-        for arrays in sets:
+        bufs = [_FrameBuffers(net, batch, span, 40) for span in (min(frames, FRAME_BLOCK), frames)]
+        for arrays in [gates] + [[getattr(buf, name) for name in names] + list(buf.gates)
+                                 for buf in bufs]:
             assert all(a.ctypes.data % GATE_ALIGN == 0 for a in arrays)
             for a, b in itertools.combinations(arrays, 2):
                 assert not np.shares_memory(a, b)
+        for buf in bufs:
+            b_g, b_dec = buf.gates[2:]
+            assert b_g.shape == (len(buf.x), 2 * hidden) and b_dec.shape == (len(buf.x), 40)
+            np.testing.assert_array_equal(b_g, np.broadcast_to(gates[2], b_g.shape))
+            np.testing.assert_array_equal(b_dec, np.broadcast_to(net.params["dec_b"], b_dec.shape))
 
     @pytest.mark.parametrize("key, index", [
         ("gate_u_u", 7),  # the fused recurrent matrix
@@ -363,9 +398,14 @@ class TestFusedCell:
         ("enc_w", 1 * 12 + 5),
         ("enc_w", 9 * 12 + 5),
         ("enc_w", 20 * 12 + 5),
+        # the biases, which each bind writes into its bias tiles
+        ("gate_u_b", 4),
+        ("gate_c_b", 9),
+        ("dec_b", 2),
     ])
     def test_in_place_weight_edits_show_in_the_next_forward(self, key, index):
-        """Derived weights are never cached on the net: optimizers edit params in place."""
+        """Derived weights, the bias tiles too, are never cached on the net: optimizers edit
+        params in place, and a forward without a conditioning makes its own, as a bind does."""
         net = ScoreNet(P, frame_size=8, hidden=12, seed=5)
         x, y = make_rng(51).normal(size=(2, 64))
         before, _ = net.forward(x, y, 0.4)
