@@ -12,9 +12,11 @@ forward; they differ only in their encoder input (the score net's frame is
 
 Training and inference share one forward path.  Weight matrices are stored
 ``(in, out)`` and C-contiguous, so a projection is ``rows @ w``.  Frames run in
-blocks of ``FRAME_BLOCK``: per block the encoder, the input half of the gates
-and the decoder are one matmul each over the block's rows, and only the
-recurrent half of the gates runs frame by frame.
+blocks of ``ROW_BLOCK`` rows, max(1, ROW_BLOCK // bp) frames of bp state rows:
+per block the encoder, the input half of the gates and the decoder are one
+matmul each over the block's rows, and only the recurrent half of the gates
+runs frame by frame.  Rows size a block so that a one-row request's block
+products are large enough for OpenBLAS to split across two cores.
 
 Padding.  Every hoisted matmul has its row count padded with zeros to a
 multiple of ``ROW_ALIGN`` (8); with that padding OpenBLAS rounds each output
@@ -25,10 +27,13 @@ Haswell and Zen kernels round a block of 3, 5 or 7 rows unlike the same rows
 among more; one row stays a gemv.  That row invariance is what makes a
 chunked forward with threaded state bit-identical to the whole-signal
 forward, whichever way chunks and blocks cut the frames, and a batched row's
-bits independent of its batch-mates.  It is a property of the BLAS kernels,
-not of NumPy, so ``tests/test_nets.py::TestRowInvariance`` checks it and
-``tests/test_blas_kernels.py`` reruns that check and the batched-row check
-under each OpenBLAS kernel family the CPU can run.
+bits independent of its batch-mates (save under SkylakeX for output widths
+past 32 that end 1-4 past a multiple of 8, hidden 65 say, once one product
+passes OpenBLAS's small-matrix bound; no recipe width is one).  It is a
+property of the BLAS kernels, not of NumPy, so ``TestRowInvariance`` in
+``tests/test_nets.py`` checks it and ``tests/test_blas_kernels.py`` reruns
+that and the batched-row check under each OpenBLAS kernel family the CPU can
+run and at one and two BLAS threads.
 
 The cell, a GRU without a reset gate (s <- s + u (c - s)), runs fused: the
 gates are (H, 2H) matrices [0.5 W_u | W_c], so a frame is one product and one
@@ -43,9 +48,10 @@ training step, never on the net: in-place weight edits show in the next bind.
 
 Scratch memory.  A forward's buffers are frame-major, (frames, rows,
 features), so a frame's rows form one contiguous block.  A forward's buffers,
-fused gates and bias tiles (a block's rows of the gate bias and of dec_b: a
-same-shape add is twice as fast as a row's broadcast) come from one arena,
-each on GATE_ALIGN bytes: one allocation per bind.  The score net's
+fused gates, bias tiles (a block's rows of the gate bias and of dec_b: a
+same-shape add is twice as fast as a row's broadcast) and copies of W_x and
+dec_w come from one arena, each on GATE_ALIGN bytes: one allocation per bind,
+and no BLAS operand left where the allocator put a weight.  The score net's
 conditioning, made once per bind (``ScoreProvider.bind``), holds one such set
 for y's shape, which the score forwards of a chunk's or a request's reverse
 pass share.  The denoiser's one forward per bind, and every training forward
@@ -97,10 +103,12 @@ __all__ = [
 SNR_LOSS_FLOOR_DB = -120.0
 SNR_LOSS_EPS = 1e-12
 
-#: Frames per block of hoisted projections.  A 50 ms chunk of 40-sample frames
-#: at 16 kHz (20 frames) fits in one block; on long signals blocks bound the
-#: temporaries and the BLAS packing buffers.
-FRAME_BLOCK = 32
+#: Rows per block of hoisted projections, max(1, ROW_BLOCK // bp) frames of bp state rows.
+#: Two BLAS threads ran the (M, 160) @ (160, 320) gate product at 0.96 us a row for M = 32,
+#: 0.70 for M = 128 and 0.57 for M = 400; budgets of 256 and 512 rows took a 1 s request
+#: 2-4 % further but raised its peak RSS by 3.1 and 4.6 MB, against 1.3 MB at 128.  A
+#: 50 ms chunk (20 frames) fits in one block; on long signals blocks bound the scratch.
+ROW_BLOCK = 128
 #: Row counts of the hoisted matmuls are padded to a multiple of this.
 ROW_ALIGN = 8
 #: Pairs in the fixed probe set that training reports its progress on.
@@ -147,26 +155,27 @@ def _pad_rows(x: np.ndarray) -> np.ndarray:
 
 def _fuse_gates(p: dict, H: int, out) -> tuple:
     """Write [0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias; into each row
-    of a tile) into ``out``, and dec_b into each row of its fourth array if there is one."""
+    of a tile) into the first three arrays of ``out``."""
     for k, fused in zip("wub", out):
         np.multiply(p[f"gate_u_{k}"], 0.5, out=fused[..., :H])
         fused[..., H:] = p[f"gate_c_{k}"]
-    for tile in out[3:]:
-        tile[...] = p["dec_b"]
     return tuple(out)
 
 
 class _FrameBuffers:
-    """The scratch of one forward shape of ``net`` (hidden width H, frame size F): B rows,
-    blocks of up to ``span`` frames, encoder input width d.
+    """The scratch of one forward shape of ``net`` (hidden width H, frame size F): B rows of
+    ``frames`` frames, encoder input width d.
 
-    A frame's B rows are padded to ``bp`` (``_state_rows``) and a block's
-    rows to a multiple of ROW_ALIGN.  ``cat`` holds all ``span`` frames as
-    [tanh(encoder) | new state] rows, ``G`` their gates (the input half, then
-    in place [update | candidate]); ``x``, ``pre`` and ``dec`` hold one block.
-    Pad rows of ``x`` stay zero; rows past a short last block keep the block
-    before's values, which no kept row reads.  ``gates`` holds the fused gates,
-    the bias as a block's rows, and dec_b's tile, written from net's weights.
+    A frame's B rows are padded to ``bp`` (``_state_rows``), a block holds
+    ``block`` frames (up to ROW_BLOCK rows) and its rows are padded to a
+    multiple of ROW_ALIGN.  ``cat`` holds a span of frames as [tanh(encoder)
+    | new state] rows, ``G`` their gates (the input half, then in place
+    [update | candidate]): all frames if ``whole`` (a training forward's
+    cache), else one block; ``x``, ``pre`` and ``dec`` hold one block.  Pad
+    rows of ``x`` stay zero; rows past a short last block keep the block
+    before's values, which no kept row reads.  ``weights`` holds the fused
+    gates, the gate bias's and dec_b's tiles (a block's rows) and copies of
+    W_x = enc_w[:d] and dec_w, written from net's current weights.
 
     ``steps`` holds each frame's views, sliced once: the gate block, its flat
     runs without the last and without the first H lanes, the previous state,
@@ -178,15 +187,17 @@ class _FrameBuffers:
     cache, whose previous state is ``cat``'s frame span - 1.
     """
 
-    def __init__(self, net, batch: int, span: int, d: int):
-        H, F = net.hidden, net.frame_size
+    def __init__(self, net, batch: int, frames: int, d: int, whole: bool = False):
+        H, F, p = net.hidden, net.frame_size, net.params
         self.bp = bp = _state_rows(batch)
-        block = min(span, FRAME_BLOCK)
+        self.block = block = min(frames, max(1, ROW_BLOCK // bp))
+        span = frames if whole else block
         rows, span_rows = _padded(block * bp), _padded(span * bp)
         made = (self.x, self.cat, self.s0, self.diff, self.step, self.scale, self.shift,
-                self.pre, self.dec, self.G, self.rec, *self.gates) = _aligned_empty(
+                self.pre, self.dec, self.G, self.rec, *self.weights) = _aligned_empty(
             (rows, d), (span_rows, 2 * H), *[(bp, 2 * H)] * 5, (rows, H), (rows, F),
-            (span_rows, 2 * H), (bp, 2 * H), (H, 2 * H), (H, 2 * H), (rows, 2 * H), (rows, F))
+            (span_rows, 2 * H), (bp, 2 * H), (H, 2 * H), (H, 2 * H), (rows, 2 * H), (rows, F),
+            (d, H), (2 * H, F))
         for a in made[:5]:  # x, cat, s0, diff and step start zeroed
             a.fill(0.0)
         # s0 = [0 | initial state], a frame -1; diff's lanes H.. hold c - s; step = [u (c - s) | -]
@@ -209,7 +220,9 @@ class _FrameBuffers:
         self.first = (*self.steps[0][:3], s_new[-1], cat_runs[-1, H:], s_new[0])
         self.diff_hi = self.diff.reshape(-1)[H:]
         self.step_lo, self.step_u = self.step.reshape(-1)[:run], self.step[:, :H]
-        _fuse_gates(net.params, H, self.gates)
+        _fuse_gates(p, H, self.weights)
+        for a, w in zip(self.weights[3:], (p["dec_b"], p["enc_w"][:d], p["dec_w"])):
+            a[...] = w
 
 
 class TimeEmbedding:
@@ -319,13 +332,15 @@ class _FrameNet:
         (H,) or frame-major (R, B, H): what the caller made once for many calls.
         ``inputs``, the encoder's input blocks in ``enc_w`` row order, default
         to (x,).  The scratch is ``buf``, buffers of x's shape holding the
-        fused gates and bias tiles that a conditioning wrote for its forwards;
-        without it, or with ``need_cache``, it is made and written here from
-        the current weights.  ``out`` and the state are fresh arrays.
+        weights (fused gates, bias tiles, W_x and dec_w) that a conditioning
+        wrote for its forwards; without it, or with ``need_cache``, it is made
+        and written here from the current weights, which are read nowhere
+        else.  ``out`` and the state are fresh arrays.
 
-        One path for training and inference.  Per block of FRAME_BLOCK frames,
-        the encoder, the gates' input half and the decoder are one ``np.matmul``
-        each, on rows zero-padded to a multiple of ROW_ALIGN, plus a bias tile;
+        One path for training and inference.  Per block of ROW_BLOCK rows
+        (``buf.block`` frames), the encoder, the gates' input half and the
+        decoder are one ``np.matmul`` each, on rows zero-padded to a multiple
+        of ROW_ALIGN, plus a bias tile;
         per frame run one (B, H) @ (H, 2H) product with the fused recurrent half
         (``np.dot`` for one row, else ``np.matmul`` on B rows padded to
         STATE_ALIGN) and one tanh over [update | candidate] (the update half
@@ -339,13 +354,11 @@ class _FrameNet:
         it stands.  ``need_cache`` only decides whether every frame's ``cat``
         and ``G`` are kept for ``backward``; without it they hold one block.
         """
-        p = self.params
         B, R, d = x.shape
         H = self.hidden
         if need_cache or buf is None:
-            buf = _FrameBuffers(self, B, R if need_cache else min(R, FRAME_BLOCK), d)
-        w_in, w_rec, b_g, b_dec = buf.gates
-        w_x, dec_w = p["enc_w"][:d], p["dec_w"]  # a row block of a C-contiguous array: a view
+            buf = _FrameBuffers(self, B, R, d, need_cache)
+        w_in, w_rec, b_g, b_dec, w_x, dec_w = buf.weights
         buf.s0[:B, H:] = 0.0 if state is None else state
         out = np.empty((B, R, self.frame_size))
         bp, cat, rec, s_new = buf.bp, buf.cat, buf.rec, buf.s0[:, H:]
@@ -353,8 +366,8 @@ class _FrameNet:
                                                   buf.step_lo, buf.step_u)
         matmul, add, multiply, subtract, tanh = np.matmul, np.add, np.multiply, np.subtract, np.tanh
         product = np.dot if bp == 1 else matmul  # the frame's (bp, H) @ (H, 2H)
-        for k0 in range(0, R, FRAME_BLOCK):
-            n = min(FRAME_BLOCK, R - k0)
+        for k0 in range(0, R, buf.block):
+            n = min(buf.block, R - k0)
             j0 = k0 if need_cache else 0
             rows = slice(j0 * bp, j0 * bp + _padded(n * bp))
             m = rows.stop - rows.start
@@ -481,7 +494,7 @@ class ScoreNet(_FrameNet):
 
     def condition(self, y, emb_rows: np.ndarray, gains=None) -> _Conditioning:
         """y's and the times' encoder terms, one padded matmul each, and with ``gains`` the
-        forward buffers for y's shape with the fused gates and bias tiles in their arena: what
+        forward buffers for y's shape with the forwards' weights in their arena: what
         a bind makes once for all of its score forwards.  A training forward (no gains) makes
         its own."""
         F, w = self.frame_size, self.params["enc_w"]
@@ -489,7 +502,7 @@ class ScoreNet(_FrameNet):
         B, R, _ = yf.shape
         y_term = (_pad_rows(yf.swapaxes(0, 1)) @ w[F : 2 * F])[: B * R].reshape(R, B, -1)
         t_terms = (_pad_rows(emb_rows) @ w[2 * F :])[: len(emb_rows)] + self.params["enc_b"]
-        buf = None if gains is None else _FrameBuffers(self, B, min(R, FRAME_BLOCK), F)
+        buf = None if gains is None else _FrameBuffers(self, B, R, F)
         return _Conditioning(y_term, t_terms, gains, buf)
 
     def raw_batch(self, x_t, y, ts, states=None, need_cache=False):
@@ -514,7 +527,7 @@ class ScoreNet(_FrameNet):
 
         ``cond`` is a bind's ``condition`` of y and ``point`` the row of t in
         it; without it they are made here for t, to the same bits.  The
-        scratch and the gates are ``cond``'s; the score and state are fresh.
+        scratch and the weights are ``cond``'s; the score and state are fresh.
         """
         x_t = np.asarray(x_t, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)

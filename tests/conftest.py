@@ -4,6 +4,8 @@ The expensive piece is the pair of trained models used by the end-to-end and
 acceptance tests (about three minutes of CPU).  They are trained once per
 session and cached under pytest's cache directory keyed by their recipe, so
 repeat runs skip straight to the assertions.  Delete .pytest_cache to retrain.
+Without pytest's cache plugin (``-p no:cacheprovider``) they are kept in a
+temporary directory for the session only.
 """
 
 from __future__ import annotations
@@ -73,15 +75,22 @@ class TrainedModels:
 
 
 @pytest.fixture(scope="session")
-def trained_models(request, default_params, train_pairs) -> TrainedModels:
-    cache_dir = request.config.cache.mkdir("gse-models")
+def model_dir(request, tmp_path_factory):
+    """pytest's cache directory for the trained models, or a temporary one without it."""
+    cache = getattr(request.config, "cache", None)
+    return (tmp_path_factory.mktemp("gse-models") if cache is None
+            else cache.mkdir("gse-models"))
+
+
+@pytest.fixture(scope="session")
+def trained_models(model_dir, default_params, train_pairs) -> TrainedModels:
     tag = json.dumps(MODEL_RECIPE, sort_keys=True).encode()
     import hashlib
 
     key = hashlib.sha256(tag).hexdigest()[:16]
-    score_path = cache_dir / f"score-{key}.npz"
-    den_path = cache_dir / f"denoiser-{key}.npz"
-    meta_path = cache_dir / f"meta-{key}.json"
+    score_path = model_dir / f"score-{key}.npz"
+    den_path = model_dir / f"denoiser-{key}.npz"
+    meta_path = model_dir / f"meta-{key}.json"
     if score_path.exists() and den_path.exists() and meta_path.exists():
         score_net, _ = load_checkpoint(score_path)
         denoiser, _ = load_checkpoint(den_path)
@@ -111,11 +120,10 @@ def trained_models(request, default_params, train_pairs) -> TrainedModels:
 
 
 @pytest.fixture(scope="session")
-def trained_ckpt_paths(request, trained_models):
+def trained_ckpt_paths(model_dir, trained_models):
     """The trained models persisted as checkpoint files, for CLI-level tests."""
-    cache_dir = request.config.cache.mkdir("gse-models")
-    score_path = cache_dir / "cli-score.npz"
-    den_path = cache_dir / "cli-denoiser.npz"
+    score_path = model_dir / "cli-score.npz"
+    den_path = model_dir / "cli-denoiser.npz"
     save_checkpoint(score_path, trained_models.score_net, train_seed=0)
     save_checkpoint(den_path, trained_models.denoiser, train_seed=1)
     return str(score_path), str(den_path)

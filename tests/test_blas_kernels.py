@@ -6,7 +6,10 @@ is a property of those kernels.  This reruns the recurrent-row and
 batched-row checks, and the check that the frame loop's ``np.dot`` rounds as
 ``np.matmul`` does, in a subprocess with each family forced through
 ``OPENBLAS_CORETYPE``, so that the contract is checked beyond the host's own
-kernels.  It skips when numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, whose
+kernels, and on the host's kernels with one and with two BLAS threads
+(``OPENBLAS_NUM_THREADS``): OpenBLAS splits a block's 128-row products across
+threads, and the benchmark runs streams with two threads and sweep workers
+with one.  It skips when numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, whose
 kernels cannot be forced, skips a family whose instructions the CPU lacks, and
 skips a family that OpenBLAS runs with the kernels of one checked before it
 (some builds map Zen to Haswell).
@@ -45,18 +48,26 @@ def _missing(core: str) -> list:
     return [f for f in CORE_TYPES[core] if features.get(f) is False]
 
 
-def _env(core: str) -> dict:
+def _env(**blas: str) -> dict:
+    """This environment with the OpenBLAS variables ``blas`` and ``src`` on the path."""
     src = str(ROOT / "src")
-    return dict(os.environ, OPENBLAS_CORETYPE=core,
+    return dict(os.environ, **blas,
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_checks(**blas: str) -> None:
+    """Run CHECKS in a subprocess with the OpenBLAS variables ``blas``; fail if one fails."""
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *CHECKS], cwd=ROOT,
+                          env=_env(**blas), capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, f"{blas}:\n{proc.stdout[-4000:]}"
 
 
 @functools.cache
 def _core_name(core: str) -> str:
     """The kernel family OpenBLAS reports running with ``core`` forced."""
     probe = "from gse.cli import _blas_core; print(_blas_core())"
-    return subprocess.run([sys.executable, "-c", probe], env=_env(core), capture_output=True,
-                          text=True, check=True).stdout.strip()
+    return subprocess.run([sys.executable, "-c", probe], env=_env(OPENBLAS_CORETYPE=core),
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 @pytest.mark.parametrize("core", CORE_TYPES)
@@ -71,6 +82,9 @@ def test_row_contract_holds_under_each_openblas_kernel(core):
     if alike:
         pytest.skip(f"OPENBLAS_CORETYPE={core} runs the {_core_name(core)} kernels, "
                     f"checked under {alike[0]}")
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *CHECKS], cwd=ROOT,
-                          env=_env(core), capture_output=True, text=True, check=False)
-    assert proc.returncode == 0, f"OPENBLAS_CORETYPE={core}:\n{proc.stdout[-4000:]}"
+    _run_checks(OPENBLAS_CORETYPE=core)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_row_contract_holds_at_each_blas_thread_count(threads):
+    _run_checks(OPENBLAS_NUM_THREADS=threads)

@@ -9,9 +9,9 @@ import pytest
 
 from gse.errors import ConfigError, DimensionError, DivergenceError, DomainError
 from gse.nets import (
-    FRAME_BLOCK,
     GATE_ALIGN,
     ROW_ALIGN,
+    ROW_BLOCK,
     STATE_ALIGN,
     DenoiserNet,
     ScoreNet,
@@ -33,6 +33,9 @@ from gse.sde import SdeParams, make_rng, sample_perturbed
 
 P = SdeParams()
 WIDE = SdeParams(sigma_min=0.05, sigma_max=0.5)
+#: Frames per block of the reference forwards below: a fixed cut, unlike the forward's
+#: ROW_BLOCK rows, so that a reference never cuts blocks where the forward does.
+REF_BLOCK = 32
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +208,7 @@ class TestForward:
         one block, every forward gives the bits of a plain forward."""
         net = ScoreNet(P, frame_size=8, hidden=12, seed=5)
         rng = make_rng(56)
-        x, y = rng.normal(size=(2, 3, 8 * (FRAME_BLOCK + 9)))
+        x, y = rng.normal(size=(2, 3, 8 * (ROW_BLOCK // STATE_ALIGN + 9)))
         state = rng.normal(size=(3, 12))
         ts = [0.4, 0.7, 0.2, 0.9]
         cond = net.condition(y, net.embed_times(ts), [net.gain(t) for t in ts])
@@ -248,12 +251,36 @@ class TestRowInvariance:
     def test_rows_do_not_depend_on_their_neighbours(self, d_in):
         rng = make_rng(40)
         shapes = [(d_in, n) for n in range(1, 65)] + self.NET_SHAPES
-        X = rng.normal(size=(2 * FRAME_BLOCK + ROW_ALIGN, max(k for k, _ in shapes)))
+        # 72 rows keep every width below OpenBLAS's small-matrix bound at d_in = 112; the
+        # test below takes the nets' widths past it and across ROW_BLOCK
+        X = rng.normal(size=(2 * 32 + ROW_ALIGN, max(k for k, _ in shapes)))
         for k, n in shapes:
             W = rng.normal(size=(k, n))
             whole = _pad_rows(X[:, :k]) @ W
-            for rows in (1, 2, 3, 7, 8, 9, 20, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1):
-                for offset in (0, 1, 5, 13, FRAME_BLOCK):
+            for rows in (1, 2, 3, 7, 8, 9, 20, 31, 32, 33):
+                for offset in (0, 1, 5, 13, 32):
+                    part = (_pad_rows(X[offset : offset + rows, :k]) @ W)[:rows]
+                    assert np.array_equal(part, whole[offset : offset + rows]), (k, n, rows, offset)
+
+    def test_net_rows_do_not_depend_on_their_neighbours_across_a_block(self):
+        """The nets' widths, with row counts and offsets across ROW_BLOCK, against a whole
+        of 2 ROW_BLOCK + ROW_ALIGN rows: every product size a block, a chunk or a
+        conditioning of up to 264 rows makes, on both sides of OpenBLAS's SkylakeX
+        small-matrix bound (it runs products of M * N * K <= 1e6 through a kernel of its
+        own, so (8, 160) @ (160, 320) takes that kernel and (128, 160) @ (160, 320) not).
+
+        Widths N > 32 with N % 8 in 1..4 are left out: the two kernels round their last
+        columns unlike each other, so for them the contract breaks once one product crosses
+        the bound (a 65- or 66-wide hidden state, whose gates are 130 or 132 wide), under
+        SkylakeX only.  No recipe width is one of them.
+        """
+        rng = make_rng(47)
+        X = rng.normal(size=(2 * ROW_BLOCK + ROW_ALIGN, max(k for k, _ in self.NET_SHAPES)))
+        for k, n in self.NET_SHAPES:
+            W = rng.normal(size=(k, n))
+            whole = _pad_rows(X[:, :k]) @ W
+            for rows in (1, 8, 9, 20, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1):
+                for offset in (0, 1, 13, 32, ROW_BLOCK):
                     part = (_pad_rows(X[offset : offset + rows, :k]) @ W)[:rows]
                     assert np.array_equal(part, whole[offset : offset + rows]), (k, n, rows, offset)
 
@@ -300,7 +327,7 @@ class TestFrameProduct:
         rng = make_rng(48)
         buf.s0[...] = rng.normal(size=buf.s0.shape)
         buf.cat[...] = rng.normal(size=buf.cat.shape)
-        w_rec = buf.gates[1]
+        w_rec = buf.weights[1]
         for step in buf.steps:
             s = step[3]
             assert s.shape == (batch, hidden) and s.strides[0] == 2 * hidden * 8
@@ -324,8 +351,8 @@ def _textbook_cell(net, x, state):
     p, H, F = net.params, net.hidden, net.frame_size
     B, R, d = x.shape
     out, s = np.empty((B, R, F)), state
-    for k0 in range(0, R, FRAME_BLOCK):
-        n = min(FRAME_BLOCK, R - k0)
+    for k0 in range(0, R, REF_BLOCK):
+        n = min(REF_BLOCK, R - k0)
         rows = B * n
         h = np.tanh(_pad_rows(x[:, k0 : k0 + n].reshape(rows, d)) @ p["enc_w"][:d] + p["enc_b"])
         a_u = (h @ p["gate_u_w"])[:rows].reshape(B, n, H) + p["gate_u_b"]
@@ -345,7 +372,7 @@ def _textbook_cell(net, x, state):
 class TestFusedCell:
     """One (H, 2H) recurrent product and one tanh per frame, bit for bit the two-gate cell."""
 
-    @pytest.mark.parametrize("batch, frames", [(1, 20), (3, 71), (8, 20)])
+    @pytest.mark.parametrize("batch, frames", [(1, 20), (3, 71), (8, 20), (1, 135)])
     def test_fused_cell_equals_the_textbook_cell(self, batch, frames):
         net = DenoiserNet(frame_size=40, hidden=96, seed=1)  # the recipe's widths
         rng = make_rng(50)
@@ -369,27 +396,29 @@ class TestFusedCell:
     @pytest.mark.parametrize("frames", [20, 71])
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_arena_arrays_are_aligned_and_disjoint(self, batch, frames, hidden):
-        """A forward's buffers, its fused gates and its two bias tiles are carved from one
-        arena, and ``gate_weights`` from another: every array starts on GATE_ALIGN bytes and
-        none overlaps another, at a forward's and at a training span.  Each tile row holds
-        the fused gate bias or dec_b."""
+        """A forward's buffers, its fused gates, its two bias tiles and its copies of W_x and
+        dec_w are carved from one arena, and ``gate_weights`` from another: every array starts
+        on GATE_ALIGN bytes and none overlaps another, at a forward's and at a training span.
+        Each tile row holds the fused gate bias or dec_b, and the copies hold the weights."""
         net = DenoiserNet(frame_size=40, hidden=hidden, seed=1)
         rng = make_rng(57)
         for key in ("gate_u_b", "gate_c_b", "dec_b"):
             net.params[key][...] = rng.normal(size=net.params[key].shape)
         gates = net.gate_weights()
         names = ("x", "pre", "dec", "cat", "G", "s0", "rec", "diff", "step", "scale", "shift")
-        bufs = [_FrameBuffers(net, batch, span, 40) for span in (min(frames, FRAME_BLOCK), frames)]
-        for arrays in [gates] + [[getattr(buf, name) for name in names] + list(buf.gates)
+        bufs = [_FrameBuffers(net, batch, frames, 40, whole) for whole in (False, True)]
+        for arrays in [gates] + [[getattr(buf, name) for name in names] + list(buf.weights)
                                  for buf in bufs]:
             assert all(a.ctypes.data % GATE_ALIGN == 0 for a in arrays)
             for a, b in itertools.combinations(arrays, 2):
                 assert not np.shares_memory(a, b)
         for buf in bufs:
-            b_g, b_dec = buf.gates[2:]
+            b_g, b_dec, w_x, dec_w = buf.weights[2:]
             assert b_g.shape == (len(buf.x), 2 * hidden) and b_dec.shape == (len(buf.x), 40)
             np.testing.assert_array_equal(b_g, np.broadcast_to(gates[2], b_g.shape))
             np.testing.assert_array_equal(b_dec, np.broadcast_to(net.params["dec_b"], b_dec.shape))
+            np.testing.assert_array_equal(w_x, net.params["enc_w"])
+            np.testing.assert_array_equal(dec_w, net.params["dec_w"])
 
     @pytest.mark.parametrize("key, index", [
         ("gate_u_u", 7),  # the fused recurrent matrix
@@ -402,10 +431,13 @@ class TestFusedCell:
         ("gate_u_b", 4),
         ("gate_c_b", 9),
         ("dec_b", 2),
+        # the decoder, which each bind copies into its arena
+        ("dec_w", 5 * 8 + 3),
     ])
     def test_in_place_weight_edits_show_in_the_next_forward(self, key, index):
-        """Derived weights, the bias tiles too, are never cached on the net: optimizers edit
-        params in place, and a forward without a conditioning makes its own, as a bind does."""
+        """Derived weights, the bias tiles and weight copies too, are never cached on the net:
+        optimizers edit params in place, and a forward without a conditioning makes its own,
+        as a bind does."""
         net = ScoreNet(P, frame_size=8, hidden=12, seed=5)
         x, y = make_rng(51).normal(size=(2, 64))
         before, _ = net.forward(x, y, 0.4)
@@ -440,11 +472,11 @@ def _batch_major_forward(core, x, enc, state, need_cache, gates, inputs):
     B, R, d = x.shape
     H, F = core.hidden, core.frame_size
     w_in, w_rec, b_g = gates
-    span = R if need_cache else min(R, FRAME_BLOCK)
+    span = R if need_cache else min(R, REF_BLOCK)
     cat, G = np.empty((B, span, 2 * H)), np.empty((B, span, 2 * H))
     out, s = np.empty((B, R, F)), state
-    for k0 in range(0, R, FRAME_BLOCK):
-        n = min(FRAME_BLOCK, R - k0)
+    for k0 in range(0, R, REF_BLOCK):
+        n = min(REF_BLOCK, R - k0)
         rows = B * n
         j0 = k0 if need_cache else 0
         blk = cat[:, j0 : j0 + n]
@@ -508,7 +540,8 @@ class TestFrameMajorLayout:
 
     Outputs, final states, the cached ``cat``/``G`` and the gradients must
     keep every bit, at the recipe's widths, for row counts on both sides of
-    gemv/gemm and frame counts that cross FRAME_BLOCK.
+    gemv/gemm and frame counts that cross a block of ROW_BLOCK rows: 33 and 71
+    frames at B >= 2, 135 frames at B = 1.
     """
 
     @staticmethod
@@ -542,8 +575,8 @@ class TestFrameMajorLayout:
         return net, got, want
 
     @pytest.mark.parametrize("need_cache", [False, True])
-    @pytest.mark.parametrize("R", [20, 33, 71])
-    @pytest.mark.parametrize("B", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("B, R", [*itertools.product([1, 2, 3, 5, 8], [20, 33, 71]),
+                                      (1, ROW_BLOCK + 7)])
     @pytest.mark.parametrize("case", ["_score_case", "_denoiser_case"])
     def test_bit_identical_to_the_batch_major_loop(self, case, B, R, need_cache):
         net, (out, state, cache), (want_out, want_state, want_cache) = getattr(self, case)(
@@ -585,11 +618,11 @@ class TestChunkBoundaries:
     """Chunked == whole, bit for bit, for cuts that stress the frame blocks."""
 
     FRAME = 4
-    FRAMES = 71  # three blocks: 32 + 32 + 7
+    FRAMES = 2 * ROW_BLOCK + 7  # one row: three blocks, 128 + 128 + 7 frames
     CUTS = {
-        "one-frame chunks at the start and inside a block": [1, 2, 40, 41],
-        "cut inside a frame block": [33],
-        "cut on a block edge, then ragged": [32, 45, 64],
+        "one-frame chunks at the start and inside a block": [1, 2, 136, 137],
+        "cut inside a frame block": [129],
+        "cut on a block edge, then ragged": [128, 141, 256],
     }
 
     @pytest.mark.parametrize("cuts", list(CUTS.values()), ids=list(CUTS))
