@@ -39,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import zipfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,7 @@ def _digest(*parts) -> str:
 
 
 def _ledgers(ledgers) -> list:
-    return [led.as_dict() for led in ledgers]
+    return [asdict(led) for led in ledgers]
 
 
 def _run(provider, n_phi: int, mode: str) -> str:

@@ -42,14 +42,10 @@ from .score import (
     ScoreProvider,
     analytic_gaussian_score,
     discriminative_score,
-    guided_step_count,
-    switch_time_for_count,
 )
 from .sde import (
     SdeParams,
     diffusion_coeff,
-    drift,
-    euler_maruyama_forward,
     forward_ensemble_moments,
     make_rng,
     mean,

@@ -226,7 +226,7 @@ def cmd_simulate_forward(args) -> int:
         out,
         args,
         {
-            "sde": params.as_dict(),
+            "sde": asdict(params),
             "paths": args.paths,
             "steps": args.steps,
             "grid_points": args.grid_points,
@@ -279,7 +279,7 @@ def cmd_train(args) -> int:
         out,
         args,
         {
-            "sde": params.as_dict(),
+            "sde": asdict(params),
             "mix": asdict(spec),
             "train": {
                 "role": args.role, "steps": cfg.steps, "batch_size": cfg.batch_size,
@@ -339,7 +339,7 @@ def cmd_enhance(args) -> int:
     write_wav(wav_path, Signal(np.clip(x, -1.0, 1.0), sig.sample_rate))
     report_path = out / "report.json"
     report_doc = {
-        "ledger": ledger.as_dict(),
+        "ledger": asdict(ledger),
         "latency": report.as_dict(),
         "rtf": realtime_factor(report),
         "streaming": streaming,
@@ -353,7 +353,7 @@ def cmd_enhance(args) -> int:
         out,
         args,
         {
-            "sde": params.as_dict(),
+            "sde": asdict(params),
             "schedule": {"n_phi": schedule.n_guided, "t_phi": schedule.t_switch},
             "sampler": {
                 "n_steps": schedule.n_steps,
@@ -452,7 +452,7 @@ def cmd_sweep_nphi(args) -> int:
         {
             "n_phi": n_phi,
             "seed": seed,
-            "sde": params.as_dict(),
+            "sde": asdict(params),
             "mix": asdict(spec),
             "score_ckpt": args.score_ckpt,
             "denoiser_ckpt": args.denoiser_ckpt,
@@ -484,7 +484,7 @@ def cmd_sweep_nphi(args) -> int:
         out,
         args,
         {
-            "sde": params.as_dict(),
+            "sde": asdict(params),
             "n_phi_list": n_phis,
             "seeds": seeds,
             "utterances": args.utterances,

@@ -43,7 +43,7 @@ breaks that only at widths that are not a multiple of 4).  The score net's
 ``enc_w`` splits into row views W_x, W_y, W_t, and ``ScoreNet.condition``
 makes y @ W_y and emb(t) @ W_t + enc_b once per bind, so a forward projects
 x_t alone; three padded partial sums moved outputs by about 4e-16.  Derived
-weights (``gate_weights``, ``condition``) live with the caller, a bind or a
+weights (the fused gates, ``condition``) live with the caller, a bind or a
 training step, never on the net: in-place weight edits show in the next bind.
 
 Scratch memory.  A forward's buffers are frame-major, (frames, rows,
@@ -75,7 +75,7 @@ import csv
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -153,13 +153,12 @@ def _pad_rows(x: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _fuse_gates(p: dict, H: int, out) -> tuple:
+def _fuse_gates(p: dict, H: int, out) -> None:
     """Write [0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias; into each row
     of a tile) into the first three arrays of ``out``."""
     for k, fused in zip("wub", out):
         np.multiply(p[f"gate_u_{k}"], 0.5, out=fused[..., :H])
         fused[..., H:] = p[f"gate_c_{k}"]
-    return tuple(out)
 
 
 class _FrameBuffers:
@@ -317,11 +316,6 @@ class _FrameNet:
         if n_samples % f != 0:
             raise DimensionError(f"length {n_samples} not a multiple of frame_size {f}")
         return (n_samples // f) * (h * d + 4 * h * h + f * 2 * h)
-
-    def gate_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """[0.5 gate_u_k | gate_c_k] for k = w (input), u (recurrent), b (bias), GATE_ALIGN-ed."""
-        H = self.hidden
-        return _fuse_gates(self.params, H, _aligned_empty((H, 2 * H), (H, 2 * H), (2 * H,)))
 
     def forward_frames(self, x: np.ndarray, enc: tuple, state, need_cache: bool, inputs=None,
                        buf: _FrameBuffers | None = None):
@@ -722,9 +716,6 @@ class TrainResult:
     curve: list = field(default_factory=list)  # rows: (step, train_loss, probe_loss|None)
     final_probe_loss: float = math.nan
 
-    def probe_losses(self) -> list[float]:
-        return [row[2] for row in self.curve if row[2] is not None]
-
     def save_curve_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -802,7 +793,7 @@ def save_checkpoint(path: str | Path, net, train_seed: int | None = None) -> Non
         "train_seed": train_seed,
     }
     if net.kind == "score":
-        meta["sde_params"] = net.sde_params.as_dict()
+        meta["sde_params"] = asdict(net.sde_params)
     arrays = {f"param_{k}": v.T for k, v in net.params.items()}
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 

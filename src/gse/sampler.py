@@ -93,9 +93,6 @@ class CostLedger:
             **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class DiffusionState:
@@ -121,9 +118,9 @@ class StepPlan:
 
     @classmethod
     def build(cls, provider, schedule, params: SdeParams) -> "StepPlan":
-        if schedule is not None and schedule.n_steps != params.N:
+        if schedule.n_steps != params.N:
             raise ConfigError(f"schedule built for N={schedule.n_steps}, sampler runs N={params.N}")
-        guided = tuple(provider.guided_steps(schedule, params.N))
+        guided = tuple(provider.guided_steps(schedule))
         dt = params.T / params.N
         t = tuple(params.grid_time(n) for n in range(1, params.N + 1))
         t_eval = tuple(max(max(t_n - dt, 0.0), params.t_eps) for t_n in t)
@@ -259,9 +256,9 @@ def reverse_process(
     """Full reverse pass conditioned on y, (L,) or (B, L); returns (x_out, ledger).
 
     ``rng`` and ``ledger`` are one, or for rows a list of one per row (fresh
-    ledgers by default).  ``plan`` is the pass's ``StepPlan``, built here when
-    not given.  The branch of every grid step is its ``guided`` column; the
-    predictor and its correctors read it.
+    ledgers by default).  ``plan`` is the pass's ``StepPlan``, built here from
+    ``schedule``, a ``GuidanceSchedule``, when not given.  The branch of every
+    grid step is its ``guided`` column; the predictor and its correctors read it.
 
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the

@@ -14,9 +14,9 @@ learned one.  The guided-step count n of a threshold is the cardinality of
 grid-aligned threshold with that count.
 
 One ``ScoreProvider`` holds a score net, a denoiser, or both, and one rule
-(``ScoreProvider.guided_steps``) fixes the branch of every grid step: with a
-schedule its top n_guided steps are guided, without one every step uses the
-provider's only source.  The denoiser runs once per ``bind``.
+(``ScoreProvider.guided_steps``) fixes the branch of every grid step: the
+schedule's top n_guided steps are guided, the rest learned.  The denoiser
+runs once per ``bind``.
 """
 
 from __future__ import annotations
@@ -45,21 +45,6 @@ __all__ = [
 _TIE_REL = 1e-9
 
 
-def guided_step_count(t_switch: float, params: SdeParams) -> int:
-    """How many of the N grid times n*T/N (n=1..N) lie strictly above t_switch."""
-    if not (0.0 <= t_switch <= params.T):
-        raise DomainError(f"switch time {t_switch} outside [0, {params.T}]")
-    guard = t_switch + _TIE_REL * params.T
-    return sum(1 for n in range(1, params.N + 1) if params.grid_time(n) > guard)
-
-
-def switch_time_for_count(n_guided: int, params: SdeParams) -> float:
-    """Largest grid-aligned switch time that yields exactly n_guided guided steps."""
-    if not 0 <= n_guided <= params.N:
-        raise DomainError(f"guided-step count {n_guided} outside 0..{params.N}")
-    return params.grid_time(params.N - n_guided)
-
-
 @dataclass(frozen=True)
 class GuidanceSchedule:
     """Switch point between guided and learned reverse steps on an N-step grid."""
@@ -68,13 +53,25 @@ class GuidanceSchedule:
     n_guided: int
     n_steps: int
 
+    def __post_init__(self):
+        if not 0 <= self.n_guided <= self.n_steps:
+            raise DomainError(f"guided-step count {self.n_guided} outside 0..{self.n_steps}")
+
     @classmethod
     def from_switch_time(cls, t_switch: float, params: SdeParams) -> "GuidanceSchedule":
-        return cls(float(t_switch), guided_step_count(t_switch, params), params.N)
+        """Guides the grid times n*T/N (n = 1..N) that lie strictly above t_switch."""
+        if not (0.0 <= t_switch <= params.T):
+            raise DomainError(f"switch time {t_switch} outside [0, {params.T}]")
+        guard = t_switch + _TIE_REL * params.T
+        n_guided = sum(1 for n in range(1, params.N + 1) if params.grid_time(n) > guard)
+        return cls(float(t_switch), n_guided, params.N)
 
     @classmethod
     def from_guided_steps(cls, n_guided: int, params: SdeParams) -> "GuidanceSchedule":
-        return cls(switch_time_for_count(n_guided, params), int(n_guided), params.N)
+        """Guides n_guided steps; t_switch is the largest grid-aligned time that does."""
+        if not 0 <= n_guided <= params.N:
+            raise DomainError(f"guided-step count {n_guided} outside 0..{params.N}")
+        return cls(params.grid_time(params.N - n_guided), int(n_guided), params.N)
 
     def guided_at_step(self, n: int) -> bool:
         """Grid step n (1..N) uses the guided branch iff it is one of the top n_guided."""
@@ -161,7 +158,7 @@ class ScoreProvider:
     A provider without a denoiser is learned-only: its learned branch is the
     score net (or, in a subclass, an oracle).  A provider without a score net
     is guided-only.  ``guided_steps`` is the one rule that picks the branch of
-    each grid step.
+    each grid step, from the schedule.
     """
 
     def __init__(self, net, denoiser, params: SdeParams):
@@ -169,24 +166,17 @@ class ScoreProvider:
         self.denoiser = denoiser
         self.params = params
 
-    def guided_steps(self, schedule: GuidanceSchedule | None, n_steps: int) -> list[bool]:
-        """Branch of grid steps 1..n_steps (entry n-1 is step n, True = guided).
+    def guided_steps(self, schedule: GuidanceSchedule) -> list[bool]:
+        """Branch of the schedule's grid steps 1..N (entry n-1 is step n, True = guided).
 
-        With a schedule its top n_guided steps are guided; without one every
-        step uses the provider's only source.  A two-source provider without a
-        schedule, or a schedule that needs a source the provider lacks, raises
-        ConfigError.
+        A schedule that needs a source the provider lacks raises ConfigError.
         """
-        if schedule is None:
-            if self.net is not None and self.denoiser is not None:
-                raise ConfigError("a provider with a score net and a denoiser needs a schedule")
-            return [self.denoiser is not None] * n_steps
-        guided = [schedule.guided_at_step(n) for n in range(1, n_steps + 1)]
+        guided = [schedule.guided_at_step(n) for n in range(1, schedule.n_steps + 1)]
         if self.denoiser is None and any(guided):
             raise ConfigError(f"schedule guides {schedule.n_guided} steps; provider has no denoiser")
         if self.net is None and self.denoiser is not None and not all(guided):
             raise ConfigError(
-                f"schedule leaves {n_steps - schedule.n_guided} steps learned; "
+                f"schedule leaves {schedule.n_steps - schedule.n_guided} steps learned; "
                 "provider has no score net"
             )
         return guided

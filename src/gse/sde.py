@@ -30,14 +30,12 @@ from .errors import ConfigError, DimensionError, DomainError
 __all__ = [
     "SdeParams",
     "make_rng",
-    "drift",
     "diffusion_coeff",
     "mean",
     "variance",
     "std",
     "perturb",
     "sample_perturbed",
-    "euler_maruyama_forward",
     "forward_ensemble_moments",
 ]
 
@@ -130,9 +128,6 @@ class SdeParams:
         """The time a score is evaluated at: t clamped to [t_eps, T]."""
         return min(max(float(t), self.t_eps), self.T)
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     # -- flat key=value config round-trip -------------------------------------
     def to_file(self, path: str | Path) -> None:
         write_key_values(path, self)
@@ -189,12 +184,6 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.shape != y.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {y.shape}")
     return x, y
-
-
-def drift(x: np.ndarray, y: np.ndarray, params: SdeParams) -> np.ndarray:
-    """f(x, y) = gamma * (y - x); antisymmetric under swapping x and y."""
-    x, y = _check_pair(x, y)
-    return params.gamma * (y - x)
 
 
 def diffusion_coeff(t: float, params: SdeParams) -> float:
@@ -259,43 +248,6 @@ def sample_perturbed(
     return perturb(x0, y, t, z, params), z
 
 
-def _integrate(
-    x: np.ndarray, y: np.ndarray, params: SdeParams, steps: int, rng: np.random.Generator,
-    visit=None,
-) -> np.ndarray:
-    """Euler-Maruyama from 0 to T in ``steps`` uniform steps, updating x in place.
-
-    ``visit(k, x)``, if given, sees x at every grid node k = 0..steps.
-    """
-    dt = params.T / steps
-    sq = math.sqrt(dt)
-    if visit is not None:
-        visit(0, x)
-    for k in range(steps):
-        g = diffusion_coeff(k * dt, params)
-        x += params.gamma * (y - x) * dt + g * sq * rng.standard_normal(x.shape)
-        if visit is not None:
-            visit(k + 1, x)
-    return x
-
-
-def euler_maruyama_forward(
-    x0: np.ndarray,
-    y: np.ndarray,
-    params: SdeParams,
-    steps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Integrate the forward process from 0 to T on a uniform grid; returns x_T.
-
-    Supports stacked paths: x0/y may be (paths, L) arrays, noise is drawn per path.
-    """
-    if steps < 100:
-        raise DomainError(f"need steps >= 100 for a trustworthy path, got {steps}")
-    x0, y = _check_pair(x0, y)
-    return _integrate(x0.copy(), y, params, steps, rng)
-
-
 def forward_ensemble_moments(
     x0: np.ndarray,
     y: np.ndarray,
@@ -307,9 +259,10 @@ def forward_ensemble_moments(
 ) -> list[dict]:
     """Monte-Carlo moments of the forward process captured at the requested times.
 
-    Each grid time must sit on the integration grid (a multiple of T/steps).
-    Returns one dict per grid point with empirical mean/variance next to the
-    closed-form values.
+    ``paths`` copies of x0 are integrated from 0 to T by Euler-Maruyama in
+    ``steps`` uniform steps, each path drawing its own noise.  Each grid time
+    must sit on the integration grid (a multiple of T/steps).  Returns one dict
+    per grid point with empirical mean/variance next to the closed-form values.
     """
     x0, y = _check_pair(x0, y)
     if x0.ndim != 1:
@@ -324,10 +277,14 @@ def forward_ensemble_moments(
             raise DomainError(f"grid time {t} is not a multiple of T/steps")
         snap[k] = float(t)
     rows = []
-
-    def record(k: int, x: np.ndarray):
+    x = np.broadcast_to(x0, (paths, x0.size)).copy()
+    sq = math.sqrt(dt)
+    for k in range(steps + 1):
+        if k > 0:
+            g = diffusion_coeff((k - 1) * dt, params)
+            x += params.gamma * (y - x) * dt + g * sq * rng.standard_normal(x.shape)
         if k not in snap:
-            return
+            continue
         t = snap[k]
         emp_mean = x.mean(axis=0)
         emp_var = float(x.var(axis=0, ddof=1).mean())
@@ -344,8 +301,4 @@ def forward_ensemble_moments(
                 "model_var": variance(t, params),
             }
         )
-
-    xs = np.broadcast_to(x0, (paths, x0.size)).copy()
-    _integrate(xs, y, params, steps, rng, record)
-    rows.sort(key=lambda r: r["t"])
     return rows

@@ -9,6 +9,7 @@ depends on chunks 1..c only, and the algorithmic latency is exactly one chunk.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -61,22 +62,15 @@ class HistoryBank:
     denoiser_state: np.ndarray | None
 
     @classmethod
-    def fresh(cls, n_steps: int, score_state_dim: int, denoiser_state_dim: int | None = None,
-              rows: int | None = None):
-        if n_steps < 1:
-            raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
-        lead = () if rows is None else (rows,)
-        states = {n: np.zeros(lead + (score_state_dim,)) for n in range(1, n_steps + 1)}
-        den = None if denoiser_state_dim is None else np.zeros(lead + (denoiser_state_dim,))
-        return cls(n_steps, states, den)
-
-    @classmethod
     def for_provider(cls, provider, config: SamplerConfig, params: SdeParams, rows=None):
         """A fresh bank for ``provider``'s nets on the grid of ``params``; ``config`` is unused.
 
         Without a score net the score states are 1 wide; without a denoiser there is none."""
-        return cls.fresh(params.N, getattr(provider.net, "state_dim", 1),
-                         getattr(provider.denoiser, "state_dim", None), rows)
+        lead = () if rows is None else (rows,)
+        width = getattr(provider.net, "state_dim", 1)
+        states = {n: np.zeros(lead + (width,)) for n in range(1, params.N + 1)}
+        den = getattr(provider.denoiser, "state_dim", None)
+        return cls(params.N, states, None if den is None else np.zeros(lead + (den,)))
 
     def require_rows(self, lead: tuple) -> None:
         """DimensionError unless all states are (H,) for a 1-D chunk, () = ``lead``,
@@ -144,6 +138,14 @@ def _normalizer(peak: float) -> float:
     return PEAK_TARGET / max(peak, _PEAK_FLOOR)
 
 
+def _finite_peak(x: np.ndarray) -> float:
+    """max |x|; DomainError, as ``Signal`` raises, if x holds a non-finite sample."""
+    peak = float(np.max(np.abs(x)))
+    if not math.isfinite(peak):
+        raise DomainError("samples must be finite")
+    return peak
+
+
 def _pad_to_multiple(x: np.ndarray, m: int) -> np.ndarray:
     """``x`` with zeros appended along its last axis up to a multiple of m."""
     rem = x.shape[-1] % m
@@ -165,8 +167,8 @@ def enhance_offline(
     A signal (L,) takes one int seed.  B utterances (B, L) take a list of B
     seeds, one generator per row, and run as one batch under the sampler's
     row contract, each row normalized and charged as if alone; x is (B, L)
-    and the ledger a list.  Any other seed raises DimensionError.  The
-    report's chunk is all rows' audio.
+    and the ledger a list.  Any other seed raises DimensionError, and a
+    non-finite sample DomainError.  The report's chunk is all rows' audio.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.size < 1:
@@ -177,7 +179,7 @@ def enhance_offline(
                              f"seeds; got seed {seed!r} for shape {y.shape}")
     rows = np.atleast_2d(y)
     rng = make_rng(seed) if y.ndim == 1 else [make_rng(s) for s in seed]
-    scale = np.reshape([_normalizer(float(np.max(np.abs(r)))) for r in rows], y.shape[:-1] + (1,))
+    scale = np.reshape([_normalizer(_finite_peak(r)) for r in rows], y.shape[:-1] + (1,))
     padded = _pad_to_multiple(y * scale, frame_size)
     bank = HistoryBank.for_provider(provider, config, params, None if y.ndim == 1 else len(y))
     ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in rows]
@@ -216,7 +218,9 @@ class StreamEnhancer:
 
     The enhanced chunk for input chunk c is available right after push(c) — one
     chunk of algorithmic delay.  Short final chunks are zero-padded internally
-    and trimmed on output.  Chunk outputs are causal in the input chunks.
+    and trimmed on output.  Chunk outputs are causal in the input chunks.  A
+    chunk with a non-finite sample raises DomainError and leaves the stream as
+    it was, so the next chunk's output is what it would have been without it.
     """
 
     def __init__(
@@ -250,8 +254,9 @@ class StreamEnhancer:
         n = chunk.size
         if n < K:
             chunk = np.concatenate([chunk, np.zeros(K - n)])
-        # causal per-utterance normalization: running peak of everything seen so far
-        self._peak = max(self._peak, float(np.max(np.abs(chunk))))
+        # causal per-utterance normalization: running peak of everything seen so far;
+        # a non-finite chunk is rejected before the peak or the bank changes
+        self._peak = max(self._peak, _finite_peak(chunk))
         scale = _normalizer(self._peak)
         if self.plan is None:
             self.plan = StepPlan.build(self.provider, self.schedule, self.params)

@@ -140,11 +140,12 @@ def test_criterion_04_reverse_sampler_recovers_gaussian_prior():
     p = SdeParams(sigma_min=0.05, sigma_max=0.5, t_eps=1e-3, N=200)
     prior = GaussianPrior(m0=1.0, var0=0.04)
     provider = AnalyticGaussianScore(prior, p)
+    schedule = GuidanceSchedule.from_guided_steps(0, p)
     cfg = SamplerConfig(corrector_steps=1, corrector_snr=0.1)
     y = np.full(128, 0.4)
     outs = []
     for run in range(79):
-        x, _ = reverse_process(y, provider, None, cfg, p, make_rng(7000 + run))
+        x, _ = reverse_process(y, provider, schedule, cfg, p, make_rng(7000 + run))
         outs.append(x)
     samples = np.concatenate(outs)
     m = float(samples.mean())

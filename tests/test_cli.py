@@ -704,7 +704,7 @@ def sweep_task(tmp_path, utterances, n_phi=12, seed=3):
     score = tiny_score_ckpt(tmp_path / "score.npz", params)
     den = tmp_path / "denoiser.npz"
     save_checkpoint(den, DenoiserNet(frame_size=40, hidden=6, seed=1))
-    return {"n_phi": n_phi, "seed": seed, "sde": params.as_dict(),
+    return {"n_phi": n_phi, "seed": seed, "sde": asdict(params),
             "mix": asdict(MixSpec(duration_s=0.05, seed=600)), "score_ckpt": str(score),
             "denoiser_ckpt": str(den), "utterances": utterances, "corrector_steps": 1,
             "corrector_snr": 0.5}

@@ -385,11 +385,12 @@ class TestFusedCell:
 
     def test_fused_layout(self):
         net = DenoiserNet(frame_size=4, hidden=6, seed=2)
-        w_in, w_rec, b = net.gate_weights()
+        w_in, w_rec, b = _FrameBuffers(net, 1, 1, net.frame_size).weights[:3]
         p = net.params
         np.testing.assert_array_equal(w_in, np.hstack([0.5 * p["gate_u_w"], p["gate_c_w"]]))
         np.testing.assert_array_equal(w_rec, np.hstack([0.5 * p["gate_u_u"], p["gate_c_u"]]))
-        np.testing.assert_array_equal(b, np.concatenate([0.5 * p["gate_u_b"], p["gate_c_b"]]))
+        np.testing.assert_array_equal(
+            b, np.broadcast_to(np.concatenate([0.5 * p["gate_u_b"], p["gate_c_b"]]), b.shape))
         assert all(a.ctypes.data % GATE_ALIGN == 0 for a in (w_in, w_rec, b))
 
     @pytest.mark.parametrize("hidden", [6, 96])
@@ -397,25 +398,26 @@ class TestFusedCell:
     @pytest.mark.parametrize("batch", [1, 2, 5])
     def test_arena_arrays_are_aligned_and_disjoint(self, batch, frames, hidden):
         """A forward's buffers, its fused gates, its two bias tiles and its copies of W_x and
-        dec_w are carved from one arena, and ``gate_weights`` from another: every array starts
-        on GATE_ALIGN bytes and none overlaps another, at a forward's and at a training span.
+        dec_w are carved from one arena: every array starts on GATE_ALIGN bytes and none
+        overlaps another, at a forward's and at a training span.
         Each tile row holds the fused gate bias or dec_b, and the copies hold the weights."""
         net = DenoiserNet(frame_size=40, hidden=hidden, seed=1)
         rng = make_rng(57)
         for key in ("gate_u_b", "gate_c_b", "dec_b"):
             net.params[key][...] = rng.normal(size=net.params[key].shape)
-        gates = net.gate_weights()
+        p = net.params
+        b_fused = np.concatenate([0.5 * p["gate_u_b"], p["gate_c_b"]])
         names = ("x", "pre", "dec", "cat", "G", "s0", "rec", "diff", "step", "scale", "shift")
         bufs = [_FrameBuffers(net, batch, frames, 40, whole) for whole in (False, True)]
-        for arrays in [gates] + [[getattr(buf, name) for name in names] + list(buf.weights)
-                                 for buf in bufs]:
+        for buf in bufs:
+            arrays = [getattr(buf, name) for name in names] + list(buf.weights)
             assert all(a.ctypes.data % GATE_ALIGN == 0 for a in arrays)
             for a, b in itertools.combinations(arrays, 2):
                 assert not np.shares_memory(a, b)
         for buf in bufs:
             b_g, b_dec, w_x, dec_w = buf.weights[2:]
             assert b_g.shape == (len(buf.x), 2 * hidden) and b_dec.shape == (len(buf.x), 40)
-            np.testing.assert_array_equal(b_g, np.broadcast_to(gates[2], b_g.shape))
+            np.testing.assert_array_equal(b_g, np.broadcast_to(b_fused, b_g.shape))
             np.testing.assert_array_equal(b_dec, np.broadcast_to(net.params["dec_b"], b_dec.shape))
             np.testing.assert_array_equal(w_x, net.params["enc_w"])
             np.testing.assert_array_equal(dec_w, net.params["dec_w"])
@@ -458,6 +460,12 @@ class TestFusedCell:
             b, sb = net.forward(x, y, t, state)
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(sa, sb)
+
+
+def _fused_gates(net, d: int) -> tuple:
+    """The fused gates that a forward's buffers hold: input half, recurrent half, bias (2H,)."""
+    w_in, w_rec, b_tile = _FrameBuffers(net, 1, 1, d).weights[:3]
+    return w_in, w_rec, b_tile[0]
 
 
 def _batch_major_forward(core, x, enc, state, need_cache, gates, inputs):
@@ -559,8 +567,8 @@ class TestFrameMajorLayout:
         t_terms = (_pad_rows(emb) @ w[2 * F :])[:B] + net.params["enc_b"]
         enc = (y_term, np.broadcast_to(t_terms[:, None], y_term.shape))
         inputs = (xf, yf, np.broadcast_to(emb[:, None], (B, R, emb.shape[1])))
-        want = _batch_major_forward(net, xf, enc, state, need_cache,
-                                    net.gate_weights(), inputs)
+        want = _batch_major_forward(net, xf, enc, state, need_cache, _fused_gates(net, F),
+                                    inputs)
         return net, got, want
 
     @staticmethod
@@ -571,7 +579,7 @@ class TestFrameMajorLayout:
         got = net.raw_batch(y, state, need_cache)
         yf = y.reshape(B, R, 40)
         want = _batch_major_forward(net, yf, (net.params["enc_b"],), state, need_cache,
-                                    net.gate_weights(), (yf,))
+                                    _fused_gates(net, 40), (yf,))
         return net, got, want
 
     @pytest.mark.parametrize("need_cache", [False, True])
@@ -723,7 +731,7 @@ class TestTraining:
         result = train_score(net, self.make_pairs(), P, cfg)
         for k in before:
             np.testing.assert_array_equal(net.params[k], before[k])
-        probes = result.probe_losses()
+        probes = [probe for _, _, probe in result.curve if probe is not None]
         assert len(set(probes)) == 1  # flat probe curve
 
     def test_fixed_seed_reproduces_loss_curve(self):
@@ -750,7 +758,7 @@ class TestTraining:
             optimizer="momentum", probe_every=40,
         )
         result = train_denoiser(net, self.make_pairs(), cfg)
-        probes = result.probe_losses()
+        probes = [probe for _, _, probe in result.curve if probe is not None]
         assert probes[-1] < probes[0]
 
     def test_trained_score_approximates_analytic_score(self):

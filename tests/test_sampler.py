@@ -26,12 +26,13 @@ from gse.score import (
     LearnedScore,
     analytic_gaussian_score,
 )
-from gse.sde import SdeParams, diffusion_coeff, drift, make_rng, mean, std, variance
+from gse.sde import SdeParams, diffusion_coeff, make_rng, mean, std, variance
 
 P = SdeParams()
 WIDE = SdeParams(sigma_min=0.05, sigma_max=0.5)
 # sigma_max == sigma_min kills the diffusion coefficient identically
 FROZEN = SdeParams(sigma_min=0.1, sigma_max=0.1)
+LEARNED = GuidanceSchedule.from_guided_steps(0, P)  # every step on the learned branch
 
 
 class _ZeroNoise:
@@ -143,7 +144,7 @@ class TestPredictorStep:
         y = rng.normal(size=12)
         dt = 0.05
         out = predictor_step(DiffusionState(x, 0.5), y, np.zeros(12), FROZEN, dt, rng)
-        expected = x + (-drift(x, y, FROZEN) + 0.0) * dt
+        expected = x + (-(FROZEN.gamma * (y - x)) + 0.0) * dt
         np.testing.assert_array_equal(out.x, expected)
         assert out.t == 0.45
 
@@ -245,7 +246,7 @@ class TestReverseProcess:
     def test_analytic_provider_costs_nothing(self):
         y = np.full(8, 0.4)
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        _, ledger = reverse_process(y, provider, None, SamplerConfig(), P, make_rng(8))
+        _, ledger = reverse_process(y, provider, LEARNED, SamplerConfig(), P, make_rng(8))
         assert ledger.score_net_forwards == 0
         assert ledger.denoiser_forwards == 0
         assert ledger.mac_total == 0
@@ -286,7 +287,7 @@ class TestReverseProcess:
         provider = ExplodingProvider(GaussianPrior(1.0, 0.04), P)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="n="):
             reverse_process(
-                np.zeros(4), provider, None, SamplerConfig(), P, make_rng(12)
+                np.zeros(4), provider, LEARNED, SamplerConfig(), P, make_rng(12)
             )
 
     def test_divergence_names_the_step_phase_and_rows(self):
@@ -307,7 +308,7 @@ class TestReverseProcess:
         with np.errstate(all="ignore"), pytest.raises(
             DivergenceError, match=r"after the predictor at step n=30 in rows \[1\]$"
         ):
-            reverse_process(np.zeros((3, 4)), provider, None, SamplerConfig(), P, rngs)
+            reverse_process(np.zeros((3, 4)), provider, LEARNED, SamplerConfig(), P, rngs)
 
     @staticmethod
     def fixed_score(value):
@@ -324,13 +325,13 @@ class TestReverseProcess:
         """A score so small that the corrector's eps overflows leaves a non-finite row."""
         rngs = [make_rng(i) for i in range(3)]
         with pytest.raises(DivergenceError, match=r"after the corrector at step n=30 in rows \[1\]$"):
-            reverse_process(np.zeros((3, 8)), self.fixed_score(1e-160), None, SamplerConfig(), P,
-                            rngs)
+            reverse_process(np.zeros((3, 8)), self.fixed_score(1e-160), LEARNED, SamplerConfig(),
+                            P, rngs)
 
     def test_a_huge_finite_state_is_no_divergence(self):
         """Squares past the float range overflow the finite check's fast path, not the run."""
         y = np.full((3, 8), 1e200)
-        x, _ = reverse_process(y, self.fixed_score(0.0), None, SamplerConfig(), P,
+        x, _ = reverse_process(y, self.fixed_score(0.0), LEARNED, SamplerConfig(), P,
                                [make_rng(i) for i in range(3)])
         assert np.isfinite(x).all() and np.abs(x).min() > 1e199
 
@@ -340,9 +341,9 @@ class TestReverseProcess:
         y = make_rng(13).normal(size=(3, 8))
         cfg = SamplerConfig(corrector_steps=2)
         rngs = [make_rng(20 + i) for i in range(3)]
-        x, ledgers = reverse_process(y, provider, None, cfg, P, rngs)
+        x, ledgers = reverse_process(y, provider, LEARNED, cfg, P, rngs)
         for i in range(3):
-            solo, led = reverse_process(y[i], provider, None, cfg, P, make_rng(20 + i))
+            solo, led = reverse_process(y[i], provider, LEARNED, cfg, P, make_rng(20 + i))
             np.testing.assert_array_equal(x[i], solo)
             assert ledgers[i] == led
 
@@ -362,7 +363,7 @@ class TestReverseProcess:
     def test_generator_count_must_match_rows(self):
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
         with pytest.raises(DimensionError):
-            reverse_process(np.zeros((3, 4)), provider, None, SamplerConfig(), P,
+            reverse_process(np.zeros((3, 4)), provider, LEARNED, SamplerConfig(), P,
                             [make_rng(0), make_rng(1)])
 
     def test_schedule_grid_mismatch_rejected(self):
@@ -388,11 +389,12 @@ class TestToyRecovery:
         prior = GaussianPrior(m0=1.0, var0=0.04)
         y = np.full(128, 0.4)
         provider = AnalyticGaussianScore(prior, params)
+        schedule = GuidanceSchedule.from_guided_steps(0, params)
         cfg = SamplerConfig(corrector_steps=1, corrector_snr=0.1)
         rng = make_rng(100)
         finals = []
         for _ in range(200):
-            x_out, _ = reverse_process(y, provider, None, cfg, params, rng)
+            x_out, _ = reverse_process(y, provider, schedule, cfg, params, rng)
             finals.append(x_out)
         samples = np.concatenate(finals)
         assert abs(float(np.mean(samples)) - prior.m0) < 0.02 * prior.m0
@@ -442,7 +444,7 @@ class TestStepPlan:
                 np.testing.assert_array_equal(a * x0 + rise * y, mean(x0, y, tc, params))
                 assert plan.gain[i] == net.gain(tc) == 1.0 / std(tc, params)
                 np.testing.assert_array_equal(plan.emb[i], net.emb.embed(tc))
-        assert plan.guided == tuple(provider.guided_steps(schedule, params.N))
+        assert plan.guided == tuple(provider.guided_steps(schedule))
 
     def test_plan_is_immutable_and_only_carries_net_rows_when_needed(self):
         net = ScoreNet(P, frame_size=4, hidden=6, seed=1)
@@ -457,9 +459,10 @@ class TestStepPlan:
 
     def test_plan_for_another_grid_rejected(self):
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        plan = StepPlan.build(provider, None, replace(P, N=15))
+        p15 = replace(P, N=15)
+        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(0, p15), p15)
         with pytest.raises(ConfigError):
-            reverse_process(np.zeros(8), provider, None, SamplerConfig(), P, make_rng(0),
+            reverse_process(np.zeros(8), provider, LEARNED, SamplerConfig(), P, make_rng(0),
                             plan=plan)
 
     def test_given_plan_gives_the_same_run(self):

@@ -22,8 +22,6 @@ from gse.score import (
     LearnedScore,
     analytic_gaussian_score,
     discriminative_score,
-    guided_step_count,
-    switch_time_for_count,
 )
 from gse.sde import SdeParams, kernel_coefficients, make_rng, perturb, std, variance
 
@@ -76,14 +74,16 @@ class TestOracleIdentity:
 
 class TestSchedule:
     def test_reference_step_counts(self):
-        assert guided_step_count(0.6, P) == 12
+        assert GuidanceSchedule.from_switch_time(0.6, P).n_guided == 12
         p15 = SdeParams(N=15)
-        assert switch_time_for_count(13, p15) == pytest.approx(2.0 / 15.0, rel=1e-15)
-        assert guided_step_count(2.0 / 15.0, p15) == 13
+        t13 = GuidanceSchedule.from_guided_steps(13, p15).t_switch
+        assert t13 == pytest.approx(2.0 / 15.0, rel=1e-15)
+        assert GuidanceSchedule.from_switch_time(2.0 / 15.0, p15).n_guided == 13
 
     def test_switch_time_and_count_round_trip(self):
         for k in range(P.N + 1):
-            assert guided_step_count(switch_time_for_count(k, P), P) == k
+            t_switch = GuidanceSchedule.from_guided_steps(k, P).t_switch
+            assert GuidanceSchedule.from_switch_time(t_switch, P).n_guided == k
 
     def test_tie_goes_to_learned_branch(self):
         # a switch exactly on a grid node leaves that node un-guided
@@ -106,20 +106,29 @@ class TestSchedule:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
-            switch_time_for_count(P.N + 1, P)
+            GuidanceSchedule.from_guided_steps(P.N + 1, P)
         with pytest.raises(DomainError):
-            guided_step_count(-0.1, P)
+            GuidanceSchedule.from_switch_time(-0.1, P)
         sched = GuidanceSchedule.from_guided_steps(3, P)
         with pytest.raises(DomainError):
             sched.guided_at_step(0)
+
+    @pytest.mark.parametrize("n_guided", [-3, 7, 40])
+    def test_direct_construction_checks_the_count(self, n_guided):
+        """A schedule built without a named constructor guides 0..n_steps steps, so the
+        n_phi a run reports is the count it ran."""
+        with pytest.raises(DomainError, match=f"guided-step count {n_guided} outside 0..6"):
+            GuidanceSchedule(0.5, n_guided, 6)
+        assert GuidanceSchedule(0.5, 6, 6).n_guided == 6
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=60, deadline=None)
 def test_guided_count_monotone_in_switch_time(ta, tb):
     lo, hi = sorted((ta, tb))
-    assert guided_step_count(lo, P) >= guided_step_count(hi, P)
-    assert 0 <= guided_step_count(lo, P) <= P.N
+    n_lo = GuidanceSchedule.from_switch_time(lo, P).n_guided
+    assert n_lo >= GuidanceSchedule.from_switch_time(hi, P).n_guided
+    assert 0 <= n_lo <= P.N
 
 
 class TestAnalyticGaussianScore:
@@ -175,7 +184,10 @@ class _FixedDenoiser:
         return 0
 
 
-def bind(provider, y, ledger, schedule=None, params=P):
+LEARNED, GUIDED = (GuidanceSchedule.from_guided_steps(n, P) for n in (0, P.N))
+
+
+def bind(provider, y, ledger, schedule, params=P):
     """``provider.bind`` on the step plan of ``schedule`` over the grid of ``params``."""
     return provider.bind(y, ledger, StepPlan.build(provider, schedule, params))
 
@@ -192,7 +204,7 @@ class TestHybridDispatch:
         self.provider = HybridScore(_ConstScoreNet(7.0), _FixedDenoiser(self.x0), P)
 
     def test_branches(self):
-        guided = self.provider.guided_steps(self.sched, P.N)
+        guided = self.provider.guided_steps(self.sched)
         bound, _ = bind(self.provider, self.y, CostLedger(), self.sched)
         # the top step, the lowest guided step, the step on the switch time, the last step
         for n in (P.N, 19, 18, 1):
@@ -209,8 +221,6 @@ class TestHybridDispatch:
         cfg = SamplerConfig(corrector_steps=0)
         _, ledger = reverse_process(self.y, self.provider, self.sched, cfg, P, make_rng(1))
         assert (ledger.steps_guided, ledger.steps_learned) == (12, P.N - 12)
-        with pytest.raises(ConfigError):
-            reverse_process(self.y, self.provider, None, cfg, P, make_rng(1))
 
 
 def tiny_nets():
@@ -224,7 +234,7 @@ class TestProviders:
         net, _ = tiny_nets()
         ledger = CostLedger()
         provider = LearnedScore(net, P)
-        bound, _ = bind(provider, np.zeros(8), ledger)
+        bound, _ = bind(provider, np.zeros(8), ledger, LEARNED)
         state = np.zeros(net.state_dim)
         _, state = bound.evaluate(np.zeros(8), 0.5, state, guided=False)
         _, state = bound.evaluate(np.zeros(8), 0.4, state, guided=False)
@@ -236,7 +246,8 @@ class TestProviders:
         """At N = 100, T/N < t_eps: the lowest grid times are evaluated at t_eps."""
         params = SdeParams(N=100)
         net = ScoreNet(params, frame_size=4, hidden=6, seed=3)
-        bound, _ = bind(LearnedScore(net, params), np.zeros(8), CostLedger(), params=params)
+        bound, _ = bind(LearnedScore(net, params), np.zeros(8), CostLedger(),
+                        GuidanceSchedule.from_guided_steps(0, params), params)
         state = np.zeros(net.state_dim)
         s_floor, _ = net.forward(np.ones(8), np.zeros(8), params.t_eps, state)
         for t in (params.grid_time(1), params.grid_time(2), params.t_eps):
@@ -248,7 +259,7 @@ class TestProviders:
         ledger = CostLedger()
         provider = DiscriminativeScore(denoiser, P)
         y = make_rng(1).normal(size=8)
-        bound, den_state = bind(provider, y, ledger)
+        bound, den_state = bind(provider, y, ledger, GUIDED)
         assert ledger.denoiser_forwards == 1
         assert ledger.mac_total == denoiser.macs_per_forward(8)
         before = ledger.mac_total
@@ -266,40 +277,29 @@ class TestProviders:
         sched = GuidanceSchedule.from_guided_steps(0, P)
         bind(provider, np.zeros(8), ledger, sched)
         assert ledger.denoiser_forwards == 1
-        assert not any(provider.guided_steps(sched, P.N))
-
-    def test_hybrid_bound_requires_schedule(self):
-        net, denoiser = tiny_nets()
-        provider = HybridScore(net, denoiser, P)
-        with pytest.raises(ConfigError):
-            provider.guided_steps(None, P.N)
+        assert not any(provider.guided_steps(sched))
 
     def test_schedule_needing_a_missing_source_rejected(self):
         net, denoiser = tiny_nets()
         learned_only = LearnedScore(net, P)
         with pytest.raises(ConfigError):
-            learned_only.guided_steps(GuidanceSchedule.from_guided_steps(1, P), P.N)
+            learned_only.guided_steps(GuidanceSchedule.from_guided_steps(1, P))
         with pytest.raises(ConfigError):
             reverse_process(np.zeros(8), learned_only, GuidanceSchedule.from_guided_steps(
                 P.N, P), SamplerConfig(), P, make_rng(0))
         denoiser_only = DiscriminativeScore(denoiser, P)
         with pytest.raises(ConfigError):
-            denoiser_only.guided_steps(GuidanceSchedule.from_guided_steps(P.N - 1, P), P.N)
+            denoiser_only.guided_steps(GuidanceSchedule.from_guided_steps(P.N - 1, P))
         with pytest.raises(ConfigError):
             reverse_process(np.zeros(8), denoiser_only, GuidanceSchedule.from_guided_steps(
                 0, P), SamplerConfig(), P, make_rng(0))
 
     def test_single_source_providers_follow_their_source(self):
         net, denoiser = tiny_nets()
-        assert LearnedScore(net, P).guided_steps(None, P.N) == [False] * P.N
-        assert DiscriminativeScore(denoiser, P).guided_steps(None, P.N) == [True] * P.N
+        assert LearnedScore(net, P).guided_steps(LEARNED) == [False] * P.N
+        assert DiscriminativeScore(denoiser, P).guided_steps(GUIDED) == [True] * P.N
         analytic = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        assert analytic.guided_steps(None, P.N) == [False] * P.N
-        assert analytic.guided_steps(GuidanceSchedule.from_guided_steps(0, P), P.N) == (
-            [False] * P.N
-        )
-        full = GuidanceSchedule.from_guided_steps(P.N, P)
-        assert DiscriminativeScore(denoiser, P).guided_steps(full, P.N) == [True] * P.N
+        assert analytic.guided_steps(LEARNED) == [False] * P.N
 
     def test_hybrid_dispatch_matches_pure_providers(self):
         net, denoiser = tiny_nets()
@@ -307,8 +307,8 @@ class TestProviders:
         x_t = y + 0.1
         hybrid = HybridScore(net, denoiser, P)
         hb, _ = bind(hybrid, y, CostLedger(), GuidanceSchedule.from_guided_steps(12, P))
-        lb, _ = bind(LearnedScore(net, P), y, CostLedger())
-        db, _ = bind(DiscriminativeScore(denoiser, P), y, CostLedger())
+        lb, _ = bind(LearnedScore(net, P), y, CostLedger(), LEARNED)
+        db, _ = bind(DiscriminativeScore(denoiser, P), y, CostLedger(), GUIDED)
         state = np.zeros(net.state_dim)
         s_h, _ = hb.evaluate(x_t, 0.9, state, guided=True)
         s_d, _ = db.evaluate(x_t, 0.9, state, guided=True)
@@ -368,7 +368,7 @@ class TestProviders:
     def test_analytic_provider_costs_nothing(self):
         ledger = CostLedger()
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        bound, _ = bind(provider, np.full(4, 0.4), ledger)
+        bound, _ = bind(provider, np.full(4, 0.4), ledger, LEARNED)
         bound.evaluate(np.zeros(4), 0.5, None, guided=False)
         assert ledger.score_net_forwards == 0
         assert ledger.mac_total == 0

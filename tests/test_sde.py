@@ -18,8 +18,6 @@ from gse.errors import ConfigError, DimensionError, DomainError
 from gse.sde import (
     SdeParams,
     diffusion_coeff,
-    drift,
-    euler_maruyama_forward,
     forward_ensemble_moments,
     make_rng,
     mean,
@@ -140,17 +138,16 @@ def test_mean_stays_between_endpoints(t, seed):
 
 class TestEulerMaruyama:
     def test_degenerate_band_matches_ode_solution(self):
+        """Noise-free, every path is the Euler solution of dx = gamma (y - x) dt."""
         flat = SdeParams(sigma_min=0.01, sigma_max=0.01)
         x0 = np.array([1.0, -2.0])
         y = np.array([0.0, 1.0])
-        x_T = euler_maruyama_forward(x0, y, flat, steps=2000, rng=make_rng(0))
+        (row,) = forward_ensemble_moments(x0, y, flat, paths=2, steps=2000,
+                                          grid=np.array([flat.T]), rng=make_rng(0))
         exact = y + math.exp(-flat.gamma * flat.T) * (x0 - y)
-        np.testing.assert_allclose(x_T, exact, rtol=5e-3)
-
-    def test_requires_enough_steps(self):
-        x0 = np.zeros(2)
-        with pytest.raises(DomainError):
-            euler_maruyama_forward(x0, x0, P, steps=10, rng=make_rng(0))
+        np.testing.assert_allclose(mean(x0, y, flat.T, flat), exact, rtol=1e-15)
+        assert row["mean_rel_err"] < 5e-3
+        assert row["empirical_var"] == row["model_var"] == 0.0
 
     def test_ensemble_moments_track_closed_forms(self):
         x0 = np.array([1.0])
@@ -163,15 +160,18 @@ class TestEulerMaruyama:
             assert r["mean_rel_err"] < 0.01
             assert rel(r["empirical_var"], r["model_var"]) < 0.12
 
-    def test_ensemble_and_single_run_share_one_integrator(self):
-        """Snapshot at T of the ensemble == the same stacked paths run to T, bit for bit."""
+    def test_ensemble_snapshot_is_the_euler_maruyama_paths(self):
+        """Snapshot at T of the ensemble == the stacked paths stepped by
+        x <- x + gamma (y - x) dt + g(t_k) sqrt(dt) z, bit for bit."""
         x0, y = np.array([1.0, -0.5]), np.array([0.1, 0.3])
         paths, steps = 64, 200
         (row,) = forward_ensemble_moments(x0, y, P, paths, steps, np.array([P.T]), make_rng(9))
-        x_T = euler_maruyama_forward(
-            np.tile(x0, (paths, 1)), np.tile(y, (paths, 1)), P, steps, make_rng(9)
-        )
-        assert row["empirical_var"] == float(x_T.var(axis=0, ddof=1).mean())
+        x, y_paths = np.tile(x0, (paths, 1)), np.tile(y, (paths, 1))
+        dt, rng = P.T / steps, make_rng(9)
+        for k in range(steps):
+            g = diffusion_coeff(k * dt, P)
+            x += P.gamma * (y_paths - x) * dt + g * math.sqrt(dt) * rng.standard_normal(x.shape)
+        assert row["empirical_var"] == float(x.var(axis=0, ddof=1).mean())
 
     def test_snapshot_must_sit_on_integration_grid(self):
         x0 = np.array([1.0])
@@ -284,7 +284,7 @@ class TestParams:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            drift(np.zeros(3), np.zeros(4), P)
+            mean(np.zeros(3), np.zeros(4), 0.5, P)
 
 
 def test_rng_is_reproducible():

@@ -6,7 +6,7 @@ import pytest
 from gse.errors import ConfigError, DimensionError, DomainError
 from gse.nets import DenoiserNet, ScoreNet
 from gse.sampler import CostLedger, SamplerConfig
-from gse.score import GuidanceSchedule, HybridScore
+from gse.score import DiscriminativeScore, GuidanceSchedule, HybridScore, LearnedScore
 from gse.sde import SdeParams, make_rng
 from gse.streaming import (
     HistoryBank,
@@ -64,7 +64,7 @@ class TestStreamConfig:
 
 class TestHistoryBank:
     def test_fresh_bank_has_one_zero_state_per_grid_step(self):
-        bank = HistoryBank.fresh(30, 6, 5)
+        bank = HistoryBank.for_provider(tiny_provider(), SamplerConfig(), P)
         assert sorted(bank.score_states) == list(range(1, 31))
         for state in bank.score_states.values():
             assert state.shape == (6,)
@@ -72,17 +72,22 @@ class TestHistoryBank:
         assert bank.denoiser_state.shape == (5,)
         assert not bank.denoiser_state.any()
 
-    def test_fresh_without_denoiser_state(self):
-        bank = HistoryBank.fresh(5, 3)
-        assert bank.denoiser_state is None
-
-    def test_invalid_step_count(self):
-        with pytest.raises(ConfigError):
-            HistoryBank.fresh(0, 4)
+    def test_single_source_banks(self):
+        """Without a denoiser there is no denoiser state; without a score net the score
+        states are 1 wide."""
+        p5 = SdeParams(N=5)
+        provider = tiny_provider()
+        learned = HistoryBank.for_provider(LearnedScore(provider.net, p5), SamplerConfig(), p5)
+        assert sorted(learned.score_states) == list(range(1, 6))
+        assert learned.denoiser_state is None
+        guided = HistoryBank.for_provider(DiscriminativeScore(provider.denoiser, p5),
+                                          SamplerConfig(), p5, rows=3)
+        assert {a.shape for a in guided.score_states.values()} == {(3, 1)}
+        assert guided.denoiser_state.shape == (3, 5)
 
     def test_mismatched_bank_rejected(self):
         provider = tiny_provider()
-        bank = HistoryBank.fresh(15, 6, 5)
+        bank = HistoryBank.for_provider(provider, SamplerConfig(), SdeParams(N=15))
         with pytest.raises(ConfigError):
             process_chunk(
                 np.zeros(32), bank, provider, GuidanceSchedule.from_guided_steps(0, P),
@@ -112,7 +117,7 @@ class TestStreamingEquivalence:
                                               frame_size=FRAME)
         streamed, led_str, _ = enhance_stream(y, SC, provider, schedule, cfg, P, seed=9)
         np.testing.assert_array_equal(offline, streamed)
-        assert led_off.as_dict() == led_str.as_dict()
+        assert led_off == led_str
 
     def test_outputs_causal_in_input_chunks(self):
         """Perturbing chunk c leaves every emitted sample before chunk c bit-identical."""
@@ -234,6 +239,16 @@ class TestBatchedRows:
                             GuidanceSchedule.from_guided_steps(12, P), SamplerConfig(), P, seed,
                             frame_size=FRAME)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape, seed", [((32,), 1), ((3, 32), [1, 2, 3])])
+    def test_non_finite_sample_is_domain_error(self, shape, seed, bad):
+        """Bad input is named as such, not reported as a numerical divergence."""
+        y = np.ones(shape)
+        y[..., 7] = bad
+        with pytest.raises(DomainError, match="finite"):
+            enhance_offline(y, tiny_provider(), GuidanceSchedule.from_guided_steps(12, P),
+                            SamplerConfig(), P, seed, frame_size=FRAME)
+
 
 class TestLedgers:
     def test_totals_are_exact_sums_of_chunk_ledgers(self):
@@ -248,7 +263,7 @@ class TestLedgers:
         summed = CostLedger()
         for led in enhancer.chunk_ledgers:
             summed = summed + led
-        assert summed.as_dict() == enhancer.ledger.as_dict()
+        assert summed == enhancer.ledger
 
     def test_one_denoiser_forward_per_chunk(self):
         provider = tiny_provider()
@@ -287,6 +302,33 @@ class TestPushPull:
             enhancer.push(np.zeros(0))
         with pytest.raises(DimensionError):
             enhancer.push(np.zeros((4, 8)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_chunk_rejected_and_leaves_the_stream_as_it_was(self, bad):
+        """A rejected chunk touches neither the peak, the bank, the generator nor the
+        ledger: the next chunk's output equals a stream's that never saw it, bit for bit."""
+        chunks = make_rng(12).normal(size=(3, SC.chunk_size))
+        hit = chunks[1].copy()
+        hit[5] = bad
+
+        def stream(*pushes):
+            enhancer = StreamEnhancer(SC, tiny_provider(), GuidanceSchedule.from_guided_steps(
+                6, P), SamplerConfig(corrector_steps=1), P, seed=0)
+            for chunk in pushes:
+                if np.isfinite(chunk).all():
+                    enhancer.push(chunk)
+                    out = enhancer.pull()
+                else:
+                    with pytest.raises(DomainError, match="finite"):
+                        enhancer.push(chunk)
+                    assert enhancer.pull() is None
+            return out, enhancer
+
+        after, hit_stream = stream(chunks[0], hit, chunks[2])
+        clean, clean_stream = stream(chunks[0], chunks[2])
+        assert after.tobytes() == clean.tobytes()
+        assert hit_stream.ledger == clean_stream.ledger
+        assert len(hit_stream.report.wall_times_s) == 2
 
 
 class TestLatency:
