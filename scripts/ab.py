@@ -60,16 +60,18 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``tree``; returns its last-line JSON result."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> tuple[dict, list]:
+    """One benchmark run in ``tree``; returns its last-line JSON result and the lines
+    printed before it."""
     argv = [sys.executable, "gsebench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"ab: {' '.join(argv[1:])} in {tree} exited with {proc.returncode}\n"
+        raise SystemExit(f"{' '.join(argv[1:])} in {tree} exited with {proc.returncode}\n"
                          f"{proc.stderr.strip()}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), lines[:-1]
 
 
 def _fmt(v: float) -> str:
@@ -181,7 +183,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                res = run_once(sides[side], args.workload, args.seed + i, args.seconds)
+                res, _ = run_once(sides[side], args.workload, args.seed + i, args.seconds)
                 failed += res["failed"] > 0
                 results[side].append({k: m["value"] for k, m in res["metrics"].items()})
                 print(f"pair {i + 1}/{args.pairs} {side}: failed {res['failed']}/"

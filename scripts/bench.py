@@ -5,11 +5,12 @@ Run from anywhere; it works on the checkout it lives in:
 
     python3 scripts/bench.py --label pr6 [--seconds 30] [--seed 1]
 
-Each workload of ``gsebench/run.py`` runs twice, one after the other: with
-``--trace 0`` for the end-to-end metrics and with ``--trace 1`` for the
-per-layer ones.  The file records each run's metrics, its failed/attempted
-counts, the exact per-round counts of the traced run, the platform the
-benchmark printed and the line count of ``src/gse``.  The script only calls
+Each workload of ``gsebench/run.py`` runs twice, one after the other, through
+``scripts/ab.py``'s ``run_once``: with ``--trace 0`` for the end-to-end
+metrics and with ``--trace 1`` for the per-layer ones.  The file records each
+run's metrics, its failed/attempted counts, the exact per-round counts of the
+traced run, the platform the benchmark printed and the line count of
+``src/gse``.  The script only calls
 ``gsebench/run.py`` as a program; it imports nothing from it.
 
 Host speed.  Before and after each workload the script times a fixed kernel
@@ -24,12 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+import ab  # this script's directory is first on sys.path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("stream-50ms", "offline-1s", "sweep")
@@ -38,21 +40,15 @@ COUNTS_PREFIX = "note: exact counts of one traced round: "
 
 
 def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``gsebench/run.py`` run; returns its parsed result."""
-    argv = [sys.executable, str(ROOT / "gsebench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"bench: {' '.join(argv[1:])} exited with {proc.returncode}\n"
-                         f"{proc.stderr.strip()}")
-    result = json.loads(lines[-1])
+    """One ``gsebench/run.py`` run of this checkout; its counts, metrics, platform and
+    exact traced counts."""
+    result, lines = ab.run_once(ROOT, workload, seed, seconds, trace)
     out = {
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
-    for line in lines[:-1]:
+    for line in lines:
         line = line.strip()
         if line.startswith(PLATFORM_PREFIX):
             out["platform"] = json.loads(line[len(PLATFORM_PREFIX):])

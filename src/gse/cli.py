@@ -338,6 +338,7 @@ def cmd_enhance(args) -> int:
     wav_path = out / "enhanced.wav"
     write_wav(wav_path, Signal(np.clip(x, -1.0, 1.0), sig.sample_rate))
     report_path = out / "report.json"
+    t_phi = params.grid_time(params.N - schedule.n_guided)  # the switch time the run used
     report_doc = {
         "ledger": asdict(ledger),
         "latency": report.as_dict(),
@@ -345,7 +346,7 @@ def cmd_enhance(args) -> int:
         "streaming": streaming,
         "chunk_size": chunk_size,
         "n_phi": schedule.n_guided,
-        "t_phi": schedule.t_switch,
+        "t_phi": t_phi,
         "output": str(wav_path),
     }
     report_path.write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
@@ -354,7 +355,7 @@ def cmd_enhance(args) -> int:
         args,
         {
             "sde": asdict(params),
-            "schedule": {"n_phi": schedule.n_guided, "t_phi": schedule.t_switch},
+            "schedule": {"n_phi": schedule.n_guided, "t_phi": t_phi},
             "sampler": {
                 "n_steps": schedule.n_steps,
                 "corrector_steps": args.corrector_steps,

@@ -152,9 +152,13 @@ def _normal(rng, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_finite(x: np.ndarray, n: int, phase: str) -> None:
+def _all_finite(x: np.ndarray) -> bool:
     # a finite squared norm has finite terms; only an overflow needs the entrywise test
-    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
+def _check_finite(x: np.ndarray, n: int, phase: str) -> None:
+    if not _all_finite(x):
         rows = np.flatnonzero(~np.isfinite(_rows(x)).all(axis=-1)).tolist()
         raise DivergenceError(f"non-finite state after the {phase} at step n={n} in rows {rows}")
 
@@ -263,9 +267,20 @@ def reverse_process(
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the
     updated state back; the denoiser state is threaded through the bank as well.
-    A non-finite state raises ``DivergenceError`` naming step, phase and rows.
+    Before anything is drawn or written, a y that is not (L,) or (B, L) rows the
+    bank holds raises ``DimensionError``, a bank for another N ``ConfigError``
+    and a non-finite y ``DomainError``.  A non-finite state raises
+    ``DivergenceError`` naming step, phase and rows.
     """
     y = np.asarray(y, dtype=np.float64)
+    if bank is not None:
+        if y.ndim not in (1, 2) or y.size < 1:
+            raise DimensionError("chunk must be a non-empty 1-D array or (B, L) rows")
+        if bank.n_steps != params.N:
+            raise ConfigError(f"history bank built for N={bank.n_steps}, sampler runs N={params.N}")
+        bank.require_rows(y.shape[:-1])
+    if not _all_finite(y):
+        raise DomainError("samples must be finite")
     rows = len(_rows(y))
     if ledger is None:
         ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in range(rows)]

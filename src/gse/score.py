@@ -7,11 +7,10 @@ Three interchangeable score sources drive the reverse sampler:
       s_d(x_t, y, t) = (mean(x_d, y, t) - x_t) / variance(t)
 * a closed-form oracle for a Gaussian clean prior (test harness).
 
-A ``GuidanceSchedule`` splits the N-step reverse grid at a switch time: grid
-steps with t above the threshold use the guided score, the rest use the
-learned one.  The guided-step count n of a threshold is the cardinality of
-{ n*T/N > t_switch : n = 1..N }, and the inverse returns the largest
-grid-aligned threshold with that count.
+A ``GuidanceSchedule`` is the guided-step count n_phi on an N-step reverse
+grid: the top n_phi grid steps use the guided score, the rest the learned one.
+A switch time t_phi maps to the count of { n*T/N > t_phi : n = 1..N }; the
+switch time a count runs is the grid time (N - n_phi)*T/N.
 
 One ``ScoreProvider`` holds a score net, a denoiser, or both, and one rule
 (``ScoreProvider.guided_steps``) fixes the branch of every grid step: the
@@ -47,9 +46,8 @@ _TIE_REL = 1e-9
 
 @dataclass(frozen=True)
 class GuidanceSchedule:
-    """Switch point between guided and learned reverse steps on an N-step grid."""
+    """The number of guided reverse steps, the top ones of an N-step grid."""
 
-    t_switch: float
     n_guided: int
     n_steps: int
 
@@ -64,20 +62,12 @@ class GuidanceSchedule:
             raise DomainError(f"switch time {t_switch} outside [0, {params.T}]")
         guard = t_switch + _TIE_REL * params.T
         n_guided = sum(1 for n in range(1, params.N + 1) if params.grid_time(n) > guard)
-        return cls(float(t_switch), n_guided, params.N)
+        return cls(n_guided, params.N)
 
     @classmethod
     def from_guided_steps(cls, n_guided: int, params: SdeParams) -> "GuidanceSchedule":
-        """Guides n_guided steps; t_switch is the largest grid-aligned time that does."""
-        if not 0 <= n_guided <= params.N:
-            raise DomainError(f"guided-step count {n_guided} outside 0..{params.N}")
-        return cls(params.grid_time(params.N - n_guided), int(n_guided), params.N)
-
-    def guided_at_step(self, n: int) -> bool:
-        """Grid step n (1..N) uses the guided branch iff it is one of the top n_guided."""
-        if not 1 <= n <= self.n_steps:
-            raise DomainError(f"step {n} outside 1..{self.n_steps}")
-        return n > self.n_steps - self.n_guided
+        """Guides the top n_guided steps of the grid of ``params``."""
+        return cls(int(n_guided), params.N)
 
 
 def discriminative_score(
@@ -171,14 +161,12 @@ class ScoreProvider:
 
         A schedule that needs a source the provider lacks raises ConfigError.
         """
-        guided = [schedule.guided_at_step(n) for n in range(1, schedule.n_steps + 1)]
+        learned = schedule.n_steps - schedule.n_guided  # steps 1..learned; the rest guided
+        guided = [n > learned for n in range(1, schedule.n_steps + 1)]
         if self.denoiser is None and any(guided):
             raise ConfigError(f"schedule guides {schedule.n_guided} steps; provider has no denoiser")
         if self.net is None and self.denoiser is not None and not all(guided):
-            raise ConfigError(
-                f"schedule leaves {schedule.n_steps - schedule.n_guided} steps learned; "
-                "provider has no score net"
-            )
+            raise ConfigError(f"schedule leaves {learned} steps learned; provider has no score net")
         return guided
 
     def bind(self, y: np.ndarray, ledger, plan, denoiser_state=None):

@@ -93,13 +93,7 @@ def process_chunk(
     ledger: CostLedger | None = None,
     plan: StepPlan | None = None,
 ) -> tuple[np.ndarray, HistoryBank]:
-    """Run the reverse pass for one chunk (L,) or rows (B, L), threading the bank; (x_c, bank)."""
-    y_chunk = np.asarray(y_chunk, dtype=np.float64)
-    if y_chunk.ndim not in (1, 2) or y_chunk.size < 1:
-        raise DimensionError("chunk must be a non-empty 1-D array or (B, L) rows")
-    if bank.n_steps != params.N:
-        raise ConfigError(f"history bank built for N={bank.n_steps}, sampler runs N={params.N}")
-    bank.require_rows(y_chunk.shape[:-1])
+    """``reverse_process`` for one chunk (L,) or rows (B, L) on ``bank``; (x_c, bank)."""
     x, _ = reverse_process(y_chunk, provider, schedule, config, params, rng, bank=bank,
                            ledger=ledger, plan=plan)
     return x, bank

@@ -444,6 +444,25 @@ class TestEnhance:
         assert report["n_phi"] == 15 and report["t_phi"] == 0.5
         capsys.readouterr()
 
+    def test_off_grid_switch_time_reports_the_switch_it_ran(self, tmp_path, noisy_wav,
+                                                            trained_ckpt_paths, capsys):
+        """t_phi = 0.55 guides the 14 grid steps above it; the run is the --n-phi 14 run,
+        and both report that run's switch time 16/30, while argv keeps what was typed."""
+        score_ckpt, denoiser_ckpt = trained_ckpt_paths
+        nets = ("--score-ckpt", score_ckpt, "--denoiser-ckpt", denoiser_ckpt, "--seed", 2)
+        runs = {}
+        for flag, value in (("--t-phi", "0.55"), ("--n-phi", 14)):
+            out = tmp_path / flag.strip("-")
+            assert run("enhance", "--input", noisy_wav, "--out", out, *nets, flag, value) == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert report["n_phi"] == manifest["config"]["schedule"]["n_phi"] == 14
+            assert report["t_phi"] == manifest["config"]["schedule"]["t_phi"] == 16 / 30
+            runs[flag] = manifest["argv"], (out / "enhanced.wav").read_bytes()
+        assert "0.55" in runs["--t-phi"][0]
+        assert runs["--t-phi"][1] == runs["--n-phi"][1]
+        capsys.readouterr()
+
     def test_wrong_role_checkpoint_rejected(self, tmp_path, noisy_wav,
                                             trained_ckpt_paths, capsys):
         _, denoiser_ckpt = trained_ckpt_paths

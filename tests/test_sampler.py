@@ -435,7 +435,7 @@ class TestStepPlan:
             assert plan.t[n - 1] == t_n
             assert plan.g[n - 1] == diffusion_coeff(t_n, params)
             assert plan.t_eval[n - 1] == max(max(t_n - dt, 0.0), params.t_eps)
-            assert plan.guided[n - 1] == schedule.guided_at_step(n)
+            assert plan.guided[n - 1] == (n > params.N - schedule.n_guided)
             for t in (t_n, plan.t_eval[n - 1]):
                 i = plan.point_of[t]
                 tc = min(max(t, params.t_eps), params.T)

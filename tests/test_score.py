@@ -72,17 +72,22 @@ class TestOracleIdentity:
             discriminative_score(np.zeros(5), np.zeros(4), 0.5, np.zeros(5), P)
 
 
+def branches(schedule):
+    """``ScoreProvider.guided_steps`` of a provider with both sources; entry n - 1 is step n."""
+    return HybridScore(object(), object(), P).guided_steps(schedule)
+
+
 class TestSchedule:
     def test_reference_step_counts(self):
         assert GuidanceSchedule.from_switch_time(0.6, P).n_guided == 12
         p15 = SdeParams(N=15)
-        t13 = GuidanceSchedule.from_guided_steps(13, p15).t_switch
+        t13 = p15.grid_time(p15.N - 13)
         assert t13 == pytest.approx(2.0 / 15.0, rel=1e-15)
         assert GuidanceSchedule.from_switch_time(2.0 / 15.0, p15).n_guided == 13
 
     def test_switch_time_and_count_round_trip(self):
         for k in range(P.N + 1):
-            t_switch = GuidanceSchedule.from_guided_steps(k, P).t_switch
+            t_switch = P.grid_time(P.N - k)
             assert GuidanceSchedule.from_switch_time(t_switch, P).n_guided == k
 
     def test_tie_goes_to_learned_branch(self):
@@ -90,36 +95,33 @@ class TestSchedule:
         t_switch = P.grid_time(18)
         sched = GuidanceSchedule.from_switch_time(t_switch, P)
         assert sched.n_guided == 12
-        assert not sched.guided_at_step(18)
-        assert sched.guided_at_step(19)
+        assert not branches(sched)[18 - 1]
+        assert branches(sched)[19 - 1]
 
     def test_partition_matches_count(self):
-        sched = GuidanceSchedule.from_guided_steps(7, P)
-        flags = [sched.guided_at_step(n) for n in range(1, P.N + 1)]
+        flags = branches(GuidanceSchedule.from_guided_steps(7, P))
         assert sum(flags) == 7
         assert flags == [n > P.N - 7 for n in range(1, P.N + 1)]
 
     def test_constructors_agree(self):
         a = GuidanceSchedule.from_guided_steps(12, P)
-        b = GuidanceSchedule.from_switch_time(a.t_switch, P)
+        b = GuidanceSchedule.from_switch_time(P.grid_time(P.N - 12), P)
         assert (a.n_guided, a.n_steps) == (b.n_guided, b.n_steps)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            GuidanceSchedule.from_guided_steps(P.N + 1, P)
+        for n_guided in (-1, P.N + 1):
+            with pytest.raises(DomainError):
+                GuidanceSchedule.from_guided_steps(n_guided, P)
         with pytest.raises(DomainError):
             GuidanceSchedule.from_switch_time(-0.1, P)
-        sched = GuidanceSchedule.from_guided_steps(3, P)
-        with pytest.raises(DomainError):
-            sched.guided_at_step(0)
 
     @pytest.mark.parametrize("n_guided", [-3, 7, 40])
     def test_direct_construction_checks_the_count(self, n_guided):
         """A schedule built without a named constructor guides 0..n_steps steps, so the
         n_phi a run reports is the count it ran."""
         with pytest.raises(DomainError, match=f"guided-step count {n_guided} outside 0..6"):
-            GuidanceSchedule(0.5, n_guided, 6)
-        assert GuidanceSchedule(0.5, 6, 6).n_guided == 6
+            GuidanceSchedule(n_guided, 6)
+        assert GuidanceSchedule(6, 6).n_guided == 6
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
@@ -210,7 +212,7 @@ class TestHybridDispatch:
         for n in (P.N, 19, 18, 1):
             t = P.grid_time(n)
             s, _ = bound.evaluate(self.x_t, t, None, guided[n - 1])
-            if t > self.sched.t_switch:
+            if t > P.grid_time(P.N - 12):
                 np.testing.assert_array_equal(
                     s, discriminative_score(self.x_t, self.y, t, self.x0, P)
                 )

@@ -5,7 +5,7 @@ import pytest
 
 from gse.errors import ConfigError, DimensionError, DomainError
 from gse.nets import DenoiserNet, ScoreNet
-from gse.sampler import CostLedger, SamplerConfig
+from gse.sampler import CostLedger, SamplerConfig, reverse_process
 from gse.score import DiscriminativeScore, GuidanceSchedule, HybridScore, LearnedScore
 from gse.sde import SdeParams, make_rng
 from gse.streaming import (
@@ -105,6 +105,44 @@ class TestHistoryBank:
         for n in range(1, 31):
             touched = bank.score_states[n].any()
             assert touched == (n <= 18), f"grid step {n}"
+
+
+class TestBankGuard:
+    """The pass checks the bank it writes: a chunk it rejects changes nothing."""
+
+    @pytest.mark.parametrize("call", ["process_chunk", "reverse_process"])
+    def test_non_finite_chunk_leaves_the_bank_as_it_was(self, call):
+        p6 = SdeParams(N=6)
+        provider = HybridScore(ScoreNet(p6, frame_size=FRAME, hidden=6, seed=3),
+                               DenoiserNet(frame_size=FRAME, hidden=5, seed=4), p6)
+        schedule = GuidanceSchedule.from_guided_steps(2, p6)
+        cfg = SamplerConfig(corrector_steps=1)
+        first, clean = make_rng(13).normal(size=(2, 32))
+
+        def run(chunk, bank, rng):
+            if call == "process_chunk":
+                return process_chunk(chunk, bank, provider, schedule, cfg, p6, rng)[0]
+            return reverse_process(chunk, provider, schedule, cfg, p6, rng, bank=bank)[0]
+
+        def after_first():
+            bank, rng = HistoryBank.for_provider(provider, cfg, p6), make_rng(0)
+            run(first, bank, rng)
+            return bank, rng
+
+        def arrays(bank):
+            return [a.tobytes() for a in (*bank.score_states.values(), bank.denoiser_state)]
+
+        bank, rng = after_first()
+        for bad in (np.nan, np.inf):
+            hit = clean.copy()
+            hit[5] = bad
+            before = arrays(bank)
+            with pytest.raises(DomainError, match="finite"):
+                run(hit, bank, rng)
+            assert arrays(bank) == before
+        untouched_bank, untouched_rng = after_first()
+        assert run(clean, bank, rng).tobytes() == run(clean, untouched_bank,
+                                                      untouched_rng).tobytes()
 
 
 class TestStreamingEquivalence:

@@ -39,7 +39,7 @@ def test_every_target_resolves_on_the_library(layertrace):
 @pytest.mark.parametrize("n_phi", [0, 12, 30])
 def test_a_traced_stream_counts_every_hot_path_call(layertrace, n_phi):
     """Spans per chunk equal the ledger's counts, so no hot-path call bypasses the name
-    the trace patches."""
+    the trace patches; each pushed chunk goes through ``process_chunk`` once."""
     params, sampler = gse.SdeParams(N=6), gse.SamplerConfig(corrector_steps=1)
     score = gse.ScoreNet(params, frame_size=8, hidden=6, emb_dim=4, seed=0)
     denoiser = gse.DenoiserNet(frame_size=8, hidden=6, seed=1)
@@ -53,15 +53,19 @@ def test_a_traced_stream_counts_every_hot_path_call(layertrace, n_phi):
     stream = gse.StreamConfig(chunk_ms=2.0, sample_rate=16000)  # 32 samples, 4 frames
     enhancer = gse.StreamEnhancer(stream, provider, schedule, sampler, params, seed=0)
     tracer = layertrace.Tracer()
+    chunks = np.linspace(-0.5, 0.5, 2 * stream.chunk_size).reshape(2, -1)
     with layertrace.patched(tracer) as missing:
-        enhancer.push(np.linspace(-0.5, 0.5, stream.chunk_size))
+        for chunk in chunks:
+            enhancer.push(chunk)
     assert missing == []
     calls = layertrace.round_counts(tracer.spans)
     ledger = enhancer.ledger
     assert calls.get("calls:nets.score_forward", 0) == ledger.score_net_forwards
     assert calls.get("calls:nets.denoiser_forward", 0) == ledger.denoiser_forwards
     assert calls.get("calls:score.guided_eval", 0) == 2 * ledger.steps_guided
-    assert calls["calls:score.bind"] == calls["calls:sampler.reverse"] == 1
-    assert calls["calls:sampler.predictor"] == params.N
-    assert calls["calls:sampler.corrector"] == ledger.corrector_evals == params.N
+    pushes = len(chunks)
+    assert calls["calls:streaming.push"] == calls["calls:streaming.process_chunk"] == pushes
+    assert calls["calls:score.bind"] == calls["calls:sampler.reverse"] == pushes
+    assert calls["calls:sampler.predictor"] == pushes * params.N
+    assert calls["calls:sampler.corrector"] == ledger.corrector_evals == pushes * params.N
     assert calls["corrector_skips"] == ledger.corrector_skips
