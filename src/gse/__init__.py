@@ -28,6 +28,7 @@ from .sampler import (
     CostLedger,
     DiffusionState,
     SamplerConfig,
+    StepPlan,
     corrector_step,
     predictor_step,
     reverse_process,

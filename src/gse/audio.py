@@ -40,7 +40,7 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size < 1:
             raise DimensionError("samples must be a non-empty 1-D array")
-        require_sample_rate(self)
+        require_sample_rate(self.sample_rate)
         if not np.all(np.isfinite(self.samples)):
             raise DomainError("samples must be finite")
 
@@ -67,7 +67,7 @@ class MixSpec:
         require_finite(self, "duration_s")
         if self.duration_s <= 0.0:
             raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
-        require_sample_rate(self)
+        require_sample_rate(self.sample_rate)
         if math.isnan(self.snr_db):
             raise ConfigError("snr_db must be a number or +inf")
         self.n_samples  # ConfigError on a count no array can hold

@@ -102,6 +102,8 @@ __all__ = [
 
 SNR_LOSS_FLOOR_DB = -120.0
 SNR_LOSS_EPS = 1e-12
+#: Lowest and highest angular frequency of the diffusion-time embedding.
+OMEGA_MIN, OMEGA_MAX = 1.0, 1000.0
 
 #: Rows per block of hoisted projections, max(1, ROW_BLOCK // bp) frames of bp state rows.
 #: Two BLAS threads ran the (M, 160) @ (160, 320) gate product at 0.96 us a row for M = 32,
@@ -227,12 +229,12 @@ class _FrameBuffers:
 class TimeEmbedding:
     """Geometric sinusoidal embedding of the diffusion time, t in [0, T]."""
 
-    def __init__(self, dim: int = 32, omega_min: float = 1.0, omega_max: float = 1000.0):
+    def __init__(self, dim: int = 32):
         if dim % 2 != 0 or dim < 2:
             raise ConfigError(f"embedding dim must be even and >= 2, got {dim}")
         half = dim // 2
         self.dim = dim
-        self.omegas = omega_min * (omega_max / omega_min) ** (np.arange(half) / max(half - 1, 1))
+        self.omegas = OMEGA_MIN * (OMEGA_MAX / OMEGA_MIN) ** (np.arange(half) / max(half - 1, 1))
 
     def embed(self, t) -> np.ndarray:
         """[sin(omega t) | cos(omega t)]: (dim,) for one t, (len(t), dim) for a sequence."""

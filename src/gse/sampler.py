@@ -5,12 +5,12 @@ each followed by ``corrector_steps`` annealed Langevin refinements evaluated at
 the new time (clamped to t_eps) and sharing the predictor's guidance branch.
 The prior is x_T ~ N(y, variance(T) * I); the returned state sits at t_eps.
 
-The grid size N is ``SdeParams.N`` and nothing else.  What depends on the
-grid alone sits in one immutable ``StepPlan`` per (params, schedule,
-provider), built once per stream: per grid step t_n, the correctors' time,
-g(t_n) and the branch; per evaluation time the kernel's variance and mean
-coefficients and the score net's gain and time embedding.
-Each column is the expression a step would evaluate, so no bit changes.
+A pass is one immutable ``StepPlan``: the provider, the constants ``SdeParams``
+(N is the grid size), the ``SamplerConfig`` and, from these and the schedule,
+per grid step t_n the correctors' time, g(t_n) and the branch; per evaluation
+time the kernel's variance and mean coefficients and the score net's gain and
+time embedding.  Each column is the expression a step would evaluate, so no
+bit changes.
 
 A pass runs one signal (L,), which is B = 1, or B rows (B, L) that share the
 plan, the time terms and the gates; row i has its own generator (it draws what
@@ -102,9 +102,11 @@ class DiffusionState:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Step columns are indexed n - 1; ``point_of`` maps each evaluation time to its row."""
+    """A reverse pass; step columns are indexed n - 1, ``point_of`` maps a time to its row."""
 
-    n_steps: int
+    provider: object  # a ScoreProvider
+    params: SdeParams
+    config: SamplerConfig
     dt: float
     prior_std: float  # std(T)
     t: tuple  # t_n = (n T) / N
@@ -117,22 +119,22 @@ class StepPlan:
     emb: np.ndarray | None  # the score net's time-embedding rows, read-only
 
     @classmethod
-    def build(cls, provider, schedule, params: SdeParams) -> "StepPlan":
+    def build(cls, provider, schedule, params: SdeParams, config: SamplerConfig) -> "StepPlan":
         if schedule.n_steps != params.N:
             raise ConfigError(f"schedule built for N={schedule.n_steps}, sampler runs N={params.N}")
         guided = tuple(provider.guided_steps(schedule))
         dt = params.T / params.N
         t = tuple(params.grid_time(n) for n in range(1, params.N + 1))
         t_eval = tuple(max(max(t_n - dt, 0.0), params.t_eps) for t_n in t)
-        times = tuple(dict.fromkeys(provider.params.clamp(s) for s in t + t_eval))  # distinct
-        kernel = tuple(kernel_coefficients(s, provider.params) for s in times)
+        times = tuple(dict.fromkeys(params.clamp(s) for s in t + t_eval))  # distinct
+        kernel = tuple(kernel_coefficients(s, params) for s in times)
         embed = getattr(provider.net, "embed_times", None)  # test doubles have none
         gain = emb = None
         if embed is not None and not all(guided):
             gain, emb = tuple(provider.net.gain(s) for s in times), embed(times)
             emb.flags.writeable = False
-        point_of = {s: times.index(provider.params.clamp(s)) for s in t + t_eval}
-        return cls(params.N, dt, std(params.T, params), t, t_eval,
+        point_of = {s: times.index(params.clamp(s)) for s in t + t_eval}
+        return cls(provider, params, config, dt, std(params.T, params), t, t_eval,
                    tuple(diffusion_coeff(t_n, params) for t_n in t), guided, point_of, kernel,
                    gain, emb)
 
@@ -246,23 +248,12 @@ def corrector_step(
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises DivergenceError
-def reverse_process(
-    y: np.ndarray,
-    provider,
-    schedule,
-    config: SamplerConfig,
-    params: SdeParams,
-    rng,
-    bank=None,
-    ledger=None,
-    plan: StepPlan | None = None,
-):
-    """Full reverse pass conditioned on y, (L,) or (B, L); returns (x_out, ledger).
+def reverse_process(y: np.ndarray, plan: StepPlan, rng, bank=None, ledger=None):
+    """Full reverse pass of ``plan`` conditioned on y, (L,) or (B, L); returns (x_out, ledger).
 
     ``rng`` and ``ledger`` are one, or for rows a list of one per row (fresh
-    ledgers by default).  ``plan`` is the pass's ``StepPlan``, built here from
-    ``schedule``, a ``GuidanceSchedule``, when not given.  The branch of every
-    grid step is its ``guided`` column; the predictor and its correctors read it.
+    ledgers by default).  The branch of every grid step is the plan's
+    ``guided`` column; the predictor and its correctors read it.
 
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the
@@ -273,11 +264,12 @@ def reverse_process(
     ``DivergenceError`` naming step, phase and rows.
     """
     y = np.asarray(y, dtype=np.float64)
+    params, config = plan.params, plan.config
     if bank is not None:
         if y.ndim not in (1, 2) or y.size < 1:
             raise DimensionError("chunk must be a non-empty 1-D array or (B, L) rows")
-        if bank.n_steps != params.N:
-            raise ConfigError(f"history bank built for N={bank.n_steps}, sampler runs N={params.N}")
+        if (built := len(bank.score_states)) != params.N:
+            raise ConfigError(f"history bank built for N={built}, sampler runs N={params.N}")
         bank.require_rows(y.shape[:-1])
     if not _all_finite(y):
         raise DomainError("samples must be finite")
@@ -285,12 +277,8 @@ def reverse_process(
     if ledger is None:
         ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in range(rows)]
     ledgers = per_row(ledger, rows)
-    if plan is None:
-        plan = StepPlan.build(provider, schedule, params)
-    elif plan.n_steps != params.N:
-        raise ConfigError(f"step plan built for N={plan.n_steps}, sampler runs N={params.N}")
     den_state = None if bank is None else bank.denoiser_state
-    bound, den_state = provider.bind(y, ledger, plan, den_state)
+    bound, den_state = plan.provider.bind(y, ledger, plan, den_state)
     if bank is not None:
         bank.denoiser_state = den_state
 

@@ -148,7 +148,8 @@ class ScoreProvider:
     A provider without a denoiser is learned-only: its learned branch is the
     score net (or, in a subclass, an oracle).  A provider without a score net
     is guided-only.  ``guided_steps`` is the one rule that picks the branch of
-    each grid step, from the schedule.
+    each grid step, from the schedule.  A pass runs on its ``StepPlan``'s
+    constants; only the analytic oracle reads ``params``.
     """
 
     def __init__(self, net, denoiser, params: SdeParams):
@@ -224,11 +225,11 @@ class _BoundScore:
 
     def evaluate(self, x_t, t, state, guided: bool):
         """Return (score, new_state); new_state is state unless a net ran."""
-        p, i = self.provider, self.plan.point_of[t]
+        i = self.plan.point_of[t]
         if guided:  # the plan clamped t and holds its kernel
-            return (discriminative_score(x_t, self.y, t, self.x_d, p.params, self.plan.kernel[i]),
-                    state)
-        return p.learned_score(x_t, self.y, t, state, self.ledgers, self.cond, i)
+            params, kernel = self.plan.params, self.plan.kernel[i]
+            return discriminative_score(x_t, self.y, t, self.x_d, params, kernel), state
+        return self.provider.learned_score(x_t, self.y, t, state, self.ledgers, self.cond, i)
 
 
 # Named constructors of the three net combinations; none changes behaviour.

@@ -63,11 +63,11 @@ def require_finite(config, *names: str) -> None:
             raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
 
 
-def require_sample_rate(config) -> None:
-    """ConfigError unless ``config.sample_rate`` lies in [1, the largest float]."""
+def require_sample_rate(sample_rate) -> None:
+    """ConfigError unless ``sample_rate`` lies in [1, the largest float]."""
     top = float(np.finfo(float).max)  # a Python float: an int past it compares, not converts
-    if not 1 <= config.sample_rate <= top:
-        got = str(config.sample_rate)
+    if not 1 <= sample_rate <= top:
+        got = str(sample_rate)
         raise ConfigError(f"sample_rate must be in [1, {top:g}], got "
                           f"{got if len(got) <= 24 else f'a {len(got)}-digit number'}")
 

@@ -1,7 +1,8 @@
 """Chunked enhancement with recurrent history across chunk boundaries.
 
 Each incoming chunk runs its own full reverse diffusion conditioned on the
-chunk's noisy samples; what ties consecutive chunks together is the history
+chunk's noisy samples, on the one ``StepPlan`` of its stream (or of its
+``enhance_offline`` request); what ties consecutive chunks together is the history
 bank: one score-net recurrent state per grid step index (written only by the
 predictor's evaluation) plus one denoiser state.  Output for chunk c therefore
 depends on chunks 1..c only, and the algorithmic latency is exactly one chunk.
@@ -43,7 +44,7 @@ class StreamConfig:
         require_finite(self, "chunk_ms")
         if self.chunk_ms <= 0.0:
             raise ConfigError(f"chunk_ms must be positive, got {self.chunk_ms}")
-        require_sample_rate(self)
+        require_sample_rate(self.sample_rate)
         if self.chunk_size < 1:
             raise ConfigError("chunk shorter than one sample")
 
@@ -57,7 +58,6 @@ class StreamConfig:
 class HistoryBank:
     """Recurrent state, (H,) or (rows, H), for every grid step plus the denoiser; fresh = 0."""
 
-    n_steps: int
     score_states: dict[int, np.ndarray]
     denoiser_state: np.ndarray | None
 
@@ -70,7 +70,7 @@ class HistoryBank:
         width = getattr(provider.net, "state_dim", 1)
         states = {n: np.zeros(lead + (width,)) for n in range(1, params.N + 1)}
         den = getattr(provider.denoiser, "state_dim", None)
-        return cls(params.N, states, None if den is None else np.zeros(lead + (den,)))
+        return cls(states, None if den is None else np.zeros(lead + (den,)))
 
     def require_rows(self, lead: tuple) -> None:
         """DimensionError unless all states are (H,) for a 1-D chunk, () = ``lead``,
@@ -82,20 +82,10 @@ class HistoryBank:
                                      f"chunk has {rows(lead)}")
 
 
-def process_chunk(
-    y_chunk: np.ndarray,
-    bank: HistoryBank,
-    provider,
-    schedule,
-    config: SamplerConfig,
-    params: SdeParams,
-    rng: np.random.Generator,
-    ledger: CostLedger | None = None,
-    plan: StepPlan | None = None,
-) -> tuple[np.ndarray, HistoryBank]:
-    """``reverse_process`` for one chunk (L,) or rows (B, L) on ``bank``; (x_c, bank)."""
-    x, _ = reverse_process(y_chunk, provider, schedule, config, params, rng, bank=bank,
-                           ledger=ledger, plan=plan)
+def process_chunk(y_chunk: np.ndarray, bank: HistoryBank, plan: StepPlan, rng, ledger=None):
+    """``reverse_process`` of ``plan`` for one chunk (L,) or rows (B, L) on ``bank``;
+    returns (x_c, bank)."""
+    x, _ = reverse_process(y_chunk, plan, rng, bank=bank, ledger=ledger)
     return x, bank
 
 
@@ -162,8 +152,13 @@ def enhance_offline(
     seeds, one generator per row, and run as one batch under the sampler's
     row contract, each row normalized and charged as if alone; x is (B, L)
     and the ledger a list.  Any other seed raises DimensionError, and a
-    non-finite sample DomainError.  The report's chunk is all rows' audio.
+    non-finite sample DomainError; a ``frame_size`` not an int >= 1 or a
+    ``sample_rate`` outside [1, the largest float] ConfigError.  The report's
+    chunk is all rows' audio.
     """
+    if not isinstance(frame_size, (int, np.integer)) or frame_size < 1:
+        raise ConfigError(f"frame_size must be an int >= 1, got {frame_size!r}")
+    require_sample_rate(sample_rate)
     y = np.asarray(y, dtype=np.float64)
     if y.ndim not in (1, 2) or y.size < 1:
         raise DimensionError("signal must be a non-empty 1-D array or (B, L) rows")
@@ -179,7 +174,8 @@ def enhance_offline(
     ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in rows]
     report = LatencyReport(chunk_ms=1000.0 * padded.size / sample_rate, chunk_size=padded.size)
     t0 = time.perf_counter()
-    x, _ = process_chunk(padded, bank, provider, schedule, config, params, rng, ledger)
+    plan = StepPlan.build(provider, schedule, params, config)
+    x, _ = process_chunk(padded, bank, plan, rng, ledger)
     report.wall_times_s.append(time.perf_counter() - t0)
     return x[..., : y.shape[-1]] / scale, ledger, report
 
@@ -253,13 +249,10 @@ class StreamEnhancer:
         self._peak = max(self._peak, _finite_peak(chunk))
         scale = _normalizer(self._peak)
         if self.plan is None:
-            self.plan = StepPlan.build(self.provider, self.schedule, self.params)
+            self.plan = StepPlan.build(self.provider, self.schedule, self.params, self.config)
         chunk_ledger = CostLedger()
         t0 = time.perf_counter()
-        x, _ = process_chunk(
-            chunk * scale, self.bank, self.provider, self.schedule, self.config,
-            self.params, self.rng, chunk_ledger, self.plan,
-        )
+        x, _ = process_chunk(chunk * scale, self.bank, self.plan, self.rng, chunk_ledger)
         self.report.wall_times_s.append(time.perf_counter() - t0)
         self.chunk_ledgers.append(chunk_ledger)
         self.ledger = self.ledger + chunk_ledger

@@ -15,7 +15,7 @@ from test_nets import check_layer_gradients, frozen_denoiser_loss, frozen_score_
 
 from gse.audio import MixSpec, sdr_db, synthesize_pair
 from gse.nets import DenoiserNet, ScoreNet
-from gse.sampler import SamplerConfig, reverse_process
+from gse.sampler import SamplerConfig, StepPlan, reverse_process
 from gse.score import (
     AnalyticGaussianScore,
     DiscriminativeScore,
@@ -140,12 +140,12 @@ def test_criterion_04_reverse_sampler_recovers_gaussian_prior():
     p = SdeParams(sigma_min=0.05, sigma_max=0.5, t_eps=1e-3, N=200)
     prior = GaussianPrior(m0=1.0, var0=0.04)
     provider = AnalyticGaussianScore(prior, p)
-    schedule = GuidanceSchedule.from_guided_steps(0, p)
     cfg = SamplerConfig(corrector_steps=1, corrector_snr=0.1)
+    plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(0, p), p, cfg)
     y = np.full(128, 0.4)
     outs = []
     for run in range(79):
-        x, _ = reverse_process(y, provider, schedule, cfg, p, make_rng(7000 + run))
+        x, _ = reverse_process(y, plan, make_rng(7000 + run))
         outs.append(x)
     samples = np.concatenate(outs)
     m = float(samples.mean())
@@ -167,14 +167,12 @@ def test_criterion_05_fully_guided_sampling_converges_to_the_denoiser(
     t0 = time.perf_counter()
     provider = DiscriminativeScore(trained_models.denoiser, default_params)
     schedule = GuidanceSchedule.from_guided_steps(default_params.N, default_params)
+    plan = StepPlan.build(provider, schedule, default_params, SamplerConfig())
     worst = 0.0
     for i, (_, noisy) in enumerate(eval_set):
         yn = input_scaled(noisy.samples)
         x_d, _ = trained_models.denoiser.forward(yn)
-        x, _ = reverse_process(
-            yn, provider, schedule, SamplerConfig(), default_params,
-            make_rng(50 + i),
-        )
+        x, _ = reverse_process(yn, plan, make_rng(50 + i))
         worst = max(worst, float(np.linalg.norm(x - x_d) / np.linalg.norm(x_d)))
     elapsed = time.perf_counter() - t0
     ok = worst < 0.05 and elapsed < 120

@@ -1,7 +1,6 @@
 """Reverse predictor-corrector sampler: step algebra, cost accounting, toy recovery."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +32,11 @@ WIDE = SdeParams(sigma_min=0.05, sigma_max=0.5)
 # sigma_max == sigma_min kills the diffusion coefficient identically
 FROZEN = SdeParams(sigma_min=0.1, sigma_max=0.1)
 LEARNED = GuidanceSchedule.from_guided_steps(0, P)  # every step on the learned branch
+
+
+def plan_of(provider, schedule=LEARNED, config=SamplerConfig(), params=P):
+    """The ``StepPlan`` of a pass; by default all learned, one corrector, on ``P``."""
+    return StepPlan.build(provider, schedule, params, config)
 
 
 class _ZeroNoise:
@@ -236,7 +240,7 @@ class TestReverseProcess:
         provider = self.make_hybrid()
         schedule = GuidanceSchedule.from_guided_steps(12, P)
         cfg = SamplerConfig(corrector_steps=1)
-        _, ledger = reverse_process(y, provider, schedule, cfg, P, make_rng(7))
+        _, ledger = reverse_process(y, plan_of(provider, schedule, cfg), make_rng(7))
         assert ledger.score_net_forwards == (1 + 1) * (30 - 12)
         assert ledger.denoiser_forwards == 1
         assert ledger.steps_guided == 12
@@ -246,7 +250,7 @@ class TestReverseProcess:
     def test_analytic_provider_costs_nothing(self):
         y = np.full(8, 0.4)
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        _, ledger = reverse_process(y, provider, LEARNED, SamplerConfig(), P, make_rng(8))
+        _, ledger = reverse_process(y, plan_of(provider), make_rng(8))
         assert ledger.score_net_forwards == 0
         assert ledger.denoiser_forwards == 0
         assert ledger.mac_total == 0
@@ -260,7 +264,7 @@ class TestReverseProcess:
         forwards = []
         for n_phi in (0, 6, 12):
             schedule = GuidanceSchedule.from_guided_steps(n_phi, P)
-            _, ledger = reverse_process(y, provider, schedule, cfg, P, make_rng(10))
+            _, ledger = reverse_process(y, plan_of(provider, schedule, cfg), make_rng(10))
             macs.append(ledger.mac_total)
             forwards.append(ledger.score_net_forwards)
         assert macs[0] - macs[1] == macs[1] - macs[2]  # exact affine law
@@ -271,9 +275,10 @@ class TestReverseProcess:
         provider = self.make_hybrid()
         schedule = GuidanceSchedule.from_guided_steps(10, P)
         cfg = SamplerConfig(corrector_steps=1)
-        a, _ = reverse_process(y, provider, schedule, cfg, P, make_rng(42))
-        b, _ = reverse_process(y, provider, schedule, cfg, P, make_rng(42))
-        c, _ = reverse_process(y, provider, schedule, cfg, P, make_rng(43))
+        plan = plan_of(provider, schedule, cfg)
+        a, _ = reverse_process(y, plan, make_rng(42))
+        b, _ = reverse_process(y, plan, make_rng(42))
+        c, _ = reverse_process(y, plan, make_rng(43))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -286,9 +291,7 @@ class TestReverseProcess:
 
         provider = ExplodingProvider(GaussianPrior(1.0, 0.04), P)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="n="):
-            reverse_process(
-                np.zeros(4), provider, LEARNED, SamplerConfig(), P, make_rng(12)
-            )
+            reverse_process(np.zeros(4), plan_of(provider), make_rng(12))
 
     def test_divergence_names_the_step_phase_and_rows(self):
         class RowOneExploding(AnalyticGaussianScore):
@@ -308,7 +311,7 @@ class TestReverseProcess:
         with np.errstate(all="ignore"), pytest.raises(
             DivergenceError, match=r"after the predictor at step n=30 in rows \[1\]$"
         ):
-            reverse_process(np.zeros((3, 4)), provider, LEARNED, SamplerConfig(), P, rngs)
+            reverse_process(np.zeros((3, 4)), plan_of(provider), rngs)
 
     @staticmethod
     def fixed_score(value):
@@ -325,14 +328,12 @@ class TestReverseProcess:
         """A score so small that the corrector's eps overflows leaves a non-finite row."""
         rngs = [make_rng(i) for i in range(3)]
         with pytest.raises(DivergenceError, match=r"after the corrector at step n=30 in rows \[1\]$"):
-            reverse_process(np.zeros((3, 8)), self.fixed_score(1e-160), LEARNED, SamplerConfig(),
-                            P, rngs)
+            reverse_process(np.zeros((3, 8)), plan_of(self.fixed_score(1e-160)), rngs)
 
     def test_a_huge_finite_state_is_no_divergence(self):
         """Squares past the float range overflow the finite check's fast path, not the run."""
         y = np.full((3, 8), 1e200)
-        x, _ = reverse_process(y, self.fixed_score(0.0), LEARNED, SamplerConfig(), P,
-                               [make_rng(i) for i in range(3)])
+        x, _ = reverse_process(y, plan_of(self.fixed_score(0.0)), [make_rng(i) for i in range(3)])
         assert np.isfinite(x).all() and np.abs(x).min() > 1e199
 
     def test_rows_draw_from_their_own_generators(self):
@@ -341,9 +342,10 @@ class TestReverseProcess:
         y = make_rng(13).normal(size=(3, 8))
         cfg = SamplerConfig(corrector_steps=2)
         rngs = [make_rng(20 + i) for i in range(3)]
-        x, ledgers = reverse_process(y, provider, LEARNED, cfg, P, rngs)
+        plan = plan_of(provider, config=cfg)
+        x, ledgers = reverse_process(y, plan, rngs)
         for i in range(3):
-            solo, led = reverse_process(y[i], provider, LEARNED, cfg, P, make_rng(20 + i))
+            solo, led = reverse_process(y[i], plan, make_rng(20 + i))
             np.testing.assert_array_equal(x[i], solo)
             assert ledgers[i] == led
 
@@ -363,15 +365,14 @@ class TestReverseProcess:
     def test_generator_count_must_match_rows(self):
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
         with pytest.raises(DimensionError):
-            reverse_process(np.zeros((3, 4)), provider, LEARNED, SamplerConfig(), P,
-                            [make_rng(0), make_rng(1)])
+            reverse_process(np.zeros((3, 4)), plan_of(provider), [make_rng(0), make_rng(1)])
 
     def test_schedule_grid_mismatch_rejected(self):
         y = np.zeros(8)
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
         schedule = GuidanceSchedule.from_guided_steps(5, SdeParams(N=15))
-        with pytest.raises(ConfigError):
-            reverse_process(y, provider, schedule, SamplerConfig(), P, make_rng(0))
+        with pytest.raises(ConfigError, match="schedule built for N=15, sampler runs N=30"):
+            plan_of(provider, schedule)
 
 
 class TestToyRecovery:
@@ -391,10 +392,11 @@ class TestToyRecovery:
         provider = AnalyticGaussianScore(prior, params)
         schedule = GuidanceSchedule.from_guided_steps(0, params)
         cfg = SamplerConfig(corrector_steps=1, corrector_snr=0.1)
+        plan = plan_of(provider, schedule, cfg, params)
         rng = make_rng(100)
         finals = []
         for _ in range(200):
-            x_out, _ = reverse_process(y, provider, schedule, cfg, params, rng)
+            x_out, _ = reverse_process(y, plan, rng)
             finals.append(x_out)
         samples = np.concatenate(finals)
         assert abs(float(np.mean(samples)) - prior.m0) < 0.02 * prior.m0
@@ -410,10 +412,10 @@ class TestToyRecovery:
         cfg = SamplerConfig(corrector_steps=1)
         errs = []
         for n_phi in (0, 15, 30):
-            schedule = GuidanceSchedule.from_guided_steps(n_phi, P)
+            plan = plan_of(provider, GuidanceSchedule.from_guided_steps(n_phi, P), cfg)
             run_errs = []
             for seed in range(5):
-                x_out, _ = reverse_process(y, provider, schedule, cfg, P, make_rng(300 + seed))
+                x_out, _ = reverse_process(y, plan, make_rng(300 + seed))
                 run_errs.append(float(np.linalg.norm(x_out - x0)))
             errs.append(float(np.median(run_errs)))
         assert errs[0] > errs[1] > errs[2]
@@ -426,7 +428,7 @@ class TestStepPlan:
         net = ScoreNet(params, frame_size=4, hidden=6, seed=1)
         provider = HybridScore(net, DenoiserNet(frame_size=4, hidden=5, seed=2), params)
         schedule = GuidanceSchedule.from_guided_steps(params.N // 3, params)
-        plan = StepPlan.build(provider, schedule, params)
+        plan = plan_of(provider, schedule, params=params)
         dt = params.T / params.N
         x0, y = make_rng(30).normal(size=(2, 8))
         assert plan.dt == dt and plan.prior_std == std(params.T, params)
@@ -449,30 +451,20 @@ class TestStepPlan:
     def test_plan_is_immutable_and_only_carries_net_rows_when_needed(self):
         net = ScoreNet(P, frame_size=4, hidden=6, seed=1)
         provider = HybridScore(net, DenoiserNet(frame_size=4, hidden=5, seed=2), P)
-        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(12, P), P)
+        plan = plan_of(provider, GuidanceSchedule.from_guided_steps(12, P))
         with pytest.raises(AttributeError):
             plan.dt = 0.5
         with pytest.raises(ValueError):
             plan.emb[0, 0] = 1.0
-        all_guided = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(P.N, P), P)
+        all_guided = plan_of(provider, GuidanceSchedule.from_guided_steps(P.N, P))
         assert all_guided.emb is None and all_guided.gain is None
 
-    def test_plan_for_another_grid_rejected(self):
-        provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        p15 = replace(P, N=15)
-        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(0, p15), p15)
-        with pytest.raises(ConfigError):
-            reverse_process(np.zeros(8), provider, LEARNED, SamplerConfig(), P, make_rng(0),
-                            plan=plan)
-
-    def test_given_plan_gives_the_same_run(self):
+    def test_two_plans_built_alike_give_the_same_run(self):
         y = make_rng(31).normal(size=32)
         provider = TestReverseProcess().make_hybrid()
         schedule = GuidanceSchedule.from_guided_steps(12, P)
-        cfg = SamplerConfig()
-        plan = StepPlan.build(provider, schedule, P)
-        a, led_a = reverse_process(y, provider, schedule, cfg, P, make_rng(3), plan=plan)
-        b, led_b = reverse_process(y, provider, schedule, cfg, P, make_rng(3))
+        a, led_a = reverse_process(y, plan_of(provider, schedule), make_rng(3))
+        b, led_b = reverse_process(y, plan_of(provider, schedule), make_rng(3))
         np.testing.assert_array_equal(a, b)
         assert led_a == led_b
 

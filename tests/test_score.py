@@ -191,7 +191,7 @@ LEARNED, GUIDED = (GuidanceSchedule.from_guided_steps(n, P) for n in (0, P.N))
 
 def bind(provider, y, ledger, schedule, params=P):
     """``provider.bind`` on the step plan of ``schedule`` over the grid of ``params``."""
-    return provider.bind(y, ledger, StepPlan.build(provider, schedule, params))
+    return provider.bind(y, ledger, StepPlan.build(provider, schedule, params, SamplerConfig()))
 
 
 class TestHybridDispatch:
@@ -221,7 +221,8 @@ class TestHybridDispatch:
 
     def test_ledger_records_branch(self):
         cfg = SamplerConfig(corrector_steps=0)
-        _, ledger = reverse_process(self.y, self.provider, self.sched, cfg, P, make_rng(1))
+        plan = StepPlan.build(self.provider, self.sched, P, cfg)
+        _, ledger = reverse_process(self.y, plan, make_rng(1))
         assert (ledger.steps_guided, ledger.steps_learned) == (12, P.N - 12)
 
 
@@ -287,14 +288,23 @@ class TestProviders:
         with pytest.raises(ConfigError):
             learned_only.guided_steps(GuidanceSchedule.from_guided_steps(1, P))
         with pytest.raises(ConfigError):
-            reverse_process(np.zeros(8), learned_only, GuidanceSchedule.from_guided_steps(
-                P.N, P), SamplerConfig(), P, make_rng(0))
+            StepPlan.build(learned_only, GUIDED, P, SamplerConfig())
         denoiser_only = DiscriminativeScore(denoiser, P)
         with pytest.raises(ConfigError):
             denoiser_only.guided_steps(GuidanceSchedule.from_guided_steps(P.N - 1, P))
         with pytest.raises(ConfigError):
-            reverse_process(np.zeros(8), denoiser_only, GuidanceSchedule.from_guided_steps(
-                0, P), SamplerConfig(), P, make_rng(0))
+            StepPlan.build(denoiser_only, LEARNED, P, SamplerConfig())
+
+    def test_the_plans_constants_drive_the_guided_kernel(self):
+        """A provider built for gamma = 1.5 under a plan for gamma = 3.0 runs gamma = 3.0."""
+        _, denoiser = tiny_nets()
+        p3 = SdeParams(gamma=3.0)
+        guided, cfg = GuidanceSchedule.from_guided_steps(p3.N, p3), SamplerConfig()
+        y = make_rng(5).normal(size=8)
+        runs = [reverse_process(y, StepPlan.build(DiscriminativeScore(denoiser, params), guided,
+                                                  p3, cfg), make_rng(6))[0]
+                for params in (P, p3)]
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_single_source_providers_follow_their_source(self):
         net, denoiser = tiny_nets()
@@ -384,7 +394,7 @@ class TestEvaluationScratch:
     def bound(self):
         provider = HybridScore(ScoreNet(P, frame_size=40, hidden=160, seed=0),
                                DenoiserNet(frame_size=40, hidden=96, seed=1), P)
-        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(0, P), P)
+        plan = StepPlan.build(provider, LEARNED, P, SamplerConfig())
         y = make_rng(80).normal(size=(4, 4000))
         bound, _ = provider.bind(y, [CostLedger() for _ in range(4)], plan)
         return bound, plan

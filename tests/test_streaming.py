@@ -5,7 +5,7 @@ import pytest
 
 from gse.errors import ConfigError, DimensionError, DomainError
 from gse.nets import DenoiserNet, ScoreNet
-from gse.sampler import CostLedger, SamplerConfig, reverse_process
+from gse.sampler import CostLedger, SamplerConfig, StepPlan, reverse_process
 from gse.score import DiscriminativeScore, GuidanceSchedule, HybridScore, LearnedScore
 from gse.sde import SdeParams, make_rng
 from gse.streaming import (
@@ -27,6 +27,11 @@ def tiny_provider(seed_score=3, seed_den=4):
     score_net = ScoreNet(P, frame_size=FRAME, hidden=6, seed=seed_score)
     denoiser = DenoiserNet(frame_size=FRAME, hidden=5, seed=seed_den)
     return HybridScore(score_net, denoiser, P)
+
+
+def plan_12(provider):
+    """The step plan of 12 guided steps on ``P`` with one corrector."""
+    return StepPlan.build(provider, GuidanceSchedule.from_guided_steps(12, P), P, SamplerConfig())
 
 
 # 2 ms at 16 kHz = 32 samples per chunk; a multiple of the 4-sample frame
@@ -88,11 +93,10 @@ class TestHistoryBank:
     def test_mismatched_bank_rejected(self):
         provider = tiny_provider()
         bank = HistoryBank.for_provider(provider, SamplerConfig(), SdeParams(N=15))
-        with pytest.raises(ConfigError):
-            process_chunk(
-                np.zeros(32), bank, provider, GuidanceSchedule.from_guided_steps(0, P),
-                SamplerConfig(), P, make_rng(0),
-            )
+        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(0, P), P,
+                              SamplerConfig())
+        with pytest.raises(ConfigError, match="history bank built for N=15, sampler runs N=30"):
+            process_chunk(np.zeros(32), bank, plan, make_rng(0))
 
     def test_predictor_evaluations_write_learned_entries_only(self):
         """Guided steps never run the score net, so their states stay zero."""
@@ -100,8 +104,7 @@ class TestHistoryBank:
         schedule = GuidanceSchedule.from_guided_steps(12, P)
         bank = HistoryBank.for_provider(provider, SamplerConfig(), P)
         y = make_rng(1).normal(size=32)
-        process_chunk(y, bank, provider, schedule, SamplerConfig(corrector_steps=1), P,
-                      make_rng(2))
+        process_chunk(y, bank, StepPlan.build(provider, schedule, P, SamplerConfig()), make_rng(2))
         for n in range(1, 31):
             touched = bank.score_states[n].any()
             assert touched == (n <= 18), f"grid step {n}"
@@ -115,14 +118,14 @@ class TestBankGuard:
         p6 = SdeParams(N=6)
         provider = HybridScore(ScoreNet(p6, frame_size=FRAME, hidden=6, seed=3),
                                DenoiserNet(frame_size=FRAME, hidden=5, seed=4), p6)
-        schedule = GuidanceSchedule.from_guided_steps(2, p6)
         cfg = SamplerConfig(corrector_steps=1)
+        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(2, p6), p6, cfg)
         first, clean = make_rng(13).normal(size=(2, 32))
 
         def run(chunk, bank, rng):
             if call == "process_chunk":
-                return process_chunk(chunk, bank, provider, schedule, cfg, p6, rng)[0]
-            return reverse_process(chunk, provider, schedule, cfg, p6, rng, bank=bank)[0]
+                return process_chunk(chunk, bank, plan, rng)[0]
+            return reverse_process(chunk, plan, rng, bank=bank)[0]
 
         def after_first():
             bank, rng = HistoryBank.for_provider(provider, cfg, p6), make_rng(0)
@@ -251,9 +254,8 @@ class TestBatchedRows:
         bank = HistoryBank.for_provider(provider, SamplerConfig(), P, rows=bank_rows)
         ledgers = [CostLedger() for _ in range(3)]
         with pytest.raises(DimensionError, match=message):
-            process_chunk(np.zeros(chunk_shape), bank, provider,
-                          GuidanceSchedule.from_guided_steps(12, P), SamplerConfig(), P,
-                          make_rng(0), ledgers if len(chunk_shape) == 2 else ledgers[0])
+            process_chunk(np.zeros(chunk_shape), bank, plan_12(provider), make_rng(0),
+                          ledgers if len(chunk_shape) == 2 else ledgers[0])
         assert ledgers == [CostLedger()] * 3  # raised before any forward
 
     def test_denoiser_state_rows_are_checked_too(self):
@@ -261,9 +263,7 @@ class TestBatchedRows:
         bank = HistoryBank.for_provider(provider, SamplerConfig(), P, rows=3)
         bank.denoiser_state = np.zeros(5)
         with pytest.raises(DimensionError, match="states for a 1-D signal, chunk has 3 rows"):
-            process_chunk(np.zeros((3, 32)), bank, provider,
-                          GuidanceSchedule.from_guided_steps(12, P), SamplerConfig(), P,
-                          make_rng(0))
+            process_chunk(np.zeros((3, 32)), bank, plan_12(provider), make_rng(0))
 
     @pytest.mark.parametrize("shape, seed", [((3, 32), [1, 2]), ((3, 32), 1), ((32,), [1]),
                                              ((32,), (1,))],
@@ -286,6 +286,18 @@ class TestBatchedRows:
         with pytest.raises(DomainError, match="finite"):
             enhance_offline(y, tiny_provider(), GuidanceSchedule.from_guided_steps(12, P),
                             SamplerConfig(), P, seed, frame_size=FRAME)
+
+    @pytest.mark.parametrize("option", [{"frame_size": 0}, {"frame_size": -8},
+                                        {"frame_size": 8.0}, {"sample_rate": 0},
+                                        {"sample_rate": -5}, {"sample_rate": float("nan")}],
+                             ids=str)
+    def test_frame_size_and_sample_rate_are_config_errors(self, option):
+        """A frame size that is not an int >= 1, or a sample rate outside [1, the largest
+        float], is named before any work, not met as a ZeroDivisionError or a report."""
+        name = next(iter(option))
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            enhance_offline(np.ones(32), tiny_provider(), GuidanceSchedule.from_guided_steps(
+                12, P), SamplerConfig(), P, 1, **{"frame_size": FRAME, **option})
 
 
 class TestLedgers:
