@@ -299,12 +299,12 @@ class TestProviders:
         """A provider built for gamma = 1.5 under a plan for gamma = 3.0 runs gamma = 3.0."""
         _, denoiser = tiny_nets()
         p3 = SdeParams(gamma=3.0)
-        guided, cfg = GuidanceSchedule.from_guided_steps(p3.N, p3), SamplerConfig()
+        guided = GuidanceSchedule.from_guided_steps(p3.N, p3)
+        plans = [StepPlan.build(DiscriminativeScore(denoiser, params), guided, p3, SamplerConfig())
+                 for params in (P, p3)]
         y = make_rng(5).normal(size=8)
-        runs = [reverse_process(y, StepPlan.build(DiscriminativeScore(denoiser, params), guided,
-                                                  p3, cfg), make_rng(6))[0]
-                for params in (P, p3)]
-        np.testing.assert_array_equal(runs[0], runs[1])
+        a, b = (reverse_process(y, plan, make_rng(6))[0] for plan in plans)
+        np.testing.assert_array_equal(a, b)
 
     def test_single_source_providers_follow_their_source(self):
         net, denoiser = tiny_nets()

@@ -93,18 +93,15 @@ class TestHistoryBank:
     def test_mismatched_bank_rejected(self):
         provider = tiny_provider()
         bank = HistoryBank.for_provider(provider, SamplerConfig(), SdeParams(N=15))
-        plan = StepPlan.build(provider, GuidanceSchedule.from_guided_steps(0, P), P,
-                              SamplerConfig())
         with pytest.raises(ConfigError, match="history bank built for N=15, sampler runs N=30"):
-            process_chunk(np.zeros(32), bank, plan, make_rng(0))
+            process_chunk(np.zeros(32), bank, plan_12(provider), make_rng(0))
 
     def test_predictor_evaluations_write_learned_entries_only(self):
         """Guided steps never run the score net, so their states stay zero."""
         provider = tiny_provider()
-        schedule = GuidanceSchedule.from_guided_steps(12, P)
         bank = HistoryBank.for_provider(provider, SamplerConfig(), P)
         y = make_rng(1).normal(size=32)
-        process_chunk(y, bank, StepPlan.build(provider, schedule, P, SamplerConfig()), make_rng(2))
+        process_chunk(y, bank, plan_12(provider), make_rng(2))
         for n in range(1, 31):
             touched = bank.score_states[n].any()
             assert touched == (n <= 18), f"grid step {n}"
@@ -287,17 +284,15 @@ class TestBatchedRows:
             enhance_offline(y, tiny_provider(), GuidanceSchedule.from_guided_steps(12, P),
                             SamplerConfig(), P, seed, frame_size=FRAME)
 
-    @pytest.mark.parametrize("option", [{"frame_size": 0}, {"frame_size": -8},
-                                        {"frame_size": 8.0}, {"sample_rate": 0},
-                                        {"sample_rate": -5}, {"sample_rate": float("nan")}],
-                             ids=str)
-    def test_frame_size_and_sample_rate_are_config_errors(self, option):
+    @pytest.mark.parametrize("name, value", [("frame_size", 0), ("frame_size", -8),
+                                             ("frame_size", 8.0), ("sample_rate", 0),
+                                             ("sample_rate", -5), ("sample_rate", float("nan"))])
+    def test_frame_size_and_sample_rate_are_config_errors(self, name, value):
         """A frame size that is not an int >= 1, or a sample rate outside [1, the largest
         float], is named before any work, not met as a ZeroDivisionError or a report."""
-        name = next(iter(option))
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             enhance_offline(np.ones(32), tiny_provider(), GuidanceSchedule.from_guided_steps(
-                12, P), SamplerConfig(), P, 1, **{"frame_size": FRAME, **option})
+                12, P), SamplerConfig(), P, 1, **{"frame_size": FRAME, name: value})
 
 
 class TestLedgers:
