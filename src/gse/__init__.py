@@ -20,7 +20,6 @@ from .nets import (
     TrainResult,
     load_checkpoint,
     save_checkpoint,
-    snr_loss,
     train_denoiser,
     train_score,
 )

@@ -65,8 +65,9 @@ padded state rows stay on ``np.matmul``, where ``np.dot`` ran 1-7 % slower.
 reductions sum rows in batch order.
 
 All gradients are computed by hand (reverse-mode, backprop through time); the
-test-suite checks every layer against central finite differences.  One helper
-computes the SNR loss for both ``snr_loss`` and the denoiser's training loss.
+test-suite checks every layer against central finite differences.  The denoiser
+trains on the batch-mean negative SNR, each row's floored at -120 dB
+(``denoiser_loss_and_grads``).
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ __all__ = [
     "TrainResult",
     "draw_matching_samples",
     "weighted_matching_loss_from_draws",
-    "snr_loss",
     "denoiser_loss_and_grads",
     "train_score",
     "train_denoiser",
@@ -245,20 +245,6 @@ class TimeEmbedding:
 class _FrameNet:
     """Encoder -> gated recurrent cell -> decoder, on (batch, frames, features);
     the weights, cost and forward that both frame nets share."""
-
-    #: parameter name -> layer name, the unit of the per-layer gradient checks
-    LAYERS = {
-        "enc_w": "encoder",
-        "enc_b": "encoder",
-        "gate_u_w": "memory_update_gate",
-        "gate_u_u": "memory_update_gate",
-        "gate_u_b": "memory_update_gate",
-        "gate_c_w": "memory_candidate",
-        "gate_c_u": "memory_candidate",
-        "gate_c_b": "memory_candidate",
-        "dec_w": "decoder",
-        "dec_b": "decoder",
-    }
 
     def __init__(self, d_in: int, frame_size: int, hidden: int, seed: int):
         if frame_size < 1 or hidden < 1:
@@ -616,29 +602,13 @@ def weighted_matching_loss_from_draws(net: ScoreNet, draws: MatchingDraws):
     return loss, grads
 
 
-def _snr_loss_terms(x_hat: np.ndarray, x0: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(unfloored loss, residual x0 - x_hat, ||x0 - x_hat||^2 + 1e-12) of one row."""
-    r = x0 - x_hat
-    p_ref = float(np.sum(x0 * x0))
-    if p_ref == 0.0:
-        raise DomainError("reference signal has zero energy")
-    p_err = float(np.sum(r * r)) + SNR_LOSS_EPS
-    if p_err == math.inf:  # an infinite estimate: the loss of a diverged row
-        return math.inf, r, p_err
-    return -10.0 * math.log10(p_ref / p_err), r, p_err
-
-
-def snr_loss(x_hat: np.ndarray, x0: np.ndarray) -> float:
-    """Negative SNR in dB: -10*log10(||x0||^2 / (||x0 - x_hat||^2 + 1e-12)), floored at -120."""
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x_hat.shape != x0.shape:
-        raise DimensionError(f"shape mismatch: {x_hat.shape} vs {x0.shape}")
-    return max(_snr_loss_terms(x_hat, x0)[0], SNR_LOSS_FLOOR_DB)
-
-
 def denoiser_loss_and_grads(net: DenoiserNet, batch):
-    """Batch-mean SNR loss of the denoiser and its parameter gradient."""
+    """Batch-mean SNR loss of the denoiser and its parameter gradient.
+
+    Row i's loss is -10 log10(||x0||^2 / (||x0 - x_hat||^2 + 1e-12)) dB, floored at
+    -120 (where it is flat: zero gradient); an infinite estimate, a diverged row,
+    gives inf, and a silent reference raises DomainError.
+    """
     x0s = np.stack([np.asarray(p[0], dtype=np.float64) for p in batch])
     ys = np.stack([np.asarray(p[1], dtype=np.float64) for p in batch])
     B = x0s.shape[0]
@@ -646,10 +616,15 @@ def denoiser_loss_and_grads(net: DenoiserNet, batch):
     losses = np.empty(B)
     d_out = np.zeros_like(x_hat)
     scale = 10.0 / math.log(10.0)
-    for i in range(B):
-        raw, r, p_err = _snr_loss_terms(x_hat[i], x0s[i])
+    for i, x0 in enumerate(x0s):
+        r = x0 - x_hat[i]
+        p_ref = float(np.sum(x0 * x0))
+        if p_ref == 0.0:
+            raise DomainError("reference signal has zero energy")
+        p_err = float(np.sum(r * r)) + SNR_LOSS_EPS
+        raw = math.inf if p_err == math.inf else -10.0 * math.log10(p_ref / p_err)
         losses[i] = max(raw, SNR_LOSS_FLOOR_DB)
-        if raw > SNR_LOSS_FLOOR_DB:  # at the floor the loss is flat: zero gradient
+        if raw > SNR_LOSS_FLOOR_DB:
             d_out[i] = scale * (-2.0 * r) / p_err / B
     grads = net.backward(cache, _frames(d_out, net.frame_size))
     return float(losses.mean()), grads

@@ -63,8 +63,8 @@ class SamplerConfig:
     corrector_snr: float = 0.5
 
     def __post_init__(self):
-        if self.corrector_steps < 0:
-            raise ConfigError("corrector_steps must be >= 0")
+        if not isinstance(self.corrector_steps, (int, np.integer)) or self.corrector_steps < 0:
+            raise ConfigError(f"corrector_steps must be an int >= 0, got {self.corrector_steps!r}")
         require_finite(self, "corrector_snr")
         if self.corrector_snr <= 0.0:
             raise ConfigError("corrector_snr must be positive")
@@ -139,17 +139,12 @@ class StepPlan:
                    gain, emb)
 
 
-def _rows(a: np.ndarray):
-    """The rows of (L,) or (B, L) ``a``: (a,) or a."""
-    return (a,) if a.ndim == 1 else a
-
-
 def _normal(rng, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with standard-normal draws; from a list of generators, row i from rng[i]."""
-    if not isinstance(rng, (list, tuple)):
+    """Fill ``out`` with standard-normal draws: (L,) from one generator, row i of (B, L)
+    from rng[i]; anything else raises DimensionError before a draw."""
+    if out.ndim == 1 and not isinstance(rng, (list, tuple)):
         return rng.standard_normal(out=out)
-    rows = _rows(out)
-    for r, row in zip(per_row(rng, len(rows)), rows):
+    for r, row in zip(per_row(rng, out.shape, "generator"), out):
         r.standard_normal(out=row)
     return out
 
@@ -161,7 +156,7 @@ def _all_finite(x: np.ndarray) -> bool:
 
 def _check_finite(x: np.ndarray, n: int, phase: str) -> None:
     if not _all_finite(x):
-        rows = np.flatnonzero(~np.isfinite(_rows(x)).all(axis=-1)).tolist()
+        rows = np.flatnonzero(~np.isfinite(np.atleast_2d(x)).all(axis=-1)).tolist()
         raise DivergenceError(f"non-finite state after the {phase} at step n={n} in rows {rows}")
 
 
@@ -180,7 +175,8 @@ def predictor_step(
 
     ``g`` is g(t) from a step plan, computed here when not given.  With
     score = 0 and g = 0 this is pure drift reversal (x moves away from y).
-    ``rng`` is one generator, or a list of one per row of a (B, L) state.
+    ``rng`` is one generator for a state (L,), a list of one per row for (B, L);
+    anything else raises DimensionError before a draw.
     """
     t = state.t
     if dt <= 0.0 or t - dt < -1e-12:
@@ -234,15 +230,17 @@ def corrector_step(
         eps_i = 2 * (r * ||z_i|| / ||s_i||)^2,   x_i <- x_i + eps_i * s_i + sqrt(2 eps_i) * z_i
 
     per row i.  The caller evaluates s, as for ``predictor_step``; ``rng`` and
-    ``ledger`` are one for a signal (L,), for rows (B, L) a list of one per row.
-    A row with a zero score skips the step (its input row, no draw), recorded in
-    its ledger.
+    ``ledger`` (None: no count) are one for a signal (L,), for rows (B, L) a list
+    of one per row; anything else raises DimensionError before a draw.  A row
+    with a zero score skips the step (its input row, no draw), recorded in its
+    ledger.
     """
     x, s = state.x, np.asarray(score, dtype=np.float64)
+    rngs, ledgers = per_row(rng, x.shape, "generator"), per_row(ledger, x.shape, "ledger")
     if x.ndim == 1:
         return DiffusionState(_langevin(x, s, r, rng, ledger, None), state.t)
-    x_new, rows = np.empty_like(x), len(x)
-    for x_i, s_i, rng_i, led, out in zip(x, s, per_row(rng, rows), per_row(ledger, rows), x_new):
+    x_new = np.empty_like(x)
+    for x_i, s_i, rng_i, led, out in zip(x, s, rngs, ledgers, x_new):
         _langevin(x_i, s_i, r, rng_i, led, out)
     return DiffusionState(x_new, state.t)
 
@@ -251,32 +249,33 @@ def corrector_step(
 def reverse_process(y: np.ndarray, plan: StepPlan, rng, bank=None, ledger=None):
     """Full reverse pass of ``plan`` conditioned on y, (L,) or (B, L); returns (x_out, ledger).
 
-    ``rng`` and ``ledger`` are one, or for rows a list of one per row (fresh
-    ledgers by default).  The branch of every grid step is the plan's
-    ``guided`` column; the predictor and its correctors read it.
+    ``rng`` and ``ledger`` are one for a signal (L,), for rows (B, L) a list of
+    one per row (fresh ledgers by default).  The branch of every grid step is
+    the plan's ``guided`` column; the predictor and its correctors read it.
 
     When a history bank is supplied, the score-net state consumed at grid step n
     is the bank's entry for n and the predictor's evaluation (only) writes the
     updated state back; the denoiser state is threaded through the bank as well.
-    Before anything is drawn or written, a y that is not (L,) or (B, L) rows the
-    bank holds raises ``DimensionError``, a bank for another N ``ConfigError``
-    and a non-finite y ``DomainError``.  A non-finite state raises
-    ``DivergenceError`` naming step, phase and rows.
+    Before anything is drawn or written, a y that is not (L,) or (B, L) (the
+    rows the bank holds), or a ``rng`` or ``ledger`` that is not one per row,
+    raises ``DimensionError``, a bank for another N ``ConfigError`` and a
+    non-finite y ``DomainError``.  A non-finite state raises ``DivergenceError``
+    naming step, phase and rows.
     """
     y = np.asarray(y, dtype=np.float64)
     params, config = plan.params, plan.config
+    if y.ndim not in (1, 2) or y.size < 1:
+        raise DimensionError("chunk must be a non-empty 1-D array or (B, L) rows")
     if bank is not None:
-        if y.ndim not in (1, 2) or y.size < 1:
-            raise DimensionError("chunk must be a non-empty 1-D array or (B, L) rows")
         if (built := len(bank.score_states)) != params.N:
             raise ConfigError(f"history bank built for N={built}, sampler runs N={params.N}")
         bank.require_rows(y.shape[:-1])
     if not _all_finite(y):
         raise DomainError("samples must be finite")
-    rows = len(_rows(y))
     if ledger is None:
-        ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in range(rows)]
-    ledgers = per_row(ledger, rows)
+        ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in range(len(y))]
+    ledgers = per_row(ledger, y.shape, "ledger")
+    per_row(rng, y.shape, "generator")  # the first draw comes after bind's bank write
     den_state = None if bank is None else bank.denoiser_state
     bound, den_state = plan.provider.bind(y, ledger, plan, den_state)
     if bank is not None:

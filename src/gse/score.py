@@ -52,6 +52,9 @@ class GuidanceSchedule:
     n_steps: int
 
     def __post_init__(self):
+        for name in ("n_guided", "n_steps"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise DomainError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 0 <= self.n_guided <= self.n_steps:
             raise DomainError(f"guided-step count {self.n_guided} outside 0..{self.n_steps}")
 
@@ -67,7 +70,7 @@ class GuidanceSchedule:
     @classmethod
     def from_guided_steps(cls, n_guided: int, params: SdeParams) -> "GuidanceSchedule":
         """Guides the top n_guided steps of the grid of ``params``."""
-        return cls(int(n_guided), params.N)
+        return cls(n_guided, params.N)
 
 
 def discriminative_score(
@@ -174,16 +177,20 @@ class ScoreProvider:
         """Prepare a per-utterance/chunk evaluator on ``plan``, a ``StepPlan``;
         returns (bound, denoiser_state).
 
-        ``y`` is (L,) or rows (B, L); each row is charged what it costs alone,
-        to its own ledger if ``ledger`` is a list.  A provider holding a
-        denoiser runs it here, once; guided evaluations then cost no forward
-        pass.  If the plan has embedding rows, the score net's conditioning
-        is made here too (``condition``): y's and the time terms, the fused
-        gates from the current weights and the scratch that every score
-        forward of the bind's evaluations shares.
+        ``y`` is (L,) with one ledger or rows (B, L) with a list of one per
+        row, each charged what its row costs alone; any other ledger raises
+        DimensionError, and a plan built for another provider ConfigError,
+        before the denoiser runs.  A provider holding a denoiser runs it here,
+        once; guided evaluations then cost no forward pass.  If the plan has
+        embedding rows, the score net's conditioning is made here too
+        (``condition``): y's and the time terms, the fused gates from the
+        current weights and the scratch that every score forward of the bind's
+        evaluations shares.
         """
+        if plan.provider is not self:
+            raise ConfigError("step plan built for another provider")
         y = np.asarray(y, dtype=np.float64)
-        ledgers = per_row(ledger, len(np.atleast_2d(y)))
+        ledgers = per_row(ledger, y.shape, "ledger")
         x_d = None
         if self.denoiser is not None:
             x_d, denoiser_state = self.denoiser.forward(y, denoiser_state)

@@ -47,13 +47,17 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def per_row(item, rows: int) -> tuple:
-    """``item`` per row: a list or tuple holds one per row, anything else serves every row."""
-    if not isinstance(item, (list, tuple)):
-        return (item,) * rows
-    if len(item) != rows:
-        raise DimensionError(f"{len(item)} per-row items for {rows} rows")
-    return tuple(item)
+def per_row(item, shape: tuple, what: str) -> tuple:
+    """``item`` as one per row of an array of ``shape``: a signal (L,) takes one ``what``,
+    rows (B, L) a list or tuple of B; anything else raises DimensionError."""
+    many = isinstance(item, (list, tuple))
+    if not many and len(shape) == 1:
+        return (item,)
+    if many and len(shape) == 2 and len(item) == shape[0]:
+        return tuple(item)
+    got = f"a list of {len(item)}" if many else f"one {type(item).__name__}"
+    raise DimensionError(f"a signal (L,) takes one {what} and rows (B, L) a list of B; "
+                         f"got {got} for shape {shape}")
 
 
 def require_finite(config, *names: str) -> None:
@@ -102,8 +106,8 @@ class SdeParams:
             )
         if not (self.T > 0.0):
             raise ConfigError(f"T must be positive, got {self.T}")
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise ConfigError(f"N must be an int >= 1, got {self.N!r}")
         if not (0.0 < self.t_eps < self.T):
             raise ConfigError(f"t_eps must lie in (0, T), got {self.t_eps}")
         try:  # both grow with t, so T bounds them

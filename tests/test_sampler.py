@@ -1,6 +1,8 @@
 """Reverse predictor-corrector sampler: step algebra, cost accounting, toy recovery."""
 
+import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from gse.score import (
     analytic_gaussian_score,
 )
 from gse.sde import SdeParams, diffusion_coeff, make_rng, mean, std, variance
+from gse.streaming import HistoryBank
 
 P = SdeParams()
 WIDE = SdeParams(sigma_min=0.05, sigma_max=0.5)
@@ -367,12 +370,82 @@ class TestReverseProcess:
         with pytest.raises(DimensionError):
             reverse_process(np.zeros((3, 4)), plan_of(provider), [make_rng(0), make_rng(1)])
 
+    def test_corrector_steps_must_be_an_int(self):
+        with pytest.raises(ConfigError, match="corrector_steps must be an int >= 0, got 1.5"):
+            SamplerConfig(corrector_steps=1.5)
+
     def test_schedule_grid_mismatch_rejected(self):
         y = np.zeros(8)
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
         schedule = GuidanceSchedule.from_guided_steps(5, SdeParams(N=15))
         with pytest.raises(ConfigError, match="schedule built for N=15, sampler runs N=30"):
             plan_of(provider, schedule)
+
+
+class TestRowRule:
+    """A signal (L,) takes one generator and one ledger, rows (B, L) a list of one of each
+    per row; anything else raises DimensionError before a draw, a forward or a bank write."""
+
+    P6 = SdeParams(N=6)
+    CASES = {  # y's shape, then whether rng and ledger are one (False) or a list (True)
+        "rows_one_generator": ((3, 8), False, True),
+        "rows_one_ledger": ((3, 8), True, False),
+        "signal_generator_list": ((8,), True, False),
+    }
+
+    def case(self, name):
+        shape, rng_list, ledger_list = self.CASES[name]
+        provider = HybridScore(ScoreNet(self.P6, frame_size=4, hidden=6, seed=1),
+                               DenoiserNet(frame_size=4, hidden=5, seed=2), self.P6)
+        plan = plan_of(provider, GuidanceSchedule.from_guided_steps(2, self.P6), params=self.P6)
+        rows = shape[0] if len(shape) == 2 else None
+        bank = HistoryBank.for_provider(provider, plan.config, self.P6, rows)
+        rngs = [make_rng(30 + i) for i in range(rows or 1)]
+        ledgers = [CostLedger() for _ in range(rows or 1)]
+        return SimpleNamespace(
+            y=make_rng(40).normal(size=shape), plan=plan, bank=bank, kept=copy.deepcopy(bank),
+            rngs=rngs, ledgers=ledgers,
+            rng=rngs if rng_list else rngs[0], ledger=ledgers if ledger_list else ledgers[0])
+
+    @staticmethod
+    def assert_untouched(case):
+        """The bank holds its states bit for bit, each generator draws from its start, and
+        every ledger is fresh."""
+        bank, kept = case.bank, case.kept
+        pairs = [(bank.denoiser_state, kept.denoiser_state)]
+        pairs += [(bank.score_states[n], kept.score_states[n]) for n in kept.score_states]
+        assert bank.score_states.keys() == kept.score_states.keys()
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+        for i, rng in enumerate(case.rngs):
+            np.testing.assert_array_equal(rng.standard_normal(3),
+                                          make_rng(30 + i).standard_normal(3))
+        assert case.ledgers == [CostLedger() for _ in case.ledgers]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_reverse_process(self, name):
+        case = self.case(name)
+        with pytest.raises(DimensionError, match=r"takes one (generator|ledger) and rows \(B, L\)"):
+            reverse_process(case.y, case.plan, case.rng, case.bank, case.ledger)
+        self.assert_untouched(case)
+
+    def test_predictor_step(self):
+        case = self.case("rows_one_generator")
+        with pytest.raises(DimensionError, match=r"got one Generator for shape \(3, 8\)"):
+            predictor_step(DiffusionState(case.y, 0.5), case.y, case.y, self.P6, 0.1, case.rng)
+        self.assert_untouched(case)
+
+    @pytest.mark.parametrize("name", ["rows_one_generator", "rows_one_ledger"])
+    def test_corrector_step(self, name):
+        case = self.case(name)
+        with pytest.raises(DimensionError, match=r"got one \w+ for shape \(3, 8\)"):
+            corrector_step(DiffusionState(case.y, 0.5), case.y, 0.5, case.rng, case.ledger)
+        self.assert_untouched(case)
+
+    def test_bind(self):
+        case = self.case("rows_one_ledger")
+        with pytest.raises(DimensionError, match=r"got one CostLedger for shape \(3, 8\)"):
+            case.plan.provider.bind(case.y, case.ledger, case.plan, case.bank.denoiser_state)
+        self.assert_untouched(case)
 
 
 class TestToyRecovery:

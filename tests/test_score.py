@@ -123,6 +123,16 @@ class TestSchedule:
             GuidanceSchedule(n_guided, 6)
         assert GuidanceSchedule(6, 6).n_guided == 6
 
+    def test_direct_construction_takes_an_int_count(self):
+        """GuidanceSchedule(2.5, 6) would run 3 guided steps and report 2.5."""
+        with pytest.raises(DomainError, match="n_guided must be an int, got 2.5"):
+            GuidanceSchedule(2.5, 6)
+
+    def test_guided_steps_are_not_truncated(self):
+        """from_guided_steps(2.9, P) would run int(2.9) = 2 guided steps."""
+        with pytest.raises(DomainError, match="n_guided must be an int, got 2.9"):
+            GuidanceSchedule.from_guided_steps(2.9, P)
+
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=60, deadline=None)
@@ -294,6 +304,20 @@ class TestProviders:
             denoiser_only.guided_steps(GuidanceSchedule.from_guided_steps(P.N - 1, P))
         with pytest.raises(ConfigError):
             StepPlan.build(denoiser_only, LEARNED, P, SamplerConfig())
+
+    def test_bind_rejects_a_plan_built_for_another_provider(self):
+        """Before the denoiser runs: a learned provider bound to a hybrid plan would end in
+        a raw TypeError at its first guided evaluation."""
+        net, denoiser = tiny_nets()
+        hybrid, learned = HybridScore(net, denoiser, P), LearnedScore(net, P)
+        plan_12 = StepPlan.build(hybrid, GuidanceSchedule.from_guided_steps(12, P), P,
+                                 SamplerConfig())
+        for provider, plan in ((learned, plan_12), (hybrid, StepPlan.build(
+                learned, LEARNED, P, SamplerConfig()))):
+            ledger = CostLedger()
+            with pytest.raises(ConfigError, match="step plan built for another provider"):
+                provider.bind(make_rng(2).normal(size=8), ledger, plan)
+            assert ledger == CostLedger()
 
     def test_the_plans_constants_drive_the_guided_kernel(self):
         """A provider built for gamma = 1.5 under a plan for gamma = 3.0 runs gamma = 3.0."""

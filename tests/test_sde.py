@@ -223,6 +223,12 @@ class TestParams:
         with pytest.raises(ConfigError):
             SdeParams(N=0)
 
+    @pytest.mark.parametrize("n", [2.5, 6.0])
+    def test_grid_size_must_be_an_int(self, n):
+        """A float N, even a whole one, used to end in a raw TypeError in StepPlan.build."""
+        with pytest.raises(ConfigError, match=f"N must be an int >= 1, got {n}"):
+            SdeParams(N=n)
+
     @pytest.mark.parametrize("field", ["gamma", "sigma_min", "sigma_max", "T", "t_eps"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, field, value):
