@@ -236,9 +236,9 @@ def corrector_step(
     ledger.
     """
     x, s = state.x, np.asarray(score, dtype=np.float64)
-    rngs, ledgers = per_row(rng, x.shape, "generator"), per_row(ledger, x.shape, "ledger")
-    if x.ndim == 1:
+    if x.ndim == 1 and not isinstance(rng, (list, tuple)) and not isinstance(ledger, (list, tuple)):
         return DiffusionState(_langevin(x, s, r, rng, ledger, None), state.t)
+    rngs, ledgers = per_row(rng, x.shape, "generator"), per_row(ledger, x.shape, "ledger")
     x_new = np.empty_like(x)
     for x_i, s_i, rng_i, led, out in zip(x, s, rngs, ledgers, x_new):
         _langevin(x_i, s_i, r, rng_i, led, out)

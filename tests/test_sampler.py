@@ -434,10 +434,10 @@ class TestRowRule:
             predictor_step(DiffusionState(case.y, 0.5), case.y, case.y, self.P6, 0.1, case.rng)
         self.assert_untouched(case)
 
-    @pytest.mark.parametrize("name", ["rows_one_generator", "rows_one_ledger"])
+    @pytest.mark.parametrize("name", list(CASES))
     def test_corrector_step(self, name):
         case = self.case(name)
-        with pytest.raises(DimensionError, match=r"got one \w+ for shape \(3, 8\)"):
+        with pytest.raises(DimensionError, match=r"takes one (generator|ledger) and rows \(B, L\)"):
             corrector_step(DiffusionState(case.y, 0.5), case.y, 0.5, case.rng, case.ledger)
         self.assert_untouched(case)
 
