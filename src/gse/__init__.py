@@ -26,6 +26,7 @@ from .nets import (
 from .sampler import (
     CostLedger,
     DiffusionState,
+    HistoryBank,
     SamplerConfig,
     StepPlan,
     corrector_step,
@@ -55,7 +56,6 @@ from .sde import (
     variance,
 )
 from .streaming import (
-    HistoryBank,
     LatencyReport,
     StreamConfig,
     StreamEnhancer,

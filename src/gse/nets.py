@@ -83,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError, GseError
-from .sde import SdeParams, make_rng, require_finite, sample_perturbed, std
+from .sde import SdeParams, make_rng, require_count, require_finite, sample_perturbed, std
 
 __all__ = [
     "TimeEmbedding",
@@ -677,10 +677,8 @@ class TrainConfig:
     probe_every: int = 25
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigError("steps must be >= 0 and batch_size >= 1")
-        if self.probe_every < 1:
-            raise ConfigError(f"probe_every must be >= 1, got {self.probe_every}")
+        for name, low in (("steps", 0), ("batch_size", 1), ("probe_every", 1)):
+            require_count(name, getattr(self, name), low)
         require_finite(self, "learning_rate")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")

@@ -20,6 +20,10 @@ row i's bits do not depend on its batch-mates or position, on each OpenBLAS
 kernel family (see ``gse.nets`` on padding), and stay within rounding
 (~5e-16) of its solo run.
 
+A pass always runs on a ``HistoryBank``, the nets' recurrent states, (H,) or
+(B, H): a stream's bank carries them from chunk to chunk, and a pass given
+none runs on fresh zeros, which the nets read as they read no state.
+
 Arithmetic.  A grid step runs the score s, the predictor ((g^2 s) - gamma (y - x)) dt
 + x + (g sqrt(dt)) z, a finite check, and per corrector a score, eps = 2 (r |z| / |s|)^2
 per row (|v| = sqrt(v . v)), (eps s + x) + sqrt(2 eps) z and a finite check; each in place,
@@ -42,13 +46,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, DomainError
-from .sde import SdeParams, diffusion_coeff, kernel_coefficients, per_row, require_finite, std
+from .sde import (SdeParams, as_signal, diffusion_coeff, kernel_coefficients, per_row,
+                  require_count, require_finite, std)
 
 __all__ = [
     "SamplerConfig",
     "CostLedger",
     "DiffusionState",
     "StepPlan",
+    "HistoryBank",
     "predictor_step",
     "corrector_step",
     "reverse_process",
@@ -63,8 +69,7 @@ class SamplerConfig:
     corrector_snr: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.corrector_steps, (int, np.integer)) or self.corrector_steps < 0:
-            raise ConfigError(f"corrector_steps must be an int >= 0, got {self.corrector_steps!r}")
+        require_count("corrector_steps", self.corrector_steps, 0)
         require_finite(self, "corrector_snr")
         if self.corrector_snr <= 0.0:
             raise ConfigError("corrector_snr must be positive")
@@ -245,6 +250,34 @@ def corrector_step(
     return DiffusionState(x_new, state.t)
 
 
+@dataclass
+class HistoryBank:
+    """Recurrent state, (H,) or (rows, H), for every grid step plus the denoiser; fresh = 0."""
+
+    score_states: dict[int, np.ndarray]
+    denoiser_state: np.ndarray | None
+
+    @classmethod
+    def for_provider(cls, provider, config: SamplerConfig, params: SdeParams, rows=None):
+        """A fresh bank for ``provider``'s nets on the grid of ``params``; ``config`` is unused.
+
+        Without a score net the score states are 1 wide; without a denoiser there is none."""
+        lead = () if rows is None else (rows,)
+        width = getattr(provider.net, "state_dim", 1)
+        states = {n: np.zeros(lead + (width,)) for n in range(1, params.N + 1)}
+        den = getattr(provider.denoiser, "state_dim", None)
+        return cls(states, None if den is None else np.zeros(lead + (den,)))
+
+    def require_rows(self, lead: tuple) -> None:
+        """DimensionError unless all states are (H,) for a 1-D chunk, () = ``lead``,
+        or (B, H) for B rows, (B,) = ``lead``."""
+        rows = lambda shape: f"{shape[0]} rows" if shape else "a 1-D signal"
+        for state in [*self.score_states.values(), self.denoiser_state]:
+            if state is not None and state.shape[:-1] != lead:
+                raise DimensionError(f"history bank holds states for {rows(state.shape[:-1])}, "
+                                     f"chunk has {rows(lead)}")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises DivergenceError
 def reverse_process(y: np.ndarray, plan: StepPlan, rng, bank=None, ledger=None):
     """Full reverse pass of ``plan`` conditioned on y, (L,) or (B, L); returns (x_out, ledger).
@@ -253,33 +286,28 @@ def reverse_process(y: np.ndarray, plan: StepPlan, rng, bank=None, ledger=None):
     one per row (fresh ledgers by default).  The branch of every grid step is
     the plan's ``guided`` column; the predictor and its correctors read it.
 
-    When a history bank is supplied, the score-net state consumed at grid step n
-    is the bank's entry for n and the predictor's evaluation (only) writes the
-    updated state back; the denoiser state is threaded through the bank as well.
-    Before anything is drawn or written, a y that is not (L,) or (B, L) (the
-    rows the bank holds), or a ``rng`` or ``ledger`` that is not one per row,
-    raises ``DimensionError``, a bank for another N ``ConfigError`` and a
-    non-finite y ``DomainError``.  A non-finite state raises ``DivergenceError``
-    naming step, phase and rows.
+    The pass runs on ``bank`` (a fresh zero ``HistoryBank`` by default): the
+    score-net state consumed at grid step n is the bank's entry for n and the
+    predictor's evaluation (only) writes the updated state back; the denoiser
+    state is threaded through the bank as well.  Before anything is drawn or
+    written, a y that is not (L,) or (B, L) (the rows the bank holds), or a
+    ``rng`` or ``ledger`` that is not one per row, raises ``DimensionError``, a
+    bank for another N ``ConfigError`` and a non-finite y ``DomainError``.  A
+    non-finite state raises ``DivergenceError`` naming step, phase and rows.
     """
-    y = np.asarray(y, dtype=np.float64)
-    params, config = plan.params, plan.config
-    if y.ndim not in (1, 2) or y.size < 1:
-        raise DimensionError("chunk must be a non-empty 1-D array or (B, L) rows")
-    if bank is not None:
-        if (built := len(bank.score_states)) != params.N:
-            raise ConfigError(f"history bank built for N={built}, sampler runs N={params.N}")
-        bank.require_rows(y.shape[:-1])
+    y, params, config = as_signal(y), plan.params, plan.config
+    if bank is None:
+        bank = HistoryBank.for_provider(plan.provider, config, params, *y.shape[:-1])
+    if (built := len(bank.score_states)) != params.N:
+        raise ConfigError(f"history bank built for N={built}, sampler runs N={params.N}")
+    bank.require_rows(y.shape[:-1])
     if not _all_finite(y):
         raise DomainError("samples must be finite")
     if ledger is None:
         ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in range(len(y))]
     ledgers = per_row(ledger, y.shape, "ledger")
     per_row(rng, y.shape, "generator")  # the first draw comes after bind's bank write
-    den_state = None if bank is None else bank.denoiser_state
-    bound, den_state = plan.provider.bind(y, ledger, plan, den_state)
-    if bank is not None:
-        bank.denoiser_state = den_state
+    bound, bank.denoiser_state = plan.provider.bind(y, ledger, plan, bank.denoiser_state)
 
     state = DiffusionState(y + plan.prior_std * _normal(rng, np.empty(y.shape)), params.T)
     columns = (plan.t, plan.t_eval, plan.g, plan.guided)
@@ -287,15 +315,13 @@ def reverse_process(y: np.ndarray, plan: StepPlan, rng, bank=None, ledger=None):
     for n, t_n, t_eval, g, guided in zip(range(params.N, 0, -1), *map(reversed, columns)):
         for led in ledgers:
             led.record_branch(guided)
-        step_state_in = bank.score_states[n] if bank is not None else None
-        score, new_net_state = evaluate(state.x, t_n, step_state_in, guided)
-        if bank is not None and new_net_state is not None:
-            bank.score_states[n] = new_net_state
+        state_in = bank.score_states[n]
+        score, bank.score_states[n] = evaluate(state.x, t_n, state_in, guided)
         state = predictor_step(DiffusionState(state.x, t_n), y, score, params, dt, rng, g)
         _check_finite(state.x, n, "predictor")
         for _ in range(config.corrector_steps):
             # the corrector re-reads the predictor's input net state; its end state is discarded
-            score, _ = evaluate(state.x, t_eval, step_state_in, guided)
+            score, _ = evaluate(state.x, t_eval, state_in, guided)
             state = corrector_step(DiffusionState(state.x, t_eval), score, snr, rng, ledger)
             _check_finite(state.x, n, "corrector")
 

@@ -42,6 +42,8 @@ __all__ = [
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; a fixed seed reproduces every draw bit-exactly."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an int, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
@@ -58,6 +60,20 @@ def per_row(item, shape: tuple, what: str) -> tuple:
     got = f"a list of {len(item)}" if many else f"one {type(item).__name__}"
     raise DimensionError(f"a signal (L,) takes one {what} and rows (B, L) a list of B; "
                          f"got {got} for shape {shape}")
+
+
+def require_count(name: str, value, low: int) -> None:
+    """ConfigError unless ``value`` is an int (or a numpy integer) >= ``low``."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def as_signal(y) -> np.ndarray:
+    """``y`` as float64; DimensionError unless it is a non-empty signal (L,) or rows (B, L)."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim not in (1, 2) or y.size < 1:
+        raise DimensionError("signal must be a non-empty 1-D array or (B, L) rows")
+    return y
 
 
 def require_finite(config, *names: str) -> None:
@@ -106,8 +122,7 @@ class SdeParams:
             )
         if not (self.T > 0.0):
             raise ConfigError(f"T must be positive, got {self.T}")
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ConfigError(f"N must be an int >= 1, got {self.N!r}")
+        require_count("N", self.N, 1)
         if not (0.0 < self.t_eps < self.T):
             raise ConfigError(f"t_eps must lie in (0, T), got {self.t_eps}")
         try:  # both grow with t, so T bounds them

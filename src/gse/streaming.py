@@ -1,24 +1,25 @@
 """Chunked enhancement with recurrent history across chunk boundaries.
 
-Each incoming chunk runs its own full reverse diffusion conditioned on the
-chunk's noisy samples, on the one ``StepPlan`` of its stream (or of its
-``enhance_offline`` request); what ties consecutive chunks together is the history
-bank: one score-net recurrent state per grid step index (written only by the
+``StreamEnhancer`` is the one request driver; ``enhance_offline`` is a stream
+of one chunk.  Each chunk, (n,) or rows (B, n), runs its own full reverse
+diffusion on the one ``StepPlan`` of its stream; what ties consecutive chunks
+together is the stream's ``HistoryBank``, on which every pass runs: one
+score-net recurrent state per grid step index (written only by the
 predictor's evaluation) plus one denoiser state.  Output for chunk c therefore
 depends on chunks 1..c only, and the algorithmic latency is exactly one chunk.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .sampler import CostLedger, SamplerConfig, StepPlan, reverse_process
-from .sde import SdeParams, make_rng, require_finite, require_sample_rate, sample_count
+from .sampler import CostLedger, HistoryBank, SamplerConfig, StepPlan, reverse_process
+from .sde import (SdeParams, as_signal, make_rng, require_count, require_finite,
+                  require_sample_rate, sample_count)
 
 __all__ = [
     "StreamConfig",
@@ -52,34 +53,6 @@ class StreamConfig:
     def chunk_size(self) -> int:
         """Samples per chunk, K = round(chunk_ms * sample_rate / 1000)."""
         return sample_count(self, "chunk_ms", self.chunk_ms * self.sample_rate / 1000.0)
-
-
-@dataclass
-class HistoryBank:
-    """Recurrent state, (H,) or (rows, H), for every grid step plus the denoiser; fresh = 0."""
-
-    score_states: dict[int, np.ndarray]
-    denoiser_state: np.ndarray | None
-
-    @classmethod
-    def for_provider(cls, provider, config: SamplerConfig, params: SdeParams, rows=None):
-        """A fresh bank for ``provider``'s nets on the grid of ``params``; ``config`` is unused.
-
-        Without a score net the score states are 1 wide; without a denoiser there is none."""
-        lead = () if rows is None else (rows,)
-        width = getattr(provider.net, "state_dim", 1)
-        states = {n: np.zeros(lead + (width,)) for n in range(1, params.N + 1)}
-        den = getattr(provider.denoiser, "state_dim", None)
-        return cls(states, None if den is None else np.zeros(lead + (den,)))
-
-    def require_rows(self, lead: tuple) -> None:
-        """DimensionError unless all states are (H,) for a 1-D chunk, () = ``lead``,
-        or (B, H) for B rows, (B,) = ``lead``."""
-        rows = lambda shape: f"{shape[0]} rows" if shape else "a 1-D signal"
-        for state in [*self.score_states.values(), self.denoiser_state]:
-            if state is not None and state.shape[:-1] != lead:
-                raise DimensionError(f"history bank holds states for {rows(state.shape[:-1])}, "
-                                     f"chunk has {rows(lead)}")
 
 
 def process_chunk(y_chunk: np.ndarray, bank: HistoryBank, plan: StepPlan, rng, ledger=None):
@@ -118,16 +91,8 @@ def realtime_factor(report: LatencyReport) -> float:
     return float(np.mean(report.wall_times_s)) / chunk_s
 
 
-def _normalizer(peak: float) -> float:
-    return PEAK_TARGET / max(peak, _PEAK_FLOOR)
-
-
-def _finite_peak(x: np.ndarray) -> float:
-    """max |x|; DomainError, as ``Signal`` raises, if x holds a non-finite sample."""
-    peak = float(np.max(np.abs(x)))
-    if not math.isfinite(peak):
-        raise DomainError("samples must be finite")
-    return peak
+def _normalizer(peak):
+    return PEAK_TARGET / np.maximum(peak, _PEAK_FLOOR)
 
 
 def _pad_to_multiple(x: np.ndarray, m: int) -> np.ndarray:
@@ -146,38 +111,16 @@ def enhance_offline(
     frame_size: int = 1,
     sample_rate: int = 16000,
 ) -> tuple[np.ndarray, CostLedger, LatencyReport]:
-    """Whole-utterance enhancement: one chunk, fresh zero history, peak-normalized.
-
-    A signal (L,) takes one int seed.  B utterances (B, L) take a list of B
-    seeds, one generator per row, and run as one batch under the sampler's
-    row contract, each row normalized and charged as if alone; x is (B, L)
-    and the ledger a list.  Any other seed raises DimensionError, and a
-    non-finite sample DomainError; a ``frame_size`` not an int >= 1 or a
-    ``sample_rate`` outside [1, the largest float] ConfigError.  The report's
-    chunk is all rows' audio.
-    """
-    if not isinstance(frame_size, (int, np.integer)) or frame_size < 1:
-        raise ConfigError(f"frame_size must be an int >= 1, got {frame_size!r}")
+    """Whole-utterance enhancement: ``enhance_stream`` in one chunk, y's length padded
+    to a multiple of ``frame_size``; seeds and rows (B, L) as for ``StreamEnhancer``.
+    A ``frame_size`` not an int >= 1 or a ``sample_rate`` outside [1, the largest
+    float] raises ConfigError."""
+    require_count("frame_size", frame_size, 1)
     require_sample_rate(sample_rate)
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim not in (1, 2) or y.size < 1:
-        raise DimensionError("signal must be a non-empty 1-D array or (B, L) rows")
-    seed_per_row = isinstance(seed, (list, tuple)) and len(seed) == len(y)
-    if not (seed_per_row if y.ndim == 2 else isinstance(seed, (int, np.integer))):
-        raise DimensionError(f"a 1-D signal takes one int seed and (B, L) rows a list of B "
-                             f"seeds; got seed {seed!r} for shape {y.shape}")
-    rows = np.atleast_2d(y)
-    rng = make_rng(seed) if y.ndim == 1 else [make_rng(s) for s in seed]
-    scale = np.reshape([_normalizer(_finite_peak(r)) for r in rows], y.shape[:-1] + (1,))
-    padded = _pad_to_multiple(y * scale, frame_size)
-    bank = HistoryBank.for_provider(provider, config, params, None if y.ndim == 1 else len(y))
-    ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in rows]
-    report = LatencyReport(chunk_ms=1000.0 * padded.size / sample_rate, chunk_size=padded.size)
-    t0 = time.perf_counter()
-    plan = StepPlan.build(provider, schedule, params, config)
-    x, _ = process_chunk(padded, bank, plan, rng, ledger)
-    report.wall_times_s.append(time.perf_counter() - t0)
-    return x[..., : y.shape[-1]] / scale, ledger, report
+    y = as_signal(y)
+    K = -(-y.shape[-1] // frame_size) * frame_size
+    stream = StreamConfig(chunk_ms=1000.0 * K / sample_rate, sample_rate=sample_rate)
+    return enhance_stream(y, stream, provider, schedule, config, params, seed)
 
 
 def enhance_stream(
@@ -187,24 +130,29 @@ def enhance_stream(
     schedule,
     config: SamplerConfig,
     params: SdeParams,
-    seed: int,
+    seed: int | list[int],
 ) -> tuple[np.ndarray, CostLedger, LatencyReport]:
-    """Chunked enhancement of a full utterance; returns (x, total ledger, report)."""
+    """Chunked enhancement of a full utterance (L,) with an int seed, or of B
+    rows (B, L) with a list of B seeds; returns (x, total ledger or a list of
+    one per row, report)."""
+    y = as_signal(y)
     enhancer = StreamEnhancer(stream_config, provider, schedule, config, params, seed)
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 1:
-        raise DimensionError("signal must be a non-empty 1-D array")
     K = stream_config.chunk_size
     outs = []
-    for start in range(0, y.size, K):
-        enhancer.push(y[start : start + K])
+    for start in range(0, y.shape[-1], K):
+        enhancer.push(y[..., start : start + K])
         outs.append(enhancer.pull())
-    x = np.concatenate(outs)[: y.size]
-    return x, enhancer.ledger, enhancer.report
+    return np.concatenate(outs, axis=-1), enhancer.ledger, enhancer.report
 
 
 class StreamEnhancer:
     """Push/pull interface: push one chunk of noisy samples, pull the enhanced chunk.
+
+    An int seed streams a signal in chunks (n,), a list of B seeds B rows in
+    chunks (B, n) under the sampler's row contract: one bank of B state rows,
+    and per row a generator, running peak and ledger (``ledger`` and
+    ``chunk_ledgers`` hold lists); the report's chunk is all rows' audio.  A
+    chunk that does not fit the seed raises DimensionError.
 
     The enhanced chunk for input chunk c is available right after push(c) — one
     chunk of algorithmic delay.  Short final chunks are zero-padded internally
@@ -220,43 +168,55 @@ class StreamEnhancer:
         schedule,
         config: SamplerConfig,
         params: SdeParams,
-        seed: int,
+        seed: int | list[int],
     ):
         self.stream_config = stream_config
         self.provider = provider
         self.schedule = schedule
         self.config = config
         self.params = params
-        self.rng = make_rng(seed)
-        self.bank = HistoryBank.for_provider(provider, config, params)
+        self._rows = len(seed) if isinstance(seed, (list, tuple)) else None
+        self.rng = make_rng(seed) if self._rows is None else [make_rng(s) for s in seed]
+        self.bank = HistoryBank.for_provider(provider, config, params, self._rows)
         self.plan: StepPlan | None = None  # built on the first push, once per stream
-        self.ledger = CostLedger()  # running total over chunks
-        self.chunk_ledgers: list[CostLedger] = []
-        self.report = LatencyReport(stream_config.chunk_ms, stream_config.chunk_size)
+        self.ledger = self._fresh_ledger()  # running total over chunks
+        self.chunk_ledgers: list = []
+        B = 1 if self._rows is None else self._rows
+        self.report = LatencyReport(stream_config.chunk_ms * B, stream_config.chunk_size * B)
         self._outbox: list[np.ndarray] = []
         self._peak = 0.0
+
+    def _fresh_ledger(self):
+        return CostLedger() if self._rows is None else [CostLedger() for _ in range(self._rows)]
 
     def push(self, chunk: np.ndarray) -> None:
         chunk = np.asarray(chunk, dtype=np.float64)
         K = self.stream_config.chunk_size
-        if chunk.ndim != 1 or not 1 <= chunk.size <= K:
-            raise DimensionError(f"chunk must be 1-D with 1..{K} samples, got {chunk.shape}")
-        n = chunk.size
-        if n < K:
-            chunk = np.concatenate([chunk, np.zeros(K - n)])
-        # causal per-utterance normalization: running peak of everything seen so far;
-        # a non-finite chunk is rejected before the peak or the bank changes
-        self._peak = max(self._peak, _finite_peak(chunk))
+        if chunk.shape[:-1] != (() if self._rows is None else (self._rows,)):
+            seeds = "one int seed" if self._rows is None else f"a list of {self._rows} seeds"
+            raise DimensionError(f"a 1-D signal takes one int seed and (B, L) rows a list of B "
+                                 f"seeds; got {seeds} for chunk shape {chunk.shape}")
+        n = chunk.shape[-1] if chunk.ndim else 0
+        if not 1 <= n <= K or chunk.size < 1:
+            raise DimensionError(f"chunk must hold 1..{K} samples per row, got {chunk.shape}")
+        chunk = _pad_to_multiple(chunk, K)
+        # causal per-row normalization: the running peak of everything the row has seen;
+        # a non-finite chunk is rejected before a peak or the bank changes
+        peak = np.max(np.abs(chunk), axis=-1, keepdims=True)
+        if not np.isfinite(peak).all():
+            raise DomainError("samples must be finite")
+        self._peak = np.maximum(self._peak, peak)
         scale = _normalizer(self._peak)
+        t0 = time.perf_counter()  # before the plan's build: an offline report times both
         if self.plan is None:
             self.plan = StepPlan.build(self.provider, self.schedule, self.params, self.config)
-        chunk_ledger = CostLedger()
-        t0 = time.perf_counter()
+        chunk_ledger = self._fresh_ledger()
         x, _ = process_chunk(chunk * scale, self.bank, self.plan, self.rng, chunk_ledger)
         self.report.wall_times_s.append(time.perf_counter() - t0)
         self.chunk_ledgers.append(chunk_ledger)
-        self.ledger = self.ledger + chunk_ledger
-        self._outbox.append(x[:n] / scale)
+        self.ledger = (self.ledger + chunk_ledger if self._rows is None
+                       else [total + led for total, led in zip(self.ledger, chunk_ledger)])
+        self._outbox.append(x[..., :n] / scale)
 
     def pull(self) -> np.ndarray | None:
         """Enhanced chunk in arrival order, or None when nothing is pending."""

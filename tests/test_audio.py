@@ -133,6 +133,10 @@ class TestSynthesis:
         np.testing.assert_array_equal(a_noisy.samples, b_noisy.samples)
         assert not np.array_equal(a_clean.samples, c_clean.samples)
 
+    def test_seed_must_be_an_int(self):
+        with pytest.raises(ConfigError, match="seed must be an int, got 1.5"):
+            synthesize_pair(MixSpec(seed=1.5))
+
     def test_shapes_and_rates(self):
         spec = MixSpec(duration_s=0.1, sample_rate=8000, seed=1)
         clean, noisy = synthesize_pair(spec)

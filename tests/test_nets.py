@@ -837,6 +837,14 @@ class TestTraining:
             with pytest.raises(ConfigError, match="learning_rate must be finite"):
                 TrainConfig(learning_rate=value)
 
+    @pytest.mark.parametrize("name, value", [("steps", 2.5), ("batch_size", 2.0),
+                                             ("probe_every", 1.5)])
+    def test_counts_must_be_ints(self, name, value):
+        """A float count used to pass: steps and batch_size then ended in a raw TypeError,
+        and probe_every probed only at the steps it divides."""
+        with pytest.raises(ConfigError, match=f"{name} must be an int >= ., got {value}"):
+            TrainConfig(**{name: value})
+
     def test_loss_curve_csv(self, tmp_path):
         net = DenoiserNet(frame_size=4, hidden=6, seed=0)
         cfg = TrainConfig(steps=6, batch_size=2, learning_rate=1e-3, seed=0, probe_every=3)

@@ -370,6 +370,26 @@ class TestReverseProcess:
         with pytest.raises(DimensionError):
             reverse_process(np.zeros((3, 4)), plan_of(provider), [make_rng(0), make_rng(1)])
 
+    @pytest.mark.parametrize("kind", ["learned", "hybrid", "discriminative"])
+    @pytest.mark.parametrize("shape", [(32,), (3, 32)], ids=["signal", "rows3"])
+    def test_a_pass_without_a_bank_equals_one_on_a_fresh_bank(self, kind, shape):
+        """The default bank is a fresh zero one: outputs and ledgers are the same bits."""
+        hybrid = self.make_hybrid()
+        provider, n_guided = {"learned": (LearnedScore(hybrid.net, P), 0), "hybrid": (hybrid, 12),
+                              "discriminative": (DiscriminativeScore(hybrid.denoiser, P), 30)}[kind]
+        plan = plan_of(provider, GuidanceSchedule.from_guided_steps(n_guided, P))
+        y = make_rng(14).normal(size=shape)
+
+        def run(bank):
+            rng = make_rng(15) if len(shape) == 1 else [make_rng(15 + i) for i in range(3)]
+            return reverse_process(y, plan, rng, bank=bank)
+
+        rows = None if len(shape) == 1 else 3
+        (x, ledger), (x_bank, ledger_bank) = run(None), run(
+            HistoryBank.for_provider(provider, plan.config, P, rows))
+        assert x.tobytes() == x_bank.tobytes()
+        assert ledger == ledger_bank
+
     def test_corrector_steps_must_be_an_int(self):
         with pytest.raises(ConfigError, match="corrector_steps must be an int >= 0, got 1.5"):
             SamplerConfig(corrector_steps=1.5)

@@ -303,3 +303,9 @@ def test_rng_is_reproducible():
 def test_negative_seed_is_config_error():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         make_rng(-1)
+
+
+def test_seed_must_be_an_int():
+    with pytest.raises(ConfigError, match="seed must be an int, got 1.5"):
+        make_rng(1.5)
+    assert make_rng(np.int64(3)).standard_normal() == make_rng(3).standard_normal()

@@ -295,6 +295,98 @@ class TestBatchedRows:
                 12, P), SamplerConfig(), P, 1, **{"frame_size": FRAME, name: value})
 
 
+class TestRowStreams:
+    """A stream of B rows, (B, n) chunks under one list of B seeds: each row streams as
+    it would alone, with its own generator, running peak and ledger."""
+
+    K = StreamConfig().chunk_size  # 50 ms at 16 kHz
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        return (ScoreNet(P, frame_size=40, hidden=160, seed=0),
+                DenoiserNet(frame_size=40, hidden=96, seed=1))
+
+    def stream(self, provider, schedule, y, seed):
+        """Push y in 50 ms chunks; returns (output, chunk ledgers, report)."""
+        enhancer = StreamEnhancer(StreamConfig(), provider, schedule,
+                                  SamplerConfig(corrector_steps=1), P, seed)
+        outs = []
+        for start in range(0, y.shape[-1], self.K):
+            enhancer.push(y[..., start : start + self.K])
+            outs.append(enhancer.pull())
+        return np.concatenate(outs, axis=-1), enhancer.chunk_ledgers, enhancer.report
+
+    @pytest.mark.parametrize("n_phi", [0, 12, 30])
+    def test_rows_are_independent_of_batch_and_close_to_solo(self, nets, n_phi):
+        provider = HybridScore(*nets, P)
+        schedule = GuidanceSchedule.from_guided_steps(n_phi, P)
+        L = 2 * self.K + 200  # a short final chunk
+        ramp = np.linspace(0.2, 1.0, L)  # each row's running peak grows from chunk to chunk
+        ys = [(0.2 + 0.3 * i) * ramp * make_rng(80 + i).normal(size=L) for i in range(5)]
+        seeds = [90 + i for i in range(5)]
+        solo = [self.stream(provider, schedule, y, s) for y, s in zip(ys, seeds)]
+        rows = {i: [] for i in range(5)}
+        for order in TestBatchedRows.ORDERS:
+            x, chunk_ledgers, report = self.stream(provider, schedule,
+                                                   np.stack([ys[i] for i in order]),
+                                                   [seeds[i] for i in order])
+            assert report.chunk_size == len(order) * self.K
+            for r, i in enumerate(order):
+                rows[i].append(x[r])
+                assert [leds[r] for leds in chunk_ledgers] == solo[i][1], (order, r)
+        for i, got in rows.items():
+            for other in got[1:]:
+                assert other.tobytes() == got[0].tobytes()
+            x_solo = solo[i][0]
+            assert np.linalg.norm(got[0] - x_solo) <= TestBatchedRows.RTOL * np.linalg.norm(x_solo)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_in_one_row_leaves_every_row_as_it_was(self, bad):
+        """The rejected chunk touches no row's peak, generator or ledger, nor the bank."""
+        chunks = make_rng(16).normal(size=(3, 3, SC.chunk_size))  # (chunk, row, sample)
+        hit = chunks[1].copy()
+        hit[1, 5] = bad
+
+        def stream(*pushes):
+            enhancer = StreamEnhancer(SC, tiny_provider(), GuidanceSchedule.from_guided_steps(
+                6, P), SamplerConfig(corrector_steps=1), P, seed=[0, 1, 2])
+            for chunk in pushes:
+                if np.isfinite(chunk).all():
+                    enhancer.push(chunk)
+                    out = enhancer.pull()
+                else:
+                    with pytest.raises(DomainError, match="finite"):
+                        enhancer.push(chunk)
+                    assert enhancer.pull() is None
+            return out, enhancer
+
+        after, hit_stream = stream(chunks[0], hit, chunks[2])
+        clean, clean_stream = stream(chunks[0], chunks[2])
+        assert after.shape == (3, SC.chunk_size)
+        assert after.tobytes() == clean.tobytes()
+        assert hit_stream.ledger == clean_stream.ledger
+
+    @pytest.mark.parametrize("seed, shape", [([1, 2, 3], (SC.chunk_size,)), (1, (3, SC.chunk_size)),
+                                             ([1, 2], (3, SC.chunk_size))],
+                             ids=["list-seed-signal", "int-seed-rows", "short-list-rows"])
+    def test_a_chunk_that_does_not_fit_the_seed_is_rejected_before_any_draw(self, seed, shape):
+        """After the rejected chunk, a chunk that fits gives what a fresh stream gives."""
+        def make():
+            return StreamEnhancer(SC, tiny_provider(), GuidanceSchedule.from_guided_steps(12, P),
+                                  SamplerConfig(), P, seed)
+
+        enhancer, fresh = make(), make()
+        with pytest.raises(DimensionError, match="a 1-D signal takes one int seed and "
+                                                 r"\(B, L\) rows a list of B seeds"):
+            enhancer.push(np.ones(shape))
+        rows = () if seed == 1 else (len(seed),)
+        fits = make_rng(17).normal(size=rows + (SC.chunk_size,))
+        enhancer.push(fits)
+        fresh.push(fits)
+        assert enhancer.pull().tobytes() == fresh.pull().tobytes()
+        assert enhancer.ledger == fresh.ledger and len(enhancer.report.wall_times_s) == 1
+
+
 class TestLedgers:
     def test_totals_are_exact_sums_of_chunk_ledgers(self):
         provider = tiny_provider()
@@ -347,6 +439,11 @@ class TestPushPull:
             enhancer.push(np.zeros(0))
         with pytest.raises(DimensionError):
             enhancer.push(np.zeros((4, 8)))
+
+    def test_seed_must_be_an_int(self):
+        with pytest.raises(ConfigError, match="seed must be an int, got 1.5"):
+            StreamEnhancer(SC, tiny_provider(), GuidanceSchedule.from_guided_steps(0, P),
+                           SamplerConfig(), P, seed=1.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_chunk_rejected_and_leaves_the_stream_as_it_was(self, bad):
