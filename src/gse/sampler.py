@@ -12,17 +12,17 @@ time the kernel's variance and mean coefficients and the score net's gain and
 time embedding.  Each column is the expression a step would evaluate, so no
 bit changes.
 
-A pass runs one signal (L,), which is B = 1, or B rows (B, L) that share the
-plan, the time terms and the gates; row i has its own generator (it draws what
-a run of it alone draws), corrector norms and ``CostLedger``.  Row contract:
-B = 1 is the one-signal arithmetic (its recurrent product a gemv); from B = 2 on
-row i's bits do not depend on its batch-mates or position, on each OpenBLAS
-kernel family (see ``gse.nets`` on padding), and stay within rounding
-(~5e-16) of its solo run.
+A pass runs B rows (B, L) that share the plan, the time terms and the gates;
+row i has its own generator (it draws what a run of it alone draws), corrector
+norms and ``CostLedger``.  ``reverse_process`` runs a signal (L,) as one row
+(1, L); every function below it takes rows only.  Row contract: B = 1 is the
+one-signal arithmetic (its recurrent product a gemv); from B = 2 on row i's bits
+do not depend on its batch-mates or position, on each OpenBLAS kernel family
+(see ``gse.nets`` on padding), and stay within rounding (~5e-16) of its solo run.
 
-A pass always runs on a ``HistoryBank``, the nets' recurrent states, (H,) or
-(B, H): a stream's bank carries them from chunk to chunk, and a pass given
-none runs on fresh zeros, which the nets read as they read no state.
+A pass always runs on a ``HistoryBank``, the nets' recurrent states (B, H): a
+stream's bank carries them from chunk to chunk, and a pass given none runs on
+fresh zeros, which the nets read as they read no state.
 
 Arithmetic.  A grid step runs the score s, the predictor ((g^2 s) - gamma (y - x)) dt
 + x + (g sqrt(dt)) z, a finite check, and per corrector a score, eps = 2 (r |z| / |s|)^2
@@ -145,10 +145,8 @@ class StepPlan:
 
 
 def _normal(rng, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with standard-normal draws: (L,) from one generator, row i of (B, L)
-    from rng[i]; anything else raises DimensionError before a draw."""
-    if out.ndim == 1 and not isinstance(rng, (list, tuple)):
-        return rng.standard_normal(out=out)
+    """Fill row i of ``out`` (B, L) with standard-normal draws from rng[i]; anything but
+    a list of B generators raises DimensionError before a draw."""
     for r, row in zip(per_row(rng, out.shape, "generator"), out):
         r.standard_normal(out=row)
     return out
@@ -161,7 +159,7 @@ def _all_finite(x: np.ndarray) -> bool:
 
 def _check_finite(x: np.ndarray, n: int, phase: str) -> None:
     if not _all_finite(x):
-        rows = np.flatnonzero(~np.isfinite(np.atleast_2d(x)).all(axis=-1)).tolist()
+        rows = np.flatnonzero(~np.isfinite(x).all(axis=-1)).tolist()
         raise DivergenceError(f"non-finite state after the {phase} at step n={n} in rows {rows}")
 
 
@@ -180,8 +178,8 @@ def predictor_step(
 
     ``g`` is g(t) from a step plan, computed here when not given.  With
     score = 0 and g = 0 this is pure drift reversal (x moves away from y).
-    ``rng`` is one generator for a state (L,), a list of one per row for (B, L);
-    anything else raises DimensionError before a draw.
+    ``rng`` is a list of one generator per row of the state (B, L); anything else
+    raises DimensionError before a draw.
     """
     t = state.t
     if dt <= 0.0 or t - dt < -1e-12:
@@ -204,11 +202,10 @@ def predictor_step(
 
 
 def _langevin(x, s, r: float, rng, ledger, out):
-    """``corrector_step`` on one row x with score s, into ``out`` (None: a fresh array)."""
+    """``corrector_step`` on one row x with score s, into ``out``."""
     s_norm = math.sqrt(s.dot(s))  # np.linalg.norm of a float64 vector
-    if ledger is not None:
-        ledger.corrector_evals += 1
-        ledger.corrector_skips += s_norm == 0.0
+    ledger.corrector_evals += 1
+    ledger.corrector_skips += s_norm == 0.0
     if s_norm == 0.0:  # a skipped row keeps its input, copied (+x is x), and draws nothing
         return np.positive(x, out)
     z = rng.standard_normal(s.shape)
@@ -228,21 +225,18 @@ def corrector_step(
     score: np.ndarray,
     r: float,
     rng,
-    ledger=None,
+    ledger,
 ) -> DiffusionState:
     """Annealed Langevin refinement at fixed time, given the score s at (state.x, state.t):
 
         eps_i = 2 * (r * ||z_i|| / ||s_i||)^2,   x_i <- x_i + eps_i * s_i + sqrt(2 eps_i) * z_i
 
-    per row i.  The caller evaluates s, as for ``predictor_step``; ``rng`` and
-    ``ledger`` (None: no count) are one for a signal (L,), for rows (B, L) a list
-    of one per row; anything else raises DimensionError before a draw.  A row
-    with a zero score skips the step (its input row, no draw), recorded in its
-    ledger.
+    per row i of the state (B, L).  The caller evaluates s, as for
+    ``predictor_step``; ``rng`` and ``ledger`` are lists of one per row; anything
+    else raises DimensionError before a draw.  A row with a zero score skips the
+    step (its input row, no draw), recorded in its ledger.
     """
     x, s = state.x, np.asarray(score, dtype=np.float64)
-    if x.ndim == 1 and not isinstance(rng, (list, tuple)) and not isinstance(ledger, (list, tuple)):
-        return DiffusionState(_langevin(x, s, r, rng, ledger, None), state.t)
     rngs, ledgers = per_row(rng, x.shape, "generator"), per_row(ledger, x.shape, "ledger")
     x_new = np.empty_like(x)
     for x_i, s_i, rng_i, led, out in zip(x, s, rngs, ledgers, x_new):
@@ -252,39 +246,37 @@ def corrector_step(
 
 @dataclass
 class HistoryBank:
-    """Recurrent state, (H,) or (rows, H), for every grid step plus the denoiser; fresh = 0."""
+    """Recurrent state (rows, H) for every grid step plus the denoiser; fresh = 0."""
 
     score_states: dict[int, np.ndarray]
     denoiser_state: np.ndarray | None
 
     @classmethod
-    def for_provider(cls, provider, config: SamplerConfig, params: SdeParams, rows=None):
+    def for_provider(cls, provider, config: SamplerConfig, params: SdeParams, rows: int = 1):
         """A fresh bank for ``provider``'s nets on the grid of ``params``; ``config`` is unused.
 
-        Without a score net the score states are 1 wide; without a denoiser there is none."""
-        lead = () if rows is None else (rows,)
+        States are (rows, H), 1 wide without a score net; without a denoiser there is none."""
         width = getattr(provider.net, "state_dim", 1)
-        states = {n: np.zeros(lead + (width,)) for n in range(1, params.N + 1)}
+        states = {n: np.zeros((rows, width)) for n in range(1, params.N + 1)}
         den = getattr(provider.denoiser, "state_dim", None)
-        return cls(states, None if den is None else np.zeros(lead + (den,)))
+        return cls(states, None if den is None else np.zeros((rows, den)))
 
-    def require_rows(self, lead: tuple) -> None:
-        """DimensionError unless all states are (H,) for a 1-D chunk, () = ``lead``,
-        or (B, H) for B rows, (B,) = ``lead``."""
-        rows = lambda shape: f"{shape[0]} rows" if shape else "a 1-D signal"
+    def require_rows(self, shape: tuple) -> None:
+        """DimensionError unless every state is (B, H) for a chunk of ``shape`` (B, L)."""
         for state in [*self.score_states.values(), self.denoiser_state]:
-            if state is not None and state.shape[:-1] != lead:
-                raise DimensionError(f"history bank holds states for {rows(state.shape[:-1])}, "
-                                     f"chunk has {rows(lead)}")
+            if state is not None and state.shape[:-1] != shape[:-1]:
+                raise DimensionError(f"history bank holds states of shape {state.shape}, "
+                                     f"chunk has shape {shape}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises DivergenceError
 def reverse_process(y: np.ndarray, plan: StepPlan, rng, bank=None, ledger=None):
     """Full reverse pass of ``plan`` conditioned on y, (L,) or (B, L); returns (x_out, ledger).
 
-    ``rng`` and ``ledger`` are one for a signal (L,), for rows (B, L) a list of
-    one per row (fresh ledgers by default).  The branch of every grid step is
-    the plan's ``guided`` column; the predictor and its correctors read it.
+    ``rng`` and ``ledger`` are lists of one per row of y (B, L) (fresh ledgers by
+    default); a signal (L,) takes one of each and runs as the row (1, L).  The
+    branch of every grid step is the plan's ``guided`` column; the predictor and
+    its correctors read it.
 
     The pass runs on ``bank`` (a fresh zero ``HistoryBank`` by default): the
     score-net state consumed at grid step n is the bank's entry for n and the
@@ -296,15 +288,20 @@ def reverse_process(y: np.ndarray, plan: StepPlan, rng, bank=None, ledger=None):
     non-finite state raises ``DivergenceError`` naming step, phase and rows.
     """
     y, params, config = as_signal(y), plan.params, plan.config
+    if signal := y.ndim == 1:  # the one row (1, L); per_row rejects a list for a signal
+        for item, what in ((rng, "generator"), (ledger, "ledger")):
+            if isinstance(item, (list, tuple)):
+                per_row(item, y.shape, what)
+        y, rng, ledger = y[None], [rng], None if ledger is None else [ledger]
     if bank is None:
-        bank = HistoryBank.for_provider(plan.provider, config, params, *y.shape[:-1])
+        bank = HistoryBank.for_provider(plan.provider, config, params, len(y))
     if (built := len(bank.score_states)) != params.N:
         raise ConfigError(f"history bank built for N={built}, sampler runs N={params.N}")
-    bank.require_rows(y.shape[:-1])
+    bank.require_rows(y.shape)
     if not _all_finite(y):
         raise DomainError("samples must be finite")
     if ledger is None:
-        ledger = CostLedger() if y.ndim == 1 else [CostLedger() for _ in range(len(y))]
+        ledger = [CostLedger() for _ in y]
     ledgers = per_row(ledger, y.shape, "ledger")
     per_row(rng, y.shape, "generator")  # the first draw comes after bind's bank write
     bound, bank.denoiser_state = plan.provider.bind(y, ledger, plan, bank.denoiser_state)
@@ -325,4 +322,4 @@ def reverse_process(y: np.ndarray, plan: StepPlan, rng, bank=None, ledger=None):
             state = corrector_step(DiffusionState(state.x, t_eval), score, snr, rng, ledger)
             _check_finite(state.x, n, "corrector")
 
-    return state.x, ledger
+    return (state.x[0], ledger[0]) if signal else (state.x, ledger)

@@ -177,8 +177,8 @@ class ScoreProvider:
         """Prepare a per-utterance/chunk evaluator on ``plan``, a ``StepPlan``;
         returns (bound, denoiser_state).
 
-        ``y`` is (L,) with one ledger or rows (B, L) with a list of one per
-        row, each charged what its row costs alone; any other ledger raises
+        ``y`` is rows (B, L) with a list of one ledger per row, each charged
+        what its row costs alone; any other ledger, or a signal (L,), raises
         DimensionError, and a plan built for another provider ConfigError,
         before the denoiser runs.  A provider holding a denoiser runs it here,
         once; guided evaluations then cost no forward pass.  If the plan has

@@ -50,11 +50,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def per_row(item, shape: tuple, what: str) -> tuple:
-    """``item`` as one per row of an array of ``shape``: a signal (L,) takes one ``what``,
-    rows (B, L) a list or tuple of B; anything else raises DimensionError."""
+    """``item`` as one per row of rows of ``shape`` (B, L): a list or tuple of B ``what``;
+    anything else, and any item for a signal (L,), raises DimensionError."""
     many = isinstance(item, (list, tuple))
-    if not many and len(shape) == 1:
-        return (item,)
     if many and len(shape) == 2 and len(item) == shape[0]:
         return tuple(item)
     got = f"a list of {len(item)}" if many else f"one {type(item).__name__}"

@@ -1,10 +1,10 @@
 """Chunked enhancement with recurrent history across chunk boundaries.
 
 ``StreamEnhancer`` is the one request driver; ``enhance_offline`` is a stream
-of one chunk.  Each chunk, (n,) or rows (B, n), runs its own full reverse
-diffusion on the one ``StepPlan`` of its stream; what ties consecutive chunks
-together is the stream's ``HistoryBank``, on which every pass runs: one
-score-net recurrent state per grid step index (written only by the
+of one chunk.  Each chunk, rows (B, n) or a signal (n,) as one row, runs its own
+full reverse diffusion on the one ``StepPlan`` of its stream; what ties
+consecutive chunks together is the stream's ``HistoryBank``, on which every pass
+runs: one score-net recurrent state per grid step index (written only by the
 predictor's evaluation) plus one denoiser state.  Output for chunk c therefore
 depends on chunks 1..c only, and the algorithmic latency is exactly one chunk.
 """
@@ -56,8 +56,7 @@ class StreamConfig:
 
 
 def process_chunk(y_chunk: np.ndarray, bank: HistoryBank, plan: StepPlan, rng, ledger=None):
-    """``reverse_process`` of ``plan`` for one chunk (L,) or rows (B, L) on ``bank``;
-    returns (x_c, bank)."""
+    """``reverse_process`` of ``plan`` for one chunk on ``bank``; returns (x_c, bank)."""
     x, _ = reverse_process(y_chunk, plan, rng, bank=bank, ledger=ledger)
     return x, bank
 
@@ -148,11 +147,11 @@ def enhance_stream(
 class StreamEnhancer:
     """Push/pull interface: push one chunk of noisy samples, pull the enhanced chunk.
 
-    An int seed streams a signal in chunks (n,), a list of B seeds B rows in
-    chunks (B, n) under the sampler's row contract: one bank of B state rows,
-    and per row a generator, running peak and ledger (``ledger`` and
-    ``chunk_ledgers`` hold lists); the report's chunk is all rows' audio.  A
-    chunk that does not fit the seed raises DimensionError.
+    A list of B seeds streams B rows in chunks (B, n) under the sampler's
+    row contract: one bank of B state rows, and per row a generator, running
+    peak and ledger (``ledger`` and ``chunk_ledgers`` hold lists); the report's
+    chunk is all rows' audio.  An int seed streams a signal, chunks (n,), as one
+    row.  A chunk that does not fit the seed raises DimensionError.
 
     The enhanced chunk for input chunk c is available right after push(c) — one
     chunk of algorithmic delay.  Short final chunks are zero-padded internally
@@ -175,31 +174,34 @@ class StreamEnhancer:
         self.schedule = schedule
         self.config = config
         self.params = params
-        self._rows = len(seed) if isinstance(seed, (list, tuple)) else None
-        self.rng = make_rng(seed) if self._rows is None else [make_rng(s) for s in seed]
-        self.bank = HistoryBank.for_provider(provider, config, params, self._rows)
+        self._signal = not isinstance(seed, (list, tuple))  # unwraps what push hands out
+        seeds = [seed] if self._signal else list(seed)
+        self.rng = [make_rng(s) for s in seeds]
+        self.bank = HistoryBank.for_provider(provider, config, params, len(seeds))
         self.plan: StepPlan | None = None  # built on the first push, once per stream
-        self.ledger = self._fresh_ledger()  # running total over chunks
+        self._totals = [CostLedger() for _ in seeds]  # running total over chunks, per row
+        self.ledger = self._unwrap(self._totals)
         self.chunk_ledgers: list = []
-        B = 1 if self._rows is None else self._rows
+        B = len(seeds)
         self.report = LatencyReport(stream_config.chunk_ms * B, stream_config.chunk_size * B)
         self._outbox: list[np.ndarray] = []
         self._peak = 0.0
 
-    def _fresh_ledger(self):
-        return CostLedger() if self._rows is None else [CostLedger() for _ in range(self._rows)]
+    def _unwrap(self, rows):
+        """What push hands out: a signal's stream its one row, a row stream all rows."""
+        return rows[0] if self._signal else rows
 
     def push(self, chunk: np.ndarray) -> None:
         chunk = np.asarray(chunk, dtype=np.float64)
-        K = self.stream_config.chunk_size
-        if chunk.shape[:-1] != (() if self._rows is None else (self._rows,)):
-            seeds = "one int seed" if self._rows is None else f"a list of {self._rows} seeds"
+        K, B = self.stream_config.chunk_size, len(self.rng)
+        if chunk.shape[:-1] != (() if self._signal else (B,)):
+            seeds = "one int seed" if self._signal else f"a list of {B} seeds"
             raise DimensionError(f"a 1-D signal takes one int seed and (B, L) rows a list of B "
                                  f"seeds; got {seeds} for chunk shape {chunk.shape}")
         n = chunk.shape[-1] if chunk.ndim else 0
-        if not 1 <= n <= K or chunk.size < 1:
+        if not 1 <= n <= K:
             raise DimensionError(f"chunk must hold 1..{K} samples per row, got {chunk.shape}")
-        chunk = _pad_to_multiple(chunk, K)
+        chunk = _pad_to_multiple(chunk.reshape(B, n), K)
         # causal per-row normalization: the running peak of everything the row has seen;
         # a non-finite chunk is rejected before a peak or the bank changes
         peak = np.max(np.abs(chunk), axis=-1, keepdims=True)
@@ -210,13 +212,13 @@ class StreamEnhancer:
         t0 = time.perf_counter()  # before the plan's build: an offline report times both
         if self.plan is None:
             self.plan = StepPlan.build(self.provider, self.schedule, self.params, self.config)
-        chunk_ledger = self._fresh_ledger()
-        x, _ = process_chunk(chunk * scale, self.bank, self.plan, self.rng, chunk_ledger)
+        chunk_ledgers = [CostLedger() for _ in range(B)]
+        x, _ = process_chunk(chunk * scale, self.bank, self.plan, self.rng, chunk_ledgers)
         self.report.wall_times_s.append(time.perf_counter() - t0)
-        self.chunk_ledgers.append(chunk_ledger)
-        self.ledger = (self.ledger + chunk_ledger if self._rows is None
-                       else [total + led for total, led in zip(self.ledger, chunk_ledger)])
-        self._outbox.append(x[..., :n] / scale)
+        self.chunk_ledgers.append(self._unwrap(chunk_ledgers))
+        self._totals = [total + led for total, led in zip(self._totals, chunk_ledgers)]
+        self.ledger = self._unwrap(self._totals)
+        self._outbox.append(self._unwrap(x[:, :n] / scale))
 
     def pull(self) -> np.ndarray | None:
         """Enhanced chunk in arrival order, or None when nothing is pending."""

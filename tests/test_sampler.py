@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,21 +51,19 @@ class _ZeroNoise:
 
 
 class _OracleDenoiser:
-    """Duck-typed denoiser that returns a fixed clean signal regardless of input."""
+    """Duck-typed denoiser that returns a fixed clean signal in every row, whatever y holds."""
 
     def __init__(self, x0: np.ndarray):
         self.x0 = np.asarray(x0, dtype=np.float64)
 
     def forward(self, y, state=None):
-        return self.x0.copy(), state
+        return np.broadcast_to(self.x0, np.shape(y)).copy(), state
 
     def macs_per_forward(self, n_samples: int) -> int:
         return 0
 
 
 def _reference_normal(rng, shape):
-    if not isinstance(rng, list):
-        return rng.standard_normal(shape)
     return np.array([r.standard_normal(shape[-1]) for r in rng])
 
 
@@ -90,18 +89,18 @@ def _reference_corrector(x, score, r, rngs):
     return x_new.reshape(x.shape)
 
 
-@pytest.mark.parametrize("rows", [None, 3], ids=["B=1", "rows=3"])
+@pytest.mark.parametrize("rows", [1, 3], ids=["B=1", "rows=3"])
 class TestStepBits:
     """The in-place steps reproduce their one-expression forms bit for bit, at B = 1 and
     on rows, and write into no array they were given."""
 
     @staticmethod
     def rngs(rows, seed):
-        return make_rng(seed) if rows is None else [make_rng(seed + i) for i in range(rows)]
+        return [make_rng(seed + i) for i in range(rows)]
 
     @staticmethod
     def arrays(rows, seed, n=3):
-        return make_rng(seed).normal(size=(n, 800) if rows is None else (n, rows, 800))
+        return make_rng(seed).normal(size=(n, rows, 800))
 
     def test_predictor(self, rows):
         x, y, score = self.arrays(rows, 60)
@@ -118,81 +117,79 @@ class TestStepBits:
         """A zero-score row keeps its input, draws nothing and counts a skip; a score so
         small that eps overflows leaves its row non-finite (the sampler then diverges)."""
         x, score = self.arrays(rows, 62, 2)
-        odd = score if rows is None else score[1]  # the row of the given kind
-        odd *= {"plain": 1.0, "zero": 0.0, "overflow": 1e-160}[kind]
+        i = 0 if rows == 1 else 1  # the row of the given kind
+        score[i] *= {"plain": 1.0, "zero": 0.0, "overflow": 1e-160}[kind]
         given = [a.copy() for a in (x, score)]
-        n = 1 if rows is None else rows
-        ledgers, rngs = [CostLedger() for _ in range(n)], [make_rng(63 + i) for i in range(n)]
+        ledgers, rngs = [CostLedger() for _ in range(rows)], self.rngs(rows, 63)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = corrector_step(DiffusionState(x, 0.4), score, 0.5,
-                                 rngs[0] if rows is None else rngs,
-                                 ledgers[0] if rows is None else ledgers)
-            want = _reference_corrector(x, score, 0.5, [make_rng(63 + i) for i in range(n)])
+            got = corrector_step(DiffusionState(x, 0.4), score, 0.5, rngs, ledgers)
+            want = _reference_corrector(x, score, 0.5, self.rngs(rows, 63))
         assert got.x.tobytes() == want.tobytes() and got.t == 0.4
         for a, b in zip((x, score), given):
             assert a.tobytes() == b.tobytes()
-        i = 0 if rows is None else 1
-        x_i, out_i = np.atleast_2d(x)[i], np.atleast_2d(got.x)[i]
-        assert [led.corrector_evals for led in ledgers] == [1] * n
+        x_i, out_i = x[i], got.x[i]
+        assert [led.corrector_evals for led in ledgers] == [1] * rows
         assert [led.corrector_skips for led in ledgers] == [int(k == i and kind == "zero")
-                                                            for k in range(n)]
+                                                            for k in range(rows)]
         if kind == "zero":
             assert out_i.tobytes() == x_i.tobytes() and not np.shares_memory(got.x, x)
             np.testing.assert_array_equal(rngs[i].standard_normal(3),
                                           make_rng(63 + i).standard_normal(3))
         assert np.isfinite(out_i).all() == (kind != "overflow")
-        assert np.isfinite(np.delete(np.atleast_2d(got.x), i, axis=0)).all()
+        assert np.isfinite(np.delete(got.x, i, axis=0)).all()
 
 
 class TestPredictorStep:
     def test_zero_score_zero_noise_is_pure_drift_reversal(self):
         rng = make_rng(0)
-        x = rng.normal(size=12)
-        y = rng.normal(size=12)
+        x = rng.normal(size=(1, 12))
+        y = rng.normal(size=(1, 12))
         dt = 0.05
-        out = predictor_step(DiffusionState(x, 0.5), y, np.zeros(12), FROZEN, dt, rng)
+        out = predictor_step(DiffusionState(x, 0.5), y, np.zeros((1, 12)), FROZEN, dt, [rng])
         expected = x + (-(FROZEN.gamma * (y - x)) + 0.0) * dt
         np.testing.assert_array_equal(out.x, expected)
         assert out.t == 0.45
 
     def test_reversed_drift_moves_away_from_condition(self):
-        x = np.array([1.0, -2.0, 0.3])
-        y = np.array([0.2, 0.2, 0.2])
-        out = predictor_step(DiffusionState(x, 0.9), y, np.zeros(3), FROZEN, 0.1, make_rng(1))
+        x = np.array([[1.0, -2.0, 0.3]])
+        y = np.array([[0.2, 0.2, 0.2]])
+        out = predictor_step(DiffusionState(x, 0.9), y, np.zeros((1, 3)), FROZEN, 0.1,
+                             [make_rng(1)])
         assert np.all(np.abs(out.x - y) > np.abs(x - y))
 
     def test_time_hits_zero_exactly_from_final_grid_step(self):
-        x = np.zeros(4)
-        out = predictor_step(DiffusionState(x, 1.0 / 30.0), x, x, P, 1.0 / 30.0, make_rng(0))
+        x = np.zeros((1, 4))
+        out = predictor_step(DiffusionState(x, 1.0 / 30.0), x, x, P, 1.0 / 30.0, [make_rng(0)])
         assert out.t == 0.0
 
     def test_bad_dt_rejected(self):
-        st = DiffusionState(np.zeros(4), 0.5)
+        st = DiffusionState(np.zeros((1, 4)), 0.5)
         with pytest.raises(DomainError):
-            predictor_step(st, np.zeros(4), np.zeros(4), P, 0.0, make_rng(0))
+            predictor_step(st, np.zeros((1, 4)), np.zeros((1, 4)), P, 0.0, [make_rng(0)])
         with pytest.raises(DomainError):
-            predictor_step(st, np.zeros(4), np.zeros(4), P, 0.6, make_rng(0))
+            predictor_step(st, np.zeros((1, 4)), np.zeros((1, 4)), P, 0.6, [make_rng(0)])
 
     def test_shape_mismatch_rejected(self):
-        st = DiffusionState(np.zeros(4), 0.5)
+        st = DiffusionState(np.zeros((1, 4)), 0.5)
         with pytest.raises(DimensionError):
-            predictor_step(st, np.zeros(5), np.zeros(4), P, 0.1, make_rng(0))
+            predictor_step(st, np.zeros((1, 5)), np.zeros((1, 4)), P, 0.1, [make_rng(0)])
 
 
 class TestCorrectorStep:
     def test_zero_noise_draw_is_identity(self):
-        x = make_rng(2).normal(size=6)
+        x = make_rng(2).normal(size=(1, 6))
         ledger = CostLedger()
-        out = corrector_step(DiffusionState(x, 0.4), np.ones_like(x), 0.5, _ZeroNoise(), ledger)
+        out = corrector_step(DiffusionState(x, 0.4), np.ones_like(x), 0.5, [_ZeroNoise()],
+                             [ledger])
         np.testing.assert_array_equal(out.x, x)
         assert out.t == 0.4
         assert ledger.corrector_evals == 1 and ledger.corrector_skips == 0
 
     def test_zero_score_skips_and_leaves_rng_untouched(self):
-        x = make_rng(3).normal(size=6)
+        x = make_rng(3).normal(size=(1, 6))
         rng = make_rng(4)
         ledger = CostLedger()
-        out = corrector_step(DiffusionState(x, 0.4), np.zeros_like(x), 0.5, rng, ledger)
+        out = corrector_step(DiffusionState(x, 0.4), np.zeros_like(x), 0.5, [rng], [ledger])
         np.testing.assert_array_equal(out.x, x)
         assert out.x is not x  # a copy, not an alias
         assert ledger.corrector_skips == 1
@@ -212,8 +209,8 @@ class TestCorrectorStep:
         m = float(mean(np.array([prior.m0]), np.array([y_c]), t, WIDE)[0])
         var_m = math.exp(-2.0 * WIDE.gamma * t) * prior.var0 + variance(t, WIDE)
         rng = make_rng(5)
-        x = rng.normal(m + 0.3, math.sqrt(var_m), size=n)  # mis-centered start
-        y = np.full(n, y_c)
+        x = rng.normal(m + 0.3, math.sqrt(var_m), size=(1, n))  # mis-centered start
+        y = np.full((1, n), y_c)
 
         def ks(samples):
             xs = np.sort(samples)
@@ -222,12 +219,12 @@ class TestCorrectorStep:
             emp_lo = np.arange(0, n) / n
             return float(max(np.max(np.abs(emp_hi - cdf)), np.max(np.abs(emp_lo - cdf))))
 
-        before = ks(x)
+        before = ks(x[0])
         state = DiffusionState(x, t)
         for _ in range(20):
             score = analytic_gaussian_score(state.x, y, t, prior, WIDE)
-            state = corrector_step(state, score, 0.5, rng)
-        after = ks(state.x)
+            state = corrector_step(state, score, 0.5, [rng], [CostLedger()])
+        after = ks(state.x[0])
         assert after < before
         assert after < 0.1
 
@@ -359,8 +356,9 @@ class TestReverseProcess:
         rngs = [make_rng(15), make_rng(16)]
         out = corrector_step(DiffusionState(x, 0.4), score, 0.5, rngs, ledgers)
         np.testing.assert_array_equal(out.x[0], x[0])
-        solo = corrector_step(DiffusionState(x[1], 0.4), score[1], 0.5, make_rng(16))
-        np.testing.assert_array_equal(out.x[1], solo.x)
+        solo = corrector_step(DiffusionState(x[1:], 0.4), score[1:], 0.5, [make_rng(16)],
+                              [CostLedger()])
+        np.testing.assert_array_equal(out.x[1], solo.x[0])
         assert [(l.corrector_evals, l.corrector_skips) for l in ledgers] == [(1, 1), (1, 0)]
         # the skipped row drew nothing
         np.testing.assert_array_equal(rngs[0].standard_normal(3), make_rng(15).standard_normal(3))
@@ -384,7 +382,7 @@ class TestReverseProcess:
             rng = make_rng(15) if len(shape) == 1 else [make_rng(15 + i) for i in range(3)]
             return reverse_process(y, plan, rng, bank=bank)
 
-        rows = None if len(shape) == 1 else 3
+        rows = 1 if len(shape) == 1 else 3
         (x, ledger), (x_bank, ledger_bank) = run(None), run(
             HistoryBank.for_provider(provider, plan.config, P, rows))
         assert x.tobytes() == x_bank.tobytes()
@@ -403,14 +401,16 @@ class TestReverseProcess:
 
 
 class TestRowRule:
-    """A signal (L,) takes one generator and one ledger, rows (B, L) a list of one of each
-    per row; anything else raises DimensionError before a draw, a forward or a bank write."""
+    """``reverse_process`` takes a signal (L,) with one generator and one ledger, rows (B, L)
+    with a list of one of each per row; the steps and ``bind`` take rows only.  Anything
+    else raises DimensionError before a draw, a forward or a bank write."""
 
     P6 = SdeParams(N=6)
     CASES = {  # y's shape, then whether rng and ledger are one (False) or a list (True)
         "rows_one_generator": ((3, 8), False, True),
         "rows_one_ledger": ((3, 8), True, False),
         "signal_generator_list": ((8,), True, False),
+        "signal": ((8,), False, False),  # what only reverse_process takes
     }
 
     def case(self, name):
@@ -418,10 +418,10 @@ class TestRowRule:
         provider = HybridScore(ScoreNet(self.P6, frame_size=4, hidden=6, seed=1),
                                DenoiserNet(frame_size=4, hidden=5, seed=2), self.P6)
         plan = plan_of(provider, GuidanceSchedule.from_guided_steps(2, self.P6), params=self.P6)
-        rows = shape[0] if len(shape) == 2 else None
+        rows = shape[0] if len(shape) == 2 else 1
         bank = HistoryBank.for_provider(provider, plan.config, self.P6, rows)
-        rngs = [make_rng(30 + i) for i in range(rows or 1)]
-        ledgers = [CostLedger() for _ in range(rows or 1)]
+        rngs = [make_rng(30 + i) for i in range(rows)]
+        ledgers = [CostLedger() for _ in range(rows)]
         return SimpleNamespace(
             y=make_rng(40).normal(size=shape), plan=plan, bank=bank, kept=copy.deepcopy(bank),
             rngs=rngs, ledgers=ledgers,
@@ -441,16 +441,18 @@ class TestRowRule:
                                           make_rng(30 + i).standard_normal(3))
         assert case.ledgers == [CostLedger() for _ in case.ledgers]
 
-    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("name", [name for name in CASES if name != "signal"])
     def test_reverse_process(self, name):
         case = self.case(name)
         with pytest.raises(DimensionError, match=r"takes one (generator|ledger) and rows \(B, L\)"):
             reverse_process(case.y, case.plan, case.rng, case.bank, case.ledger)
         self.assert_untouched(case)
 
-    def test_predictor_step(self):
-        case = self.case("rows_one_generator")
-        with pytest.raises(DimensionError, match=r"got one Generator for shape \(3, 8\)"):
+    @pytest.mark.parametrize("name", ["rows_one_generator", "signal"])
+    def test_predictor_step(self, name):
+        case = self.case(name)
+        with pytest.raises(DimensionError,
+                           match=r"got one Generator for shape " + re.escape(str(case.y.shape))):
             predictor_step(DiffusionState(case.y, 0.5), case.y, case.y, self.P6, 0.1, case.rng)
         self.assert_untouched(case)
 
@@ -461,9 +463,11 @@ class TestRowRule:
             corrector_step(DiffusionState(case.y, 0.5), case.y, 0.5, case.rng, case.ledger)
         self.assert_untouched(case)
 
-    def test_bind(self):
-        case = self.case("rows_one_ledger")
-        with pytest.raises(DimensionError, match=r"got one CostLedger for shape \(3, 8\)"):
+    @pytest.mark.parametrize("name", ["rows_one_ledger", "signal"])
+    def test_bind(self, name):
+        case = self.case(name)
+        with pytest.raises(DimensionError,
+                           match=r"got one CostLedger for shape " + re.escape(str(case.y.shape))):
             case.plan.provider.bind(case.y, case.ledger, case.plan, case.bank.denoiser_state)
         self.assert_untouched(case)
 

@@ -184,13 +184,13 @@ class _ConstScoreNet:
 
 
 class _FixedDenoiser:
-    """Duck-typed denoiser returning a fixed estimate x_d; no state_dim."""
+    """Duck-typed denoiser returning a fixed estimate x_d in every row; no state_dim."""
 
     def __init__(self, x_d):
         self.x_d = np.asarray(x_d, dtype=np.float64)
 
     def forward(self, y, state=None):
-        return self.x_d.copy(), state
+        return np.broadcast_to(self.x_d, np.shape(y)).copy(), state
 
     def macs_per_forward(self, n_samples: int) -> int:
         return 0
@@ -200,8 +200,9 @@ LEARNED, GUIDED = (GuidanceSchedule.from_guided_steps(n, P) for n in (0, P.N))
 
 
 def bind(provider, y, ledger, schedule, params=P):
-    """``provider.bind`` on the step plan of ``schedule`` over the grid of ``params``."""
-    return provider.bind(y, ledger, StepPlan.build(provider, schedule, params, SamplerConfig()))
+    """``provider.bind`` of the one row y (1, L) with its ledger on the step plan of
+    ``schedule`` over the grid of ``params``."""
+    return provider.bind(y, [ledger], StepPlan.build(provider, schedule, params, SamplerConfig()))
 
 
 class TestHybridDispatch:
@@ -210,7 +211,7 @@ class TestHybridDispatch:
     def setup_method(self):
         self.sched = GuidanceSchedule.from_guided_steps(12, P)
         rng = make_rng(0)
-        self.x0 = rng.normal(size=8)
+        self.x0 = rng.normal(size=(1, 8))
         self.y = self.x0 + 0.1
         self.x_t = self.x0 + 0.05
         self.provider = HybridScore(_ConstScoreNet(7.0), _FixedDenoiser(self.x0), P)
@@ -232,7 +233,7 @@ class TestHybridDispatch:
     def test_ledger_records_branch(self):
         cfg = SamplerConfig(corrector_steps=0)
         plan = StepPlan.build(self.provider, self.sched, P, cfg)
-        _, ledger = reverse_process(self.y, plan, make_rng(1))
+        _, ledger = reverse_process(self.y[0], plan, make_rng(1))
         assert (ledger.steps_guided, ledger.steps_learned) == (12, P.N - 12)
 
 
@@ -247,10 +248,10 @@ class TestProviders:
         net, _ = tiny_nets()
         ledger = CostLedger()
         provider = LearnedScore(net, P)
-        bound, _ = bind(provider, np.zeros(8), ledger, LEARNED)
-        state = np.zeros(net.state_dim)
-        _, state = bound.evaluate(np.zeros(8), 0.5, state, guided=False)
-        _, state = bound.evaluate(np.zeros(8), 0.4, state, guided=False)
+        bound, _ = bind(provider, np.zeros((1, 8)), ledger, LEARNED)
+        state = np.zeros((1, net.state_dim))
+        _, state = bound.evaluate(np.zeros((1, 8)), 0.5, state, guided=False)
+        _, state = bound.evaluate(np.zeros((1, 8)), 0.4, state, guided=False)
         assert ledger.score_net_forwards == 2
         assert ledger.denoiser_forwards == 0
         assert ledger.mac_total == 2 * net.macs_per_forward(8)
@@ -259,24 +260,24 @@ class TestProviders:
         """At N = 100, T/N < t_eps: the lowest grid times are evaluated at t_eps."""
         params = SdeParams(N=100)
         net = ScoreNet(params, frame_size=4, hidden=6, seed=3)
-        bound, _ = bind(LearnedScore(net, params), np.zeros(8), CostLedger(),
+        bound, _ = bind(LearnedScore(net, params), np.zeros((1, 8)), CostLedger(),
                         GuidanceSchedule.from_guided_steps(0, params), params)
-        state = np.zeros(net.state_dim)
-        s_floor, _ = net.forward(np.ones(8), np.zeros(8), params.t_eps, state)
+        state = np.zeros((1, net.state_dim))
+        s_floor, _ = net.forward(np.ones((1, 8)), np.zeros((1, 8)), params.t_eps, state)
         for t in (params.grid_time(1), params.grid_time(2), params.t_eps):
-            s, _ = bound.evaluate(np.ones(8), t, state, False)
+            s, _ = bound.evaluate(np.ones((1, 8)), t, state, False)
             np.testing.assert_array_equal(s, s_floor)
 
     def test_discriminative_provider_runs_denoiser_once(self):
         _, denoiser = tiny_nets()
         ledger = CostLedger()
         provider = DiscriminativeScore(denoiser, P)
-        y = make_rng(1).normal(size=8)
+        y = make_rng(1).normal(size=(1, 8))
         bound, den_state = bind(provider, y, ledger, GUIDED)
         assert ledger.denoiser_forwards == 1
         assert ledger.mac_total == denoiser.macs_per_forward(8)
         before = ledger.mac_total
-        state_in = np.zeros(1)
+        state_in = np.zeros((1, 1))
         _, state_out = bound.evaluate(y, 0.9, state_in, guided=True)
         _, _ = bound.evaluate(y, 0.5, state_in, guided=True)
         assert ledger.denoiser_forwards == 1  # evaluations are free
@@ -288,7 +289,7 @@ class TestProviders:
         ledger = CostLedger()
         provider = HybridScore(net, denoiser, P)
         sched = GuidanceSchedule.from_guided_steps(0, P)
-        bind(provider, np.zeros(8), ledger, sched)
+        bind(provider, np.zeros((1, 8)), ledger, sched)
         assert ledger.denoiser_forwards == 1
         assert not any(provider.guided_steps(sched))
 
@@ -316,7 +317,7 @@ class TestProviders:
                 learned, LEARNED, P, SamplerConfig()))):
             ledger = CostLedger()
             with pytest.raises(ConfigError, match="step plan built for another provider"):
-                provider.bind(make_rng(2).normal(size=8), ledger, plan)
+                provider.bind(make_rng(2).normal(size=(1, 8)), [ledger], plan)
             assert ledger == CostLedger()
 
     def test_the_plans_constants_drive_the_guided_kernel(self):
@@ -339,13 +340,13 @@ class TestProviders:
 
     def test_hybrid_dispatch_matches_pure_providers(self):
         net, denoiser = tiny_nets()
-        y = make_rng(9).normal(size=8)
+        y = make_rng(9).normal(size=(1, 8))
         x_t = y + 0.1
         hybrid = HybridScore(net, denoiser, P)
         hb, _ = bind(hybrid, y, CostLedger(), GuidanceSchedule.from_guided_steps(12, P))
         lb, _ = bind(LearnedScore(net, P), y, CostLedger(), LEARNED)
         db, _ = bind(DiscriminativeScore(denoiser, P), y, CostLedger(), GUIDED)
-        state = np.zeros(net.state_dim)
+        state = np.zeros((1, net.state_dim))
         s_h, _ = hb.evaluate(x_t, 0.9, state, guided=True)
         s_d, _ = db.evaluate(x_t, 0.9, state, guided=True)
         np.testing.assert_array_equal(s_h, s_d)
@@ -357,12 +358,12 @@ class TestProviders:
         """A bound evaluation reads its plan's rows; the bits are those of direct calls."""
         net, denoiser = tiny_nets()
         provider = HybridScore(net, denoiser, P)
-        y = make_rng(11).normal(size=8)
+        y = make_rng(11).normal(size=(1, 8))
         x_t = y + 0.3
         bound, _ = bind(provider, y, CostLedger(), GuidanceSchedule.from_guided_steps(12, P))
         assert bound.cond is not None
         x_d, _ = denoiser.forward(y)
-        state = make_rng(12).normal(size=net.state_dim)
+        state = make_rng(12).normal(size=(1, net.state_dim))
         for t in bound.plan.point_of:
             s, s_state = bound.evaluate(x_t, t, state, True)
             np.testing.assert_array_equal(s, discriminative_score(x_t, y, P.clamp(t), x_d, P))
@@ -377,10 +378,10 @@ class TestProviders:
         net, denoiser = tiny_nets()
         provider = HybridScore(net, denoiser, P)
         schedule = GuidanceSchedule.from_guided_steps(12, P)
-        bound, _ = bind(provider, np.zeros(8), CostLedger(), schedule)
+        bound, _ = bind(provider, np.zeros((1, 8)), CostLedger(), schedule)
         for guided in (True, False):
             with pytest.raises(KeyError):
-                bound.evaluate(np.zeros(8), 0.55, np.zeros(net.state_dim), guided)
+                bound.evaluate(np.zeros((1, 8)), 0.55, np.zeros((1, net.state_dim)), guided)
 
     def test_hybrid_bound_is_freed_by_refcount_alone(self):
         """Dropping a bound evaluator frees it and the request's y at once,
@@ -389,12 +390,12 @@ class TestProviders:
         provider = HybridScore(net, denoiser, P)
         gc.disable()
         try:
-            y = make_rng(10).normal(size=8)
+            y = make_rng(10).normal(size=(1, 8))
             y_ref = weakref.ref(y)
             bound, _ = bind(provider, y, CostLedger(), GuidanceSchedule.from_guided_steps(12, P))
             bound_ref = weakref.ref(bound)
-            bound.evaluate(y, 0.9, np.zeros(net.state_dim), guided=True)
-            bound.evaluate(y, 0.2, np.zeros(net.state_dim), guided=False)
+            bound.evaluate(y, 0.9, np.zeros((1, net.state_dim)), guided=True)
+            bound.evaluate(y, 0.2, np.zeros((1, net.state_dim)), guided=False)
             del bound, y
             assert bound_ref() is None
             assert y_ref() is None
@@ -404,8 +405,8 @@ class TestProviders:
     def test_analytic_provider_costs_nothing(self):
         ledger = CostLedger()
         provider = AnalyticGaussianScore(GaussianPrior(1.0, 0.04), P)
-        bound, _ = bind(provider, np.full(4, 0.4), ledger, LEARNED)
-        bound.evaluate(np.zeros(4), 0.5, None, guided=False)
+        bound, _ = bind(provider, np.full((1, 4), 0.4), ledger, LEARNED)
+        bound.evaluate(np.zeros((1, 4)), 0.5, None, guided=False)
         assert ledger.score_net_forwards == 0
         assert ledger.mac_total == 0
 

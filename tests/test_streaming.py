@@ -72,9 +72,9 @@ class TestHistoryBank:
         bank = HistoryBank.for_provider(tiny_provider(), SamplerConfig(), P)
         assert sorted(bank.score_states) == list(range(1, 31))
         for state in bank.score_states.values():
-            assert state.shape == (6,)
+            assert state.shape == (1, 6)
             assert not state.any()
-        assert bank.denoiser_state.shape == (5,)
+        assert bank.denoiser_state.shape == (1, 5)
         assert not bank.denoiser_state.any()
 
     def test_single_source_banks(self):
@@ -215,16 +215,39 @@ class TestBatchedRows:
             x_solo = solo[i][0]
             assert np.linalg.norm(got[0] - x_solo) <= self.RTOL * np.linalg.norm(x_solo)
 
-    def test_one_row_is_the_one_dimensional_run(self, nets):
+    @pytest.mark.parametrize("n_phi", [0, 12, 30])
+    def test_one_row_is_the_one_dimensional_run(self, nets, n_phi):
+        """A signal (L,) and its one row (1, L) give the same bits and ledgers offline, in a
+        50 ms stream (an int seed against a list of it) and in ``reverse_process``."""
         provider = HybridScore(*nets, P)
-        schedule = GuidanceSchedule.from_guided_steps(12, P)
+        schedule = GuidanceSchedule.from_guided_steps(n_phi, P)
         y = make_rng(61).normal(size=800)
         x, led, rep = enhance_offline(y, provider, schedule, SamplerConfig(), P, 5,
                                       frame_size=40)
         xb, leds, repb = enhance_offline(y[None], provider, schedule, SamplerConfig(), P, [5],
                                          frame_size=40)
-        np.testing.assert_array_equal(xb[0], x)
+        assert x.shape == y.shape and xb.shape == (1, 800) and xb[0].tobytes() == x.tobytes()
         assert leds == [led] and repb.chunk_size == rep.chunk_size
+
+        K = StreamConfig().chunk_size
+        y = make_rng(62).normal(size=2 * K + 200)  # a short final chunk
+        signal, row = (StreamEnhancer(StreamConfig(), provider, schedule, SamplerConfig(), P,
+                                      seed) for seed in (7, [7]))
+        for start in range(0, y.size, K):
+            signal.push(y[start : start + K])
+            row.push(y[None, start : start + K])
+            out, out_row = signal.pull(), row.pull()
+            assert out.shape == y[start : start + K].shape
+            assert out_row.shape == (1,) + out.shape and out_row[0].tobytes() == out.tobytes()
+        assert isinstance(signal.ledger, CostLedger)
+        assert row.chunk_ledgers == [[c] for c in signal.chunk_ledgers]
+        assert row.ledger == [signal.ledger]
+
+        plan = StepPlan.build(provider, schedule, P, SamplerConfig())
+        x, led = reverse_process(y, plan, make_rng(9))
+        xb, leds = reverse_process(y[None], plan, [make_rng(9)])
+        assert x.shape == y.shape and xb[0].tobytes() == x.tobytes()
+        assert isinstance(led, CostLedger) and leds == [led]
 
     def test_report_covers_the_audio_of_all_rows(self):
         provider = tiny_provider()
@@ -242,13 +265,15 @@ class TestBatchedRows:
         assert bank.denoiser_state.shape == (3, 5)
 
     @pytest.mark.parametrize("bank_rows, chunk_shape, message", [
-        (None, (3, 32), "states for a 1-D signal, chunk has 3 rows"),
-        (2, (3, 32), "states for 2 rows, chunk has 3 rows"),
-        (3, (32,), "states for 3 rows, chunk has a 1-D signal"),
+        (None, (3, 32), r"states of shape \(1, 6\), chunk has shape \(3, 32\)"),
+        (2, (3, 32), r"states of shape \(2, 6\), chunk has shape \(3, 32\)"),
+        (3, (32,), r"states of shape \(3, 6\), chunk has shape \(1, 32\)"),
     ])
     def test_bank_rows_must_match_chunk_rows(self, bank_rows, chunk_shape, message):
+        """A bank built with no rows holds one; a signal runs as one row."""
         provider = tiny_provider()
-        bank = HistoryBank.for_provider(provider, SamplerConfig(), P, rows=bank_rows)
+        rows = {} if bank_rows is None else {"rows": bank_rows}
+        bank = HistoryBank.for_provider(provider, SamplerConfig(), P, **rows)
         ledgers = [CostLedger() for _ in range(3)]
         with pytest.raises(DimensionError, match=message):
             process_chunk(np.zeros(chunk_shape), bank, plan_12(provider), make_rng(0),
@@ -259,7 +284,8 @@ class TestBatchedRows:
         provider = tiny_provider()
         bank = HistoryBank.for_provider(provider, SamplerConfig(), P, rows=3)
         bank.denoiser_state = np.zeros(5)
-        with pytest.raises(DimensionError, match="states for a 1-D signal, chunk has 3 rows"):
+        with pytest.raises(DimensionError,
+                           match=r"states of shape \(5,\), chunk has shape \(3, 32\)"):
             process_chunk(np.zeros((3, 32)), bank, plan_12(provider), make_rng(0))
 
     @pytest.mark.parametrize("shape, seed", [((3, 32), [1, 2]), ((3, 32), 1), ((32,), [1]),
