@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DivergenceError, DomainError
 from .sampler import CostLedger, HistoryBank, SamplerConfig, StepPlan, reverse_process
 from .sde import (SdeParams, as_signal, make_rng, require_count, require_finite,
                   require_sample_rate, sample_count)
@@ -147,7 +147,7 @@ def enhance_stream(
 class StreamEnhancer:
     """Push/pull interface: push one chunk of noisy samples, pull the enhanced chunk.
 
-    A list of B seeds streams B rows in chunks (B, n) under the sampler's
+    A list of B >= 1 seeds streams B rows in chunks (B, n) under the sampler's
     row contract: one bank of B state rows, and per row a generator, running
     peak and ledger (``ledger`` and ``chunk_ledgers`` hold lists); the report's
     chunk is all rows' audio.  An int seed streams a signal, chunks (n,), as one
@@ -156,8 +156,9 @@ class StreamEnhancer:
     The enhanced chunk for input chunk c is available right after push(c) — one
     chunk of algorithmic delay.  Short final chunks are zero-padded internally
     and trimmed on output.  Chunk outputs are causal in the input chunks.  A
-    chunk with a non-finite sample raises DomainError and leaves the stream as
-    it was, so the next chunk's output is what it would have been without it.
+    chunk with a non-finite sample raises DomainError, and one that diverges
+    DivergenceError naming its rows; either leaves the stream as it was, so
+    the next chunk's output is what it would have been without it.
     """
 
     def __init__(
@@ -175,14 +176,16 @@ class StreamEnhancer:
         self.config = config
         self.params = params
         self._signal = not isinstance(seed, (list, tuple))  # unwraps what push hands out
-        seeds = [seed] if self._signal else list(seed)
+        seeds = [seed] if self._signal else seed
+        if not seeds:
+            raise ConfigError(f"a stream needs at least one seed, got {seed!r}")
+        B = len(seeds)
         self.rng = [make_rng(s) for s in seeds]
-        self.bank = HistoryBank.for_provider(provider, config, params, len(seeds))
+        self.bank = HistoryBank.for_provider(provider, config, params, B)
         self.plan: StepPlan | None = None  # built on the first push, once per stream
         self._totals = [CostLedger() for _ in seeds]  # running total over chunks, per row
         self.ledger = self._unwrap(self._totals)
         self.chunk_ledgers: list = []
-        B = len(seeds)
         self.report = LatencyReport(stream_config.chunk_ms * B, stream_config.chunk_size * B)
         self._outbox: list[np.ndarray] = []
         self._peak = 0.0
@@ -207,13 +210,24 @@ class StreamEnhancer:
         peak = np.max(np.abs(chunk), axis=-1, keepdims=True)
         if not np.isfinite(peak).all():
             raise DomainError("samples must be finite")
+        # a diverging pass is undone: the nets return fresh states, so the bank's entries
+        # and the peak are kept by reference and each generator by its state
+        kept = (self._peak, dict(self.bank.score_states), self.bank.denoiser_state,
+                [r.bit_generator.state for r in self.rng])
         self._peak = np.maximum(self._peak, peak)
         scale = _normalizer(self._peak)
         t0 = time.perf_counter()  # before the plan's build: an offline report times both
         if self.plan is None:
             self.plan = StepPlan.build(self.provider, self.schedule, self.params, self.config)
         chunk_ledgers = [CostLedger() for _ in range(B)]
-        x, _ = process_chunk(chunk * scale, self.bank, self.plan, self.rng, chunk_ledgers)
+        try:
+            x, _ = process_chunk(chunk * scale, self.bank, self.plan, self.rng, chunk_ledgers)
+        except DivergenceError:
+            self._peak, states, self.bank.denoiser_state, rng_states = kept
+            self.bank.score_states.update(states)
+            for r, state in zip(self.rng, rng_states):
+                r.bit_generator.state = state
+            raise
         self.report.wall_times_s.append(time.perf_counter() - t0)
         self.chunk_ledgers.append(self._unwrap(chunk_ledgers))
         self._totals = [total + led for total, led in zip(self._totals, chunk_ledgers)]

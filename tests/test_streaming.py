@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from gse.errors import ConfigError, DimensionError, DomainError
+from gse.errors import ConfigError, DimensionError, DivergenceError, DomainError
 from gse.nets import DenoiserNet, ScoreNet
 from gse.sampler import CostLedger, SamplerConfig, StepPlan, reverse_process
-from gse.score import DiscriminativeScore, GuidanceSchedule, HybridScore, LearnedScore
+from gse.score import (AnalyticGaussianScore, DiscriminativeScore, GaussianPrior,
+                       GuidanceSchedule, HybridScore, LearnedScore)
 from gse.sde import SdeParams, make_rng
 from gse.streaming import (
     HistoryBank,
@@ -413,6 +414,69 @@ class TestRowStreams:
         assert enhancer.ledger == fresh.ledger and len(enhancer.report.wall_times_s) == 1
 
 
+class TestDivergence:
+    """A push that diverges raises DivergenceError naming its rows and leaves the stream as
+    it was: every row's generator, running peak, bank states and ledger."""
+
+    P6 = SdeParams(N=6)
+
+    def provider(self, kind, row):
+        """An oracle, or a hybrid whose learned steps write the bank, whose score turns
+        infinite in ``row`` below t = 0.5 while its ``armed`` is set."""
+        provider = (AnalyticGaussianScore(GaussianPrior(1.0, 0.04), self.P6) if kind == "oracle"
+                    else HybridScore(ScoreNet(self.P6, frame_size=FRAME, hidden=6, seed=3),
+                                     DenoiserNet(frame_size=FRAME, hidden=5, seed=4), self.P6))
+        bind, provider.armed = provider.bind, False
+
+        def armed_bind(y, ledger, plan, denoiser_state=None):
+            bound, state = bind(y, ledger, plan, denoiser_state)
+            evaluate = bound.evaluate
+
+            def diverging(x, t, s, guided):
+                score, s = evaluate(x, t, s, guided)
+                if provider.armed and t < 0.5:
+                    score[row] = np.inf
+                return score, s
+
+            bound.evaluate = diverging
+            return bound, state
+
+        provider.bind = armed_bind
+        return provider
+
+    @pytest.mark.parametrize("kind", ["oracle", "hybrid"])
+    @pytest.mark.parametrize("seed, row", [([0, 1, 2], 1), (0, 0)], ids=["rows", "signal"])
+    def test_a_diverging_push_leaves_the_stream_as_it_was(self, kind, seed, row):
+        rows = () if seed == 0 else (len(seed),)
+        chunks = make_rng(18).normal(size=(3,) + rows + (SC.chunk_size,))
+        chunks[1] *= 3.0  # its peak would raise every row's running peak
+
+        def stream(*pushes):
+            provider = self.provider(kind, row)
+            schedule = GuidanceSchedule.from_guided_steps(0 if kind == "oracle" else 2, self.P6)
+            enhancer = StreamEnhancer(SC, provider, schedule, SamplerConfig(corrector_steps=1),
+                                      self.P6, seed)
+            outs = []
+            for chunk, armed in pushes:
+                provider.armed = armed
+                if armed:
+                    with np.errstate(all="ignore"), pytest.raises(
+                            DivergenceError, match=rf"at step n=3 in rows \[{row}\]$"):
+                        enhancer.push(chunk)
+                    assert enhancer.pull() is None
+                else:
+                    enhancer.push(chunk)
+                    outs.append(enhancer.pull())
+            return outs, enhancer
+
+        hit_outs, hit = stream((chunks[0], False), (chunks[1], True), (chunks[2], False))
+        clean_outs, clean = stream((chunks[0], False), (chunks[2], False))
+        assert [x.tobytes() for x in hit_outs] == [x.tobytes() for x in clean_outs]
+        assert hit_outs[-1].shape == rows + (SC.chunk_size,)
+        assert hit.chunk_ledgers == clean.chunk_ledgers and hit.ledger == clean.ledger
+        assert len(hit.report.wall_times_s) == 2
+
+
 class TestLedgers:
     def test_totals_are_exact_sums_of_chunk_ledgers(self):
         provider = tiny_provider()
@@ -470,6 +534,13 @@ class TestPushPull:
         with pytest.raises(ConfigError, match="seed must be an int, got 1.5"):
             StreamEnhancer(SC, tiny_provider(), GuidanceSchedule.from_guided_steps(0, P),
                            SamplerConfig(), P, seed=1.5)
+
+    @pytest.mark.parametrize("seed", [[], ()], ids=["list", "tuple"])
+    def test_a_stream_of_no_rows_is_a_config_error(self, seed):
+        """Built with no seed, a stream would report 0 ms chunks and reject every chunk."""
+        with pytest.raises(ConfigError, match="a stream needs at least one seed"):
+            StreamEnhancer(SC, tiny_provider(), GuidanceSchedule.from_guided_steps(0, P),
+                           SamplerConfig(), P, seed=seed)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_chunk_rejected_and_leaves_the_stream_as_it_was(self, bad):
